@@ -1,7 +1,9 @@
 """Bipartite graphs, independent-set-pair counting, and profile statistics.
 
 The graph file format is line-based: ``left u``, ``right w``, ``edge u w``,
-with ``#`` comments.  Vertex order is declaration order.
+with ``#`` comments.  Vertex order is declaration order.  Vertex names follow
+the constant grammar of fact files and may not start with ``@``, the prefix
+of generated constants.
 
 A profile of a vertex-subset pair (R', T') records how the edges fall with
 respect to it: contained in R' x T', dangling from R', dangling from T', or
@@ -17,6 +19,7 @@ from typing import Iterable, Mapping
 
 from .errors import CapExceededError, GraphFormatError
 from .evaluate import resolve_cap
+from .instances import _CONSTANT_RE
 
 DEFAULT_PAIR_CAP = 24
 
@@ -81,6 +84,10 @@ def parse_graph(text: str) -> BipartiteGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if parts[0] in ("left", "right") and len(parts) == 2:
+            # Vertex names become constants of the emitted instances.
+            if not _CONSTANT_RE.fullmatch(parts[1]) or parts[1].startswith("@"):
+                raise GraphFormatError(f"line {lineno}: bad vertex name {parts[1]!r}")
         if parts[0] == "left" and len(parts) == 2:
             if parts[1] in left or parts[1] in right:
                 raise GraphFormatError(f"line {lineno}: duplicate vertex {parts[1]!r}")

@@ -75,7 +75,12 @@ def _cmd_pqe(args) -> None:
         prob = ProbAssignment.uniform(Fraction(args.uniform))
     else:
         text = _read(args.probs)
-        mode = "per-fact" if "(" in text else "per-relation"
+        per_fact = any(
+            "(" in line
+            for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")
+        )
+        mode = "per-fact" if per_fact else "per-relation"
         prob = parse_prob_map(text, mode)
     if classify_hierarchical(q).hierarchical:
         result = pqe_safe(q, instance, prob)

@@ -66,6 +66,10 @@ class InvalidProfileError(QReliabError):
     pass
 
 
+class NonIntegralResultError(QReliabError):
+    """An exact computation gave a non-integer where an integer is required."""
+
+
 class DuplicateNodeError(QReliabError):
     """Two interpolation nodes coincide.
 

@@ -1,13 +1,14 @@
 """Exact counting and probability engines.
 
-Three routes are provided: brute-force subset enumeration (the oracle used by
-the verification suites), a polynomial safe-plan evaluator for hierarchical
-queries, and the certain-T rewrite that makes the (r, s, 1) per-relation
-setting tractable.
+Three routes are provided: the brute route, exact model counting over the
+match supports (the oracle used by the verification suites); a polynomial
+safe-plan evaluator for hierarchical queries; and the certain-T rewrite that
+makes the (r, s, 1) per-relation setting tractable.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from .errors import (
     CapExceededError,
     InstanceFormatError,
     NonHierarchicalQueryError,
+    NonIntegralResultError,
 )
 from .instances import Fact, Instance, ProbAssignment
 
@@ -49,7 +51,7 @@ def _support_masks(q: Query, instance: Instance) -> tuple[list[Fact], list[int]]
 
 
 def ur_brute(q: Query, instance: Instance, cap: int | None = None) -> int:
-    """|Mod(Q, I)| by enumeration over the support facts.
+    """|Mod(Q, I)| by exact model counting over the support facts.
 
     Facts outside every match support contribute a free factor 2**k.
     """
@@ -68,7 +70,8 @@ def pqe_brute(
     prob: ProbAssignment,
     cap: int | None = None,
 ) -> Fraction:
-    """Exact query probability by enumerating worlds of the uncertain support facts.
+    """Exact query probability by weighted model counting over the uncertain
+    support facts: fact f weighs (num, den - num) for probability num/den.
 
     Certain facts (probability 1) are fixed present; facts outside every match
     support contribute a factor of 1 either way.
@@ -90,33 +93,13 @@ def pqe_brute(
             if mask >> i & 1 and f not in certain:
                 red |= 1 << index[f]
         reduced.append(red)
-    if not reduced:
-        return Fraction(0)
-    if 0 in reduced:
-        return Fraction(1)
-
-    nums = [probs[f].numerator for f in enum_facts]
-    dens = [probs[f].denominator for f in enum_facts]
-    # suffix_den[i] = product of denominators of the still-undecided facts
-    suffix_den = [1] * (len(enum_facts) + 1)
-    for i in range(len(enum_facts) - 1, -1, -1):
-        suffix_den[i] = dens[i] * suffix_den[i + 1]
-
-    def satisfied_weight(i: int, weight: int, cur_masks: list[int]) -> int:
-        """Total numerator weight of satisfying worlds in this subtree."""
-        if any(m == 0 for m in cur_masks):
-            return weight * suffix_den[i]
-        if not cur_masks:
-            return 0
-        bit = 1 << i
-        present = [m & ~bit for m in cur_masks]
-        absent = [m for m in cur_masks if not m & bit]
-        total = satisfied_weight(i + 1, weight * nums[i], present)
-        if absent:
-            total += satisfied_weight(i + 1, weight * (dens[i] - nums[i]), absent)
-        return total
-
-    return Fraction(satisfied_weight(0, 1, reduced), suffix_den[0])
+    weights = [
+        (probs[f].numerator, probs[f].denominator - probs[f].numerator)
+        for f in enum_facts
+    ]
+    denominator = math.prod(probs[f].denominator for f in enum_facts)
+    violated = kernels.count_avoiding(reduced, weights)
+    return Fraction(denominator - violated, denominator)
 
 
 def _substitute(atom: Atom, var: str, value: str) -> Atom:
@@ -217,7 +200,8 @@ def ur_safe(q: Query, instance: Instance) -> int:
     """|Mod(Q, I)| for hierarchical queries: 2**|I| times the uniform probability."""
     pr = pqe_safe(q, instance, ProbAssignment.uniform(Fraction(1, 2)))
     value = pr * (1 << len(instance))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise NonIntegralResultError(f"2**|I| * Pr(Q) = {value} is not an integer")
     return value.numerator
 
 

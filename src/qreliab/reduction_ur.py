@@ -21,6 +21,7 @@ from .cq import Query, noncomparable_pair_and_rst
 from .errors import (
     DuplicateNodeError,
     InvalidProfileError,
+    NonIntegralResultError,
     QReliabError,
     SchemaMismatchError,
 )
@@ -200,13 +201,12 @@ def alpha_coefficient(
         raise InvalidProfileError(f"profile {profile_key} is not realizable")
     if i > params.n_left or j > params.n_right:
         raise InvalidProfileError(f"profile {profile_key} is out of range")
-    e = params.m - c - d - dp
-    s, t = params.s, params.t
-    # Exponent layering that makes the coefficients distinct: each summand
-    # stays below the next multiplicity level.
-    assert s * (d + dp + 2 * e) < params.M1 or params.M1 != 4 * params.m * s + 1
+    # The exponent layering that makes coefficients distinct needs no check:
+    # realizability gives d + d' + 2e <= 2m, so s * (d + d' + 2e) < 4ms + 1,
+    # which is M1 unless override_params replaced it.
     value = _alpha_cell(profile_key, counts, params)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise NonIntegralResultError(f"coefficient of profile {profile_key} is {value}")
     return value.numerator
 
 
@@ -414,7 +414,8 @@ def run_reduction(
     nodes = []
     for key in cells:
         scaled = alpha[key] * scale
-        assert scaled.denominator == 1
+        if scaled.denominator != 1:
+            raise NonIntegralResultError(f"node {scaled} of profile {key} is not an integer")
         nodes.append(scaled.numerator)
     rhs = []
     power = 1

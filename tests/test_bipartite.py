@@ -29,6 +29,8 @@ def test_parse_graph():
         "left u\nright w\nedge w u\n",
         "vertex u\n",
         "left\n",
+        "left u-1\n",
+        "right @x\n",
     ],
 )
 def test_parse_graph_rejects(text):

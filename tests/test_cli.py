@@ -65,6 +65,15 @@ def test_pqe_probs_file(capsys, five_facts, tmp_path):
     assert out == "7/16\n"
 
 
+def test_pqe_probs_file_comment_does_not_pick_mode(capsys, five_facts, tmp_path):
+    probs = tmp_path / "p.probs"
+    probs.write_text("# probabilities (per relation)\nR 1/2\nS 1/2\nT 1\n")
+    code, out, _ = run(
+        capsys, "pqe", "R(x), S(x,y), T(y)", five_facts, "--probs", str(probs)
+    )
+    assert (code, out) == (0, "7/16\n")
+
+
 def test_gadgets(capsys):
     code, out, _ = run(capsys, "gadgets", "--rst", "1,1,1")
     assert code == 0
