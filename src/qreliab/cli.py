@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .bipartite import independent_pair_count, parse_graph
 from .cq import classify_hierarchical, parse_query
-from .errors import QReliabError
-from .evaluate import pqe_brute, pqe_safe, ur_brute, ur_safe
+from .errors import QReliabError, UsageError
+from .evaluate import brute_cap_override, pqe_brute, pqe_safe, ur_brute, ur_safe
 from .gadgets import brute_counts, closed_counts, verify_lemmas
 from .instances import parse_instance, parse_prob_map, ProbAssignment
 from .reduction_pqe import run_reduction_pqe
@@ -200,6 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:  # checked up front: a bad value fails every command, not only the brute ones
+        brute_cap_override()
+    except UsageError as exc:
+        parser.error(str(exc))
     try:
         args.func(args)
     except (QReliabError, OSError, ValueError, ZeroDivisionError) as exc:

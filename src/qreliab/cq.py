@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     ArityError,
@@ -90,6 +92,12 @@ class Query:
 
     def __str__(self) -> str:
         return ", ".join(str(a) for a in self.atoms)
+
+    @cached_property
+    def _join_plan(self) -> "_JoinPlan":
+        # The steps of the hash join behind enumerate_matches depend on the
+        # query alone, so they are built once per query object.
+        return _plan_join(self)
 
 
 @dataclass(frozen=True)
@@ -209,12 +217,87 @@ def noncomparable_pair_and_rst(q: Query) -> tuple[str, str, int, int, int]:
     return x, y, r, s, t
 
 
+class AtomPattern(NamedTuple):
+    """What an atom asks of a fact, column by column."""
+
+    columns: dict[str, int]  # variable -> the first column it occupies
+    fixed: tuple[tuple[int, str], ...]  # (column, constant)
+    same: tuple[tuple[int, int], ...]  # (column, earlier column of its variable)
+
+    @classmethod
+    def of(cls, atom: Atom) -> "AtomPattern":
+        columns: dict[str, int] = {}
+        fixed = []
+        same = []
+        for k, t in enumerate(atom.args):
+            if not t.is_variable:
+                fixed.append((k, t.name))
+            elif t.name in columns:
+                same.append((k, columns[t.name]))
+            else:
+                columns[t.name] = k
+        return cls(columns, tuple(fixed), tuple(same))
+
+    def select(self, facts: list) -> list:
+        """The facts that agree with the constants and repeated variables; the
+        list itself when the atom has neither."""
+        if not (self.fixed or self.same):
+            return facts
+        return [
+            f
+            for f in facts
+            if all(f.args[k] == c for k, c in self.fixed)
+            and all(f.args[k] == f.args[j] for k, j in self.same)
+        ]
+
+
+class _JoinStep(NamedTuple):
+    """One atom of the hash join."""
+
+    relation: str
+    pattern: AtomPattern
+    bound: tuple[int, ...]  # columns of the variables that earlier steps bind
+    slots: tuple[int, ...]  # the places of those variables in a partial assignment
+    fresh: tuple[int, ...]  # columns of the variables this step binds first
+
+
+class _JoinPlan(NamedTuple):
+    steps: tuple[_JoinStep, ...]
+    order: tuple[int, ...]  # slot of each query variable, in first-occurrence order
+
+
+def _plan_join(q: Query) -> _JoinPlan:
+    rest = [(a.relation, AtomPattern.of(a)) for a in q.atoms]
+    slot: dict[str, int] = {}  # variable -> its place in a partial assignment
+    steps = []
+    while rest:
+        # Next, the first atom sharing a variable with those already joined,
+        # so that a cross product is taken only where the query has one.
+        i = next(
+            (i for i, (_, p) in enumerate(rest) if not slot.keys().isdisjoint(p.columns)),
+            0,
+        )
+        relation, pattern = rest.pop(i)
+        columns = pattern.columns
+        bound = tuple(k for v, k in columns.items() if v in slot)
+        slots = tuple(slot[v] for v in columns if v in slot)
+        fresh = tuple(k for v, k in columns.items() if v not in slot)
+        for v in columns:
+            slot.setdefault(v, len(slot))
+        steps.append(_JoinStep(relation, pattern, bound, slots, fresh))
+    return _JoinPlan(tuple(steps), tuple(slot[v] for v in q.variables))
+
+
 def enumerate_matches(q: Query, instance) -> list[frozenset]:
     """All query matches of q over the instance, as fact supports.
 
     One entry per total assignment of q's variables to constants under which
     every atom maps to a fact of the instance; ordered lexicographically by
     the assigned constants (in first-occurrence variable order).
+
+    A hash join: each atom's facts are indexed on the columns of the
+    variables that earlier atoms bind, so each partial assignment reaches
+    exactly the facts that extend it.
     """
     for relation, arity in q.schema.items():
         inst_arity = instance.arity_of(relation)
@@ -224,31 +307,28 @@ def enumerate_matches(q: Query, instance) -> list[frozenset]:
                 f"but {inst_arity} in the instance"
             )
 
-    variables = q.variables
-    results: list[tuple[tuple[str, ...], frozenset]] = []
+    plan = q._join_plan
+    # partial matches: (assigned constants in slot order, support facts)
+    partial: list[tuple[tuple[str, ...], tuple]] = [((), ())]
+    for relation, pattern, bound, slots, fresh in plan.steps:
+        # values in the bound columns -> [(values in the fresh columns, fact)]
+        index: dict[tuple[str, ...], list] = {}
+        for f in pattern.select(instance.facts_of(relation)):
+            args = f.args
+            index.setdefault(tuple([args[k] for k in bound]), []).append(
+                (tuple([args[k] for k in fresh]), f)
+            )
+        partial = [
+            (assigned + values, support + (f,))
+            for assigned, support in partial
+            for values, f in index.get(tuple([assigned[s] for s in slots]), ())
+        ]
+        if not partial:
+            return []
 
-    def extend(atom_idx: int, binding: dict[str, str], support: list):
-        if atom_idx == len(q.atoms):
-            key = tuple(binding[v] for v in variables)
-            results.append((key, frozenset(support)))
-            return
-        atom = q.atoms[atom_idx]
-        for fact in instance.facts_of(atom.relation):
-            new = dict(binding)
-            ok = True
-            for term, value in zip(atom.args, fact.args):
-                if term.is_variable:
-                    if new.setdefault(term.name, value) != value:
-                        ok = False
-                        break
-                elif term.name != value:
-                    ok = False
-                    break
-            if ok:
-                support.append(fact)
-                extend(atom_idx + 1, new, support)
-                support.pop()
-
-    extend(0, {}, [])
+    results = [
+        (tuple([assigned[s] for s in plan.order]), frozenset(support))
+        for assigned, support in partial
+    ]
     results.sort(key=lambda kv: kv[0])
     return [support for _, support in results]

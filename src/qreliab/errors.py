@@ -46,6 +46,11 @@ class CapExceededError(QReliabError):
         self.cap = cap
 
 
+class UsageError(QReliabError):
+    """A setting outside the arguments, such as an environment variable, is
+    invalid; the command line reports it as a usage error (exit status 2)."""
+
+
 class ProbabilityError(QReliabError):
     pass
 

@@ -13,13 +13,14 @@ import os
 from fractions import Fraction
 
 from . import kernels
-from .cq import Atom, Query, Term, classify_hierarchical, enumerate_matches, parse_query
+from .cq import AtomPattern, Query, classify_hierarchical, enumerate_matches, parse_query
 from .errors import (
     ArityError,
     CapExceededError,
     InstanceFormatError,
     NonHierarchicalQueryError,
     NonIntegralResultError,
+    UsageError,
 )
 from .instances import Fact, Instance, ProbAssignment
 
@@ -28,12 +29,27 @@ DEFAULT_BRUTE_CAP = 30
 _Q1_SCHEMA = {"R": 1, "S": 2, "T": 1}
 
 
+def brute_cap_override() -> int | None:
+    """The QRELIAB_BRUTE_CAP environment override, or None when it is unset
+    or empty; anything but a non-negative integer is a UsageError."""
+    env = os.environ.get("QRELIAB_BRUTE_CAP")
+    if not env:
+        return None
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise UsageError(f"QRELIAB_BRUTE_CAP must be a non-negative integer, got {env!r}")
+    return value
+
+
 def resolve_cap(cap: int | None, default: int = DEFAULT_BRUTE_CAP) -> int:
     """Explicit cap, else the QRELIAB_BRUTE_CAP environment override, else default."""
     if cap is not None:
         return cap
-    env = os.environ.get("QRELIAB_BRUTE_CAP")
-    return int(env) if env else default
+    override = brute_cap_override()
+    return default if override is None else override
 
 
 def _support_masks(q: Query, instance: Instance) -> tuple[list[Fact], list[int]]:
@@ -102,16 +118,9 @@ def pqe_brute(
     return Fraction(denominator - violated, denominator)
 
 
-def _substitute(atom: Atom, var: str, value: str) -> Atom:
-    args = tuple(
-        Term("constant", value) if t.is_variable and t.name == var else t
-        for t in atom.args
-    )
-    return Atom(atom.relation, args)
-
-
-def _components(atoms: list[Atom]) -> list[list[Atom]]:
-    """Group atoms into connected components by shared variables."""
+def _components(atoms: list[tuple[str, ...]]) -> list[list[int]]:
+    """Group atoms, given by their free variables, into connected components
+    by shared variables; each component lists its atoms' indices."""
     parent = list(range(len(atoms)))
 
     def find(i: int) -> int:
@@ -121,57 +130,79 @@ def _components(atoms: list[Atom]) -> list[list[Atom]]:
         return i
 
     first_atom: dict[str, int] = {}
-    for i, atom in enumerate(atoms):
-        for v in atom.variables:
+    for i, free in enumerate(atoms):
+        for v in free:
             if v in first_atom:
                 parent[find(i)] = find(first_atom[v])
             else:
                 first_atom[v] = i
-    groups: dict[int, list[Atom]] = {}
-    for i, atom in enumerate(atoms):
-        groups.setdefault(find(i), []).append(atom)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(atoms)):
+        groups.setdefault(find(i), []).append(i)
     return [groups[k] for k in sorted(groups)]
 
 
-def _safe_eval(atoms: list[Atom], instance: Instance, prob: ProbAssignment) -> Fraction:
-    comps = _components(atoms)
+def _plan(atoms: list[tuple[tuple[str, ...], dict[str, int]]], probs: dict[Fact, Fraction]):
+    """Compile the safe plan of a hierarchical query.
+
+    ``atoms`` gives each atom's free variables and the column of each
+    variable.  The result maps one fact list per atom, already restricted to
+    the constants and bound variables, to the probability that some match is
+    present.  Its shape depends on the query only, so it is built once per
+    call and not per root value.
+    """
+    comps = _components([free for free, _ in atoms])
     if len(comps) > 1:
-        result = Fraction(1)
-        for comp in comps:
-            result *= _safe_eval(comp, instance, prob)
-        return result
+        # Independent join: components share no variable and, the query
+        # being self-join-free, no fact.
+        parts = [(comp, _plan([atoms[i] for i in comp], probs)) for comp in comps]
 
-    comp = comps[0]
-    comp_vars: dict[str, None] = {}
-    for atom in comp:
-        for v in atom.variables:
-            comp_vars.setdefault(v, None)
+        def join(lists: list[list[Fact]]) -> Fraction:
+            result = Fraction(1)
+            for comp, part in parts:
+                result *= part([lists[i] for i in comp])
+            return result
 
-    if not comp_vars:
-        # Connected and variable-free: necessarily a single ground atom.
-        (atom,) = comp
-        fact = Fact(atom.relation, tuple(t.name for t in atom.args))
-        return prob.prob_of(fact) if fact in instance else Fraction(0)
+        return join
 
-    root = next(
-        (v for v in comp_vars if all(v in a.variables for a in comp)), None
-    )
+    if len(atoms) == 1:
+        # Every remaining fact is a match on its own, independent of the others.
+        def single(lists: list[list[Fact]]) -> Fraction:
+            miss = Fraction(1)
+            for f in lists[0]:
+                miss *= 1 - probs[f]
+            return 1 - miss
+
+        return single
+
+    free_vars = atoms[0][0]
+    root = next((v for v in free_vars if all(v in free for free, _ in atoms)), None)
     if root is None:
         raise NonHierarchicalQueryError("no root variable; query is not hierarchical")
+    root_columns = [columns[root] for _, columns in atoms]
+    child = _plan(
+        [(tuple(v for v in free if v != root), columns) for free, columns in atoms],
+        probs,
+    )
 
-    domain: set[str] = set()
-    for atom in comp:
-        positions = [k for k, t in enumerate(atom.args) if t.is_variable and t.name == root]
-        for fact in instance.facts_of(atom.relation):
-            domain.update(fact.args[k] for k in positions)
+    def project(lists: list[list[Fact]]) -> Fraction:
+        # Independent project: partition each atom's facts by the root value
+        # once.  Branches for distinct values touch disjoint facts, and a
+        # value that some atom lacks has no match (factor 1).
+        groups = []
+        for facts, k in zip(lists, root_columns):
+            by_value: dict[str, list[Fact]] = {}
+            for f in facts:
+                by_value.setdefault(f.args[k], []).append(f)
+            groups.append(by_value)
+        smallest = min(groups, key=len)
+        result = Fraction(1)
+        for value in smallest:
+            if all(value in g for g in groups):
+                result *= 1 - child([g[value] for g in groups])
+        return 1 - result
 
-    # Branches for distinct root values touch disjoint fact sets, hence are
-    # independent events.
-    result = Fraction(1)
-    for value in sorted(domain):
-        branch = [_substitute(a, root, value) for a in comp]
-        result *= 1 - _safe_eval(branch, instance, prob)
-    return 1 - result
+    return project
 
 
 def _check_arities(q: Query, instance: Instance) -> None:
@@ -184,16 +215,24 @@ def _check_arities(q: Query, instance: Instance) -> None:
 
 
 def pqe_safe(q: Query, instance: Instance, prob: ProbAssignment) -> Fraction:
-    """Polynomial-time exact probability for hierarchical queries.
+    """Exact probability for hierarchical queries, in time about linear in
+    the instance (plus exact-arithmetic cost).
 
-    Recursion: ground atom lookup, independent product over connected
-    components, and independent projection on a root variable occurring in
-    every atom of its component (which the hierarchy property guarantees).
+    Each atom's facts are first restricted to its constants and repeated
+    variables.  Then the safe plan recurses: independent product over
+    connected components, and independent projection on a root variable
+    occurring in every atom of its component (which the hierarchy property
+    guarantees), splitting each atom's facts by the root value once per
+    level.  Every fact's probability is resolved first, so a missing one is
+    reported whichever facts the plan visits.
     """
     if not classify_hierarchical(q).hierarchical:
         raise NonHierarchicalQueryError(f"query {q} is not hierarchical")
     _check_arities(q, instance)
-    return _safe_eval(list(q.atoms), instance, prob)
+    probs = {f: prob.prob_of(f) for f in instance.facts}
+    patterns = [AtomPattern.of(a) for a in q.atoms]
+    plan = _plan([(a.variables, p.columns) for a, p in zip(q.atoms, patterns)], probs)
+    return plan([p.select(instance.facts_of(a.relation)) for a, p in zip(q.atoms, patterns)])
 
 
 def ur_safe(q: Query, instance: Instance) -> int:

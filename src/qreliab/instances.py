@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ArityError, InstanceFormatError, ProbabilityError
+from .errors import ArityError, InstanceFormatError, ProbabilityError, QReliabError
 
 _CONSTANT_RE = re.compile(r"[A-Za-z0-9_.@]+")
 _FACT_RE = re.compile(r"([A-Z][A-Za-z0-9_]*)\((.*)\)\s*$")
@@ -81,6 +81,15 @@ class Instance:
         return "".join(f"{fact}\n" for fact in self)
 
 
+def _fact_args(body: str, lineno: int, error: type[QReliabError]) -> tuple[str, ...]:
+    """The constants of a fact's argument list; a malformed one raises error."""
+    args = tuple(a.strip() for a in body.split(","))
+    for a in args:
+        if not _CONSTANT_RE.fullmatch(a):
+            raise error(f"line {lineno}: bad constant {a!r}")
+    return args
+
+
 def parse_instance(text: str, schema: Mapping[str, int] | None = None) -> Instance:
     """Parse a fact file; validate relations and arities against schema."""
     facts = []
@@ -91,11 +100,8 @@ def parse_instance(text: str, schema: Mapping[str, int] | None = None) -> Instan
         m = _FACT_RE.match(line)
         if not m:
             raise InstanceFormatError(f"line {lineno}: cannot parse fact {line!r}")
-        relation, body = m.group(1), m.group(2)
-        args = tuple(a.strip() for a in body.split(","))
-        for a in args:
-            if not _CONSTANT_RE.fullmatch(a):
-                raise InstanceFormatError(f"line {lineno}: bad constant {a!r}")
+        relation = m.group(1)
+        args = _fact_args(m.group(2), lineno, InstanceFormatError)
         if schema is not None:
             if relation not in schema:
                 raise InstanceFormatError(f"line {lineno}: unknown relation {relation!r}")
@@ -186,7 +192,7 @@ def parse_prob_map(text: str, mode: str) -> ProbAssignment:
             m = _FACT_RE.match(target)
             if not m:
                 raise ProbabilityError(f"line {lineno}: cannot parse fact {target!r}")
-            args = tuple(a.strip() for a in m.group(2).split(","))
+            args = _fact_args(m.group(2), lineno, ProbabilityError)
             per_fact[Fact(m.group(1), args)] = prob
     if mode == "per-relation":
         return ProbAssignment.for_relations(per_relation)

@@ -74,6 +74,29 @@ def test_pqe_probs_file_comment_does_not_pick_mode(capsys, five_facts, tmp_path)
     assert (code, out) == (0, "7/16\n")
 
 
+@pytest.mark.parametrize("query", ["R(x), S(x,y)", "R(x), S(x,y), T(y)"])
+def test_pqe_missing_fact_probability_is_an_error(capsys, tmp_path, query):
+    # S(b,c) takes part in no match, so neither route needs its probability
+    # to compute the answer; both still report it missing.
+    facts = tmp_path / "f.facts"
+    facts.write_text("R(a)\nS(a,c)\nS(b,c)\nT(c)\n")
+    probs = tmp_path / "p.probs"
+    probs.write_text("R(a) 1/2\nS(a,c) 1/3\nT(c) 1\n")
+    code, out, err = run(capsys, "pqe", query, str(facts), "--probs", str(probs))
+    assert (code, out) == (1, "")
+    assert err == "error: no probability assigned to S(b,c)\n"
+
+
+def test_pqe_probs_file_bad_constant_exits_1(capsys, five_facts, tmp_path):
+    probs = tmp_path / "p.probs"
+    probs.write_text("R(a) 1/2\nR(a-1) 1/5\n")
+    code, out, err = run(
+        capsys, "pqe", "R(x), S(x,y)", five_facts, "--probs", str(probs)
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: bad constant 'a-1'\n"
+
+
 def test_gadgets(capsys):
     code, out, _ = run(capsys, "gadgets", "--rst", "1,1,1")
     assert code == 0
@@ -115,6 +138,17 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_brute_cap_env_is_a_usage_error(capsys, monkeypatch, five_facts, value):
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["ur", "R(x), S(x,y), T(y)", five_facts])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "QRELIAB_BRUTE_CAP must be a non-negative integer" in captured.err
 
 
 def test_computation_error_exits_1(capsys, tmp_path):

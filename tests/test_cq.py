@@ -1,7 +1,12 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qreliab.cq import (
+    Atom,
+    Query,
+    Term,
     atoms_of,
     classify_hierarchical,
     enumerate_matches,
@@ -15,7 +20,40 @@ from qreliab.errors import (
     SelfJoinError,
     UnknownVariableError,
 )
-from qreliab.instances import parse_instance
+from qreliab.instances import Fact, Instance, parse_instance
+
+
+def nested_loop_matches(q, instance):
+    """Reference join: every atom scans its whole relation for each partial
+    assignment."""
+    variables = q.variables
+    results = []
+
+    def extend(atom_idx, binding, support):
+        if atom_idx == len(q.atoms):
+            key = tuple(binding[v] for v in variables)
+            results.append((key, frozenset(support)))
+            return
+        atom = q.atoms[atom_idx]
+        for fact in instance.facts_of(atom.relation):
+            new = dict(binding)
+            ok = True
+            for term, value in zip(atom.args, fact.args):
+                if term.is_variable:
+                    if new.setdefault(term.name, value) != value:
+                        ok = False
+                        break
+                elif term.name != value:
+                    ok = False
+                    break
+            if ok:
+                support.append(fact)
+                extend(atom_idx + 1, new, support)
+                support.pop()
+
+    extend(0, {}, [])
+    results.sort(key=lambda kv: kv[0])
+    return [support for _, support in results]
 
 
 def test_parse_basic():
@@ -128,3 +166,33 @@ def test_query_str_roundtrip():
     text = "A(x, z), S(x, y), B(y, '7w'), U(2)"
     q = parse_query(text)
     assert parse_query(str(q)) == q
+
+
+_TERMS = [Term("variable", v) for v in "xyz"] + [Term("constant", c) for c in "ab"]
+_CONSTANTS = "abc"
+
+
+@st.composite
+def _query_and_instance(draw):
+    """A self-join-free query over R0..R3 (variables x, y, z, constants a, b)
+    and an instance over its relations plus one the query does not use."""
+    n_atoms = draw(st.integers(1, 4))
+    atoms = tuple(
+        Atom(f"R{i}", tuple(draw(st.lists(st.sampled_from(_TERMS), min_size=1, max_size=3))))
+        for i in range(n_atoms)
+    )
+    schema = {a.relation: len(a.args) for a in atoms} | {"U": 1}
+    candidates = [
+        Fact(rel, args)
+        for rel, arity in schema.items()
+        for args in product(_CONSTANTS, repeat=arity)
+    ]
+    facts = draw(st.lists(st.sampled_from(candidates), max_size=30, unique=True))
+    return Query(atoms), Instance(facts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_query_and_instance())
+def test_enumerate_matches_matches_nested_loop(case):
+    q, instance = case
+    assert enumerate_matches(q, instance) == nested_loop_matches(q, instance)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qreliab.cq import parse_query
-from qreliab.errors import CapExceededError, NonHierarchicalQueryError
+from qreliab.cq import Atom, Query, Term, classify_hierarchical, parse_query
+from qreliab.errors import CapExceededError, NonHierarchicalQueryError, UsageError
 from qreliab.evaluate import (
     pqe_brute,
     pqe_safe,
@@ -12,7 +14,7 @@ from qreliab.evaluate import (
     ur_safe,
 )
 from qreliab.gadgets import q1_query
-from qreliab.instances import Instance, ProbAssignment, parse_instance
+from qreliab.instances import Fact, Instance, ProbAssignment, parse_instance
 
 Q1 = q1_query()
 HALF = ProbAssignment.uniform(Fraction(1, 2))
@@ -129,3 +131,120 @@ def test_brute_cap_env_override(monkeypatch):
         ur_brute(Q1, i)
     monkeypatch.setenv("QRELIAB_BRUTE_CAP", "20")
     assert ur_brute(Q1, i) > 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "2.5"])
+def test_brute_cap_env_rejects_bad_values(monkeypatch, value):
+    i = parse_instance("R(a)\nS(a,b)\nT(b)\n")
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", value)
+    with pytest.raises(UsageError, match="QRELIAB_BRUTE_CAP"):
+        ur_brute(Q1, i)
+
+
+# A hierarchical query is a set of atoms whose variables are each a chain
+# from a root of this forest: x > y > z and w > v.
+_PARENT = {"x": None, "y": "x", "z": "y", "w": None, "v": "w"}
+_CONSTANTS = "abc"
+_PROBS = [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)]
+
+
+def _chain(node):
+    chain = []
+    while node is not None:
+        chain.insert(0, node)
+        node = _PARENT[node]
+    return chain
+
+
+@st.composite
+def _atom(draw, relation):
+    variables = _chain(draw(st.sampled_from([None, *_PARENT])))
+    args = [Term("variable", v) for v in draw(st.permutations(variables))]
+    if variables and draw(st.integers(0, 2)) == 0:  # a repeated variable, as in R(x,x)
+        args.insert(draw(st.integers(0, len(args))), Term("variable", draw(st.sampled_from(variables))))
+    if not args or draw(st.integers(0, 3)) == 0:  # a query constant
+        args.insert(draw(st.integers(0, len(args))), Term("constant", draw(st.sampled_from("ab"))))
+    return Atom(relation, tuple(args))
+
+
+@st.composite
+def _hierarchical_case(draw, max_noise=8):
+    """A hierarchical query of up to four atoms, up to three levels deep, and
+    an instance over its relations (some possibly empty) plus an unused one:
+    part of the facts of a few planted matches, and random facts."""
+    atoms = tuple(draw(_atom(f"R{i}")) for i in range(draw(st.integers(1, 4))))
+    assignments = draw(st.lists(
+        st.fixed_dictionaries({v: st.sampled_from(_CONSTANTS) for v in _PARENT}), min_size=1, max_size=4
+    ))
+    planted = sorted({
+        Fact(a.relation, tuple(values[t.name] if t.is_variable else t.name for t in a.args))
+        for values in assignments
+        for a in atoms
+    })
+    schema = {a.relation: len(a.args) for a in atoms} | {"U": 1}
+    candidates = [
+        Fact(rel, args) for rel, arity in schema.items() for args in product(_CONSTANTS, repeat=arity)
+    ]
+    facts = [f for f in planted if draw(st.integers(0, 3))]
+    facts += draw(st.lists(st.sampled_from(candidates), max_size=max_noise))
+    return Query(atoms), Instance(facts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hierarchical_case(), st.data())
+def test_pqe_safe_matches_brute_on_generated_queries(case, data):
+    q, instance = case
+    assert classify_hierarchical(q).hierarchical
+    probs = ProbAssignment.for_facts(
+        {f: data.draw(st.sampled_from(_PROBS)) for f in sorted(instance.facts)}
+    )
+    assert pqe_safe(q, instance, probs) == pqe_brute(q, instance, probs)
+    assert ur_safe(q, instance) == ur_brute(q, instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hierarchical_case(max_noise=30), st.permutations(["k0", "k1", "k2"]))
+def test_ur_safe_invariant_under_renaming_constants(case, names):
+    q, instance = case
+    rename = dict(zip(_CONSTANTS, names))
+    renamed_query = Query(tuple(
+        Atom(a.relation, tuple(t if t.is_variable else Term("constant", rename[t.name]) for t in a.args))
+        for a in q.atoms
+    ))
+    renamed = Instance(Fact(f.relation, tuple(rename[c] for c in f.args)) for f in instance.facts)
+    assert ur_safe(renamed_query, renamed) == ur_safe(q, instance)
+
+
+def test_ur_safe_three_levels_closed_form():
+    """R(x), S(x,y), T(x,y,z) on 20,000 facts of varying fan-out, with R facts
+    lacking S facts, S facts lacking T facts and T facts lacking an S fact."""
+    facts = []
+    false_worlds = 1  # worlds without a match, a product over the x values
+    i = 0
+    while len(facts) < 20_000:
+        a = f"a{i}"
+        has_r = i % 5 != 0
+        if has_r:
+            facts.append(Fact("R", (a,)))
+        group = 1 if has_r else 0  # facts on x = a
+        all_false = 1  # worlds of the S and T facts on a with no (a, b) branch true
+        for j in range(i % 4):
+            b = f"b{j}"
+            t = (i + j) % 3  # T facts under (a, b)
+            facts += [Fact("T", (a, b, f"c{k}")) for k in range(t)]
+            group += t
+            if (i + j) % 7 == 0:  # the T facts dangle: no S(a, b)
+                all_false *= 1 << t
+            else:
+                facts.append(Fact("S", (a, b)))
+                group += 1
+                all_false *= (1 << (t + 1)) - ((1 << t) - 1)
+        if has_r:  # false unless R(a) is present and some branch is true
+            false_worlds *= (1 << group) - ((1 << (group - 1)) - all_false)
+        else:
+            false_worlds *= 1 << group
+        i += 1
+    q = parse_query("R(x), S(x,y), T(x,y,z)")
+    instance = Instance(facts)
+    assert len(instance) == len(facts)
+    assert ur_safe(q, instance) == (1 << len(facts)) - false_worlds

@@ -88,6 +88,12 @@ def test_prob_map_per_fact():
         phi.prob_of(Fact("R", ("b",)))
 
 
+@pytest.mark.parametrize("line", ["R(a-1) 1/5", "S(a, ) 1/2", "S(a,b c) 1/2"])
+def test_prob_map_per_fact_rejects_bad_constant(line):
+    with pytest.raises(ProbabilityError, match="line 2: bad constant"):
+        parse_prob_map(f"R(a) 1/3\n{line}\n", "per-fact")
+
+
 def test_prob_map_rejects_out_of_range():
     with pytest.raises(ProbabilityError):
         parse_prob_map("R 0\n", "per-relation")
