@@ -62,8 +62,8 @@ from .reduction_ur import (
     override_params,
     reduction_params,
     run_reduction,
-    solve_vandermonde,
 )
+from .vandermonde import solve_vandermonde
 
 __version__ = "0.1.0"
 

@@ -170,11 +170,12 @@ class ProbAssignment:
 
 
 def parse_prob_map(text: str, mode: str) -> ProbAssignment:
-    """Parse a probability file in the given mode."""
+    """Parse a probability file in the given mode.  A fact (or relation)
+    given on two lines is an error."""
     if mode not in ("per-fact", "per-relation"):
         raise ProbabilityError(f"unknown mode {mode!r}")
-    per_fact: dict[Fact, Fraction] = {}
-    per_relation: dict[str, Fraction] = {}
+    probs: dict = {}  # Fact or relation name -> probability
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -187,16 +188,21 @@ def parse_prob_map(text: str, mode: str) -> ProbAssignment:
         if mode == "per-relation":
             if not re.fullmatch(r"[A-Z][A-Za-z0-9_]*", target):
                 raise ProbabilityError(f"line {lineno}: bad relation name {target!r}")
-            per_relation[target] = prob
+            key = target
         else:
             m = _FACT_RE.match(target)
             if not m:
                 raise ProbabilityError(f"line {lineno}: cannot parse fact {target!r}")
-            args = _fact_args(m.group(2), lineno, ProbabilityError)
-            per_fact[Fact(m.group(1), args)] = prob
+            key = Fact(m.group(1), _fact_args(m.group(2), lineno, ProbabilityError))
+        if key in first_line:
+            raise ProbabilityError(
+                f"line {lineno}: {key} already has a probability on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        probs[key] = prob
     if mode == "per-relation":
-        return ProbAssignment.for_relations(per_relation)
-    return ProbAssignment.for_facts(per_fact)
+        return ProbAssignment.for_relations(probs)
+    return ProbAssignment.for_facts(probs)
 
 
 def fresh_constant(namespace: str, indices: Iterable[int]) -> str:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .bipartite import BipartiteGraph, x_table
 from .errors import ProbabilityError, QReliabError
 from .evaluate import pqe_brute
 from .gadgets import q1_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
+from .vandermonde import interpolate
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,33 @@ def _check_open_unit(r: Fraction, t: Fraction) -> None:
             )
 
 
+def _independent_pairs(g: BipartiteGraph, cap: int | None) -> dict[tuple[int, int], int]:
+    """Independent pairs (no edge contained) per (|R'|, |T'|)."""
+    counts: dict[tuple[int, int], int] = {}
+    for (i, j, contained, _d, _dp), count in x_table(g, 1, 1, cap=cap).x.items():
+        if contained == 0:
+            counts[(i, j)] = counts.get((i, j), 0) + count
+    return counts
+
+
+def _pi_formula(
+    g: BipartiteGraph,
+    independent: Mapping[tuple[int, int], int],
+    c: int,
+    d: int,
+    r: Fraction,
+    t: Fraction,
+) -> Fraction:
+    """The violation probability of the padded encoding, in closed form from
+    the independent-pair counts."""
+    alpha = r / (1 - r) * (1 - t) ** c
+    beta = t / (1 - t) * (1 - r) ** d
+    total = Fraction(0)
+    for (i, j), count in independent.items():
+        total += count * alpha**i * beta**j
+    return (1 - r) ** len(g.left) * (1 - t) ** len(g.right) * total
+
+
 def pi_value(
     g: BipartiteGraph,
     c: int,
@@ -87,15 +115,7 @@ def pi_value(
         return 1 - pqe_brute(q1_query(), instance, phi, cap=cap)
     if oracle == "formula":
         _check_open_unit(r, t)
-        table = x_table(g, 1, 1, cap=cap)  # only the X histogram is used
-        n_left, n_right = len(g.left), len(g.right)
-        alpha = r / (1 - r) * (1 - t) ** c
-        beta = t / (1 - t) * (1 - r) ** d
-        total = Fraction(0)
-        for (i, j, contained, *_), count in table.x.items():
-            if contained == 0:  # only independent pairs contribute
-                total += count * alpha**i * beta**j
-        return (1 - r) ** n_left * (1 - t) ** n_right * total
+        return _pi_formula(g, _independent_pairs(g, cap), c, d, r, t)
     raise QReliabError(f"unknown oracle {oracle!r}")
 
 
@@ -115,32 +135,6 @@ def kron_system(n_left: int, n_right: int, r: Fraction, t: Fraction) -> KronSyst
     return KronSystem(alpha, beta, cells)
 
 
-def _solve_vandermonde_rows(
-    nodes: Sequence[Fraction], rhs: Sequence[Fraction]
-) -> list[Fraction]:
-    """Solve sum_i y_i * node_p**i = rhs_p (rows indexed by nodes).
-
-    This is classical polynomial interpolation through the points
-    (node_p, rhs_p), via Lagrange basis accumulation.
-    """
-    n = len(nodes)
-    solution = [Fraction(0)] * n
-    for p in range(n):
-        # Lagrange basis polynomial for node p, coefficients low-to-high.
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for q in range(n):
-            if q == p:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= nodes[q] * basis[k + 1]
-            denom *= nodes[p] - nodes[q]
-        for i in range(n):
-            solution[i] += basis[i] / denom * rhs[p]
-    return solution
-
-
 def run_reduction_pqe(
     g: BipartiteGraph,
     r: Fraction,
@@ -156,21 +150,24 @@ def run_reduction_pqe(
     system = kron_system(n_left, n_right, r, t)
     scale = (1 - r) ** n_left * (1 - t) ** n_right
 
-    pi: dict[tuple[int, int], Fraction] = {}
-    for c in range(n_left + 1):
-        for d in range(n_right + 1):
-            pi[(c, d)] = pi_value(g, c, d, r, t, oracle=oracle, cap=cap)
+    if oracle == "formula":  # one pair enumeration serves every cell
+        independent = _independent_pairs(g, cap)
+    pi = {
+        (c, d): _pi_formula(g, independent, c, d, r, t)
+        if oracle == "formula"
+        else pi_value(g, c, d, r, t, oracle=oracle, cap=cap)
+        for c in range(n_left + 1)
+        for d in range(n_right + 1)
+    }
 
     # Kronecker factorization: first solve in beta along d for every fixed c,
     # then solve in alpha along c for every fixed j.
     inner: list[list[Fraction]] = []  # inner[c][j] = sum_i X_{i,j} alpha_c**i
     for c in range(n_left + 1):
         rhs = [pi[(c, d)] / scale for d in range(n_right + 1)]
-        inner.append(_solve_vandermonde_rows(system.beta, rhs))
+        inner.append(interpolate(system.beta, rhs))
     by_j = [
-        _solve_vandermonde_rows(
-            system.alpha, [inner[c][j] for c in range(n_left + 1)]
-        )
+        interpolate(system.alpha, [inner[c][j] for c in range(n_left + 1)])
         for j in range(n_right + 1)
     ]
 

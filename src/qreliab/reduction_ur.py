@@ -2,10 +2,11 @@
 to uniform reliability of the R*/S*/T* query family.
 
 Builds the oracle instances D_p, assembles the linear system whose matrix is
-a Vandermonde in the per-pair coefficients, solves it exactly, and recovers
-the independent-set-pair count.  Also provides the query-generalization
-transform (arbitrary non-hierarchical query <- R*/S*/T* family) and the
-power-of-two probability merge.
+a Vandermonde in the per-pair coefficients, solves it modulo a prime above
+the solution's combinatorial bound, and recovers the independent-set-pair
+count.  Also provides the query-generalization transform (arbitrary
+non-hierarchical query <- R*/S*/T* family) and the power-of-two probability
+merge.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .bipartite import BipartiteGraph, iter_pairs, profile_of_masks
+from .bipartite import BipartiteGraph, ProfileKey, x_table
 from .cq import Query, noncomparable_pair_and_rst
 from .errors import (
     DuplicateNodeError,
@@ -28,11 +29,14 @@ from .errors import (
 from .evaluate import ur_brute
 from .gadgets import GadgetCounts, closed_counts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
+from .vandermonde import solve_vandermonde
 
-# Mersenne primes used by the modular solver path.
-_SOLVER_PRIMES = [(1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1]
-
-ProfileKey = tuple[int, int, int, int, int]
+# Mersenne primes, smallest first.  The system is solved modulo one of them
+# and checked modulo the next, so the last one only ever checks.
+_MERSENNE_PRIMES = tuple(
+    (1 << e) - 1
+    for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689)
+)
 
 
 @dataclass(frozen=True)
@@ -210,24 +214,6 @@ def alpha_coefficient(
     return value.numerator
 
 
-def _profile_weights(
-    g: BipartiteGraph, params: ReductionParams, cap: int | None = None
-) -> dict[ProfileKey, int]:
-    """Number of pairs per profile cell, times the dropped-vertex weights."""
-    pr = (1 << params.r) - 1
-    pt = (1 << params.t) - 1
-    weights: dict[ProfileKey, int] = {}
-    for r_mask, t_mask in iter_pairs(g, cap):
-        key = profile_of_masks(g, r_mask, t_mask).key
-        weights[key] = weights.get(key, 0) + 1
-    return {
-        key: count
-        * pr ** (params.n_left - key[0])
-        * pt ** (params.n_right - key[1])
-        for key, count in weights.items()
-    }
-
-
 def np_analytic(
     g: BipartiteGraph,
     r: int,
@@ -242,7 +228,7 @@ def np_analytic(
         params = reduction_params(g, r, s, t)
     counts = closed_counts(r, s, t)
     total = 0
-    for key, weight in _profile_weights(g, params, cap).items():
+    for key, weight in x_table(g, params.r, params.t, cap).y.items():
         total += weight * alpha_coefficient(key, counts, params) ** p
     return total
 
@@ -254,7 +240,7 @@ def _n_vector_analytic(
     cap: int | None = None,
 ) -> list[int]:
     """All N_p at once, with incrementally maintained coefficient powers."""
-    weights = _profile_weights(g, params, cap)
+    weights = x_table(g, params.r, params.t, cap).y
     alphas = {
         key: alpha_coefficient(key, counts, params) for key in weights
     }
@@ -267,100 +253,37 @@ def _n_vector_analytic(
     return n_vector
 
 
-def solve_vandermonde(nodes: Sequence, rhs: Sequence) -> list[Fraction]:
-    """Exact solution of sum_k y_k * node_k**p = rhs_p, p = 0..n-1.
+def _recover_counts(nodes: list[int], rhs: list[int], bound: int) -> list[int]:
+    """The solution of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, whose
+    entries are integers in [0, bound).
 
-    Quadratic in n: one master-polynomial build plus a synthetic division and
-    two dot products per node.  Nodes must be pairwise distinct.
+    Solved modulo the smallest listed prime above ``bound`` at which the
+    nodes stay distinct, so every residue is the entry itself.  Checked
+    exactly on the first four equations and on all of them modulo the next
+    listed prime.
     """
-    n = len(nodes)
-    if len(rhs) != n:
-        raise QReliabError("nodes and right-hand side differ in length")
-    if len(set(nodes)) != n:
-        raise DuplicateNodeError("interpolation nodes are not pairwise distinct")
-    if n == 0:
-        return []
-
-    # master[p] = coefficient of x^p in prod_k (x - node_k)
-    master = [1]
-    for node in nodes:
-        master = [0] + master
-        for p in range(len(master) - 1):
-            master[p] -= node * master[p + 1]
-
-    solution = []
-    for node in nodes:
-        # quotient of master by (x - node)
-        quotient = [0] * n
-        quotient[n - 1] = master[n]
-        for p in range(n - 1, 0, -1):
-            quotient[p - 1] = master[p] + node * quotient[p]
-        denom = 0
-        for p in range(n - 1, -1, -1):
-            denom = denom * node + quotient[p]
-        numer = sum(q * b for q, b in zip(quotient, rhs))
-        if isinstance(numer, int) and isinstance(denom, int) and numer % denom == 0:
-            solution.append(Fraction(numer // denom))
-        else:
-            solution.append(Fraction(numer, denom))
-    return solution
-
-
-def _solve_vandermonde_mod(nodes: list[int], rhs: list[int], prime: int) -> list[int]:
-    """The same dual-Vandermonde solve, in the prime field."""
-    n = len(nodes)
-    xs = [x % prime for x in nodes]
-    bs = [b % prime for b in rhs]
-    if len(set(xs)) != n:
-        raise DuplicateNodeError("node collision modulo solver prime")
-    master = [1]
-    for x in xs:
-        master = [0] + master
-        for p in range(len(master) - 1):
-            master[p] = (master[p] - x * master[p + 1]) % prime
-    out = []
-    for x in xs:
-        quotient = [0] * n
-        quotient[n - 1] = master[n]
-        for p in range(n - 1, 0, -1):
-            quotient[p - 1] = (master[p] + x * quotient[p]) % prime
-        denom = 0
-        for p in range(n - 1, -1, -1):
-            denom = (denom * x + quotient[p]) % prime
-        numer = sum(q * b for q, b in zip(quotient, bs)) % prime
-        out.append(numer * pow(denom, -1, prime) % prime)
-    return out
-
-
-def _solve_scaled_system(nodes: list[int], rhs: list[int], bound: int) -> list[int]:
-    """Solve with two-prime CRT; valid when every solution entry lies in
-    [0, bound).  Verified afterwards against the first few equations."""
-    residues = []
-    primes = []
-    for prime in _SOLVER_PRIMES:
-        if len(primes) == 2:
-            break
+    for prime, check in zip(_MERSENNE_PRIMES, _MERSENNE_PRIMES[1:]):
+        if prime <= bound:
+            continue
         try:
-            residues.append(_solve_vandermonde_mod(nodes, rhs, prime))
-            primes.append(prime)
+            solution = solve_vandermonde(nodes, rhs, prime)
         except DuplicateNodeError:
             continue
-    if len(primes) < 2:
-        raise DuplicateNodeError("node collisions modulo every solver prime")
-    p1, p2 = primes
-    if p1 * p2 <= bound:
-        raise QReliabError("solution bound exceeds the CRT modulus")
-    inv = pow(p1, -1, p2)
-    solution = []
-    for a1, a2 in zip(*residues):
-        y = (a1 + ((a2 - a1) * inv % p2) * p1) % (p1 * p2)
-        if y >= bound:
-            raise QReliabError("recovered value exceeds its combinatorial bound")
-        solution.append(y)
+        break
+    else:
+        raise QReliabError("no solver prime exceeds the solution bound with distinct nodes")
+    if any(y >= bound for y in solution):
+        raise QReliabError("recovered value exceeds its combinatorial bound")
     for p in range(min(4, len(rhs))):
         lhs = sum(y * node**p for y, node in zip(solution, nodes))
         if lhs != rhs[p]:
             raise QReliabError(f"modular solution fails exact equation p={p}")
+    terms = solution  # y_k * nodes_k**p modulo check, for p = 0, 1, ...
+    residues = [node % check for node in nodes]
+    for p, b in enumerate(rhs):
+        if sum(terms) % check != b % check:
+            raise QReliabError(f"modular solution fails equation p={p} modulo {check}")
+        terms = [term * x % check for term, x in zip(terms, residues)]
     return solution
 
 
@@ -370,7 +293,6 @@ def run_reduction(
     s: int,
     t: int,
     oracle: str = "analytic",
-    solver: str = "auto",
     emit_dir: str | None = None,
     pair_cap: int | None = None,
     ur_cap: int | None = None,
@@ -379,8 +301,6 @@ def run_reduction(
     of the independent-set-pair count."""
     if oracle not in ("analytic", "brute"):
         raise QReliabError(f"unknown oracle {oracle!r}")
-    if solver not in ("auto", "exact", "modular"):
-        raise QReliabError(f"unknown solver {solver!r}")
     params = reduction_params(g, r, s, t)
     counts = closed_counts(r, s, t)
     cells = profile_cells(params)
@@ -425,23 +345,9 @@ def run_reduction(
 
     pr = (1 << r) - 1
     pt = (1 << t) - 1
-    if solver == "exact" or (solver == "auto" and params.M <= 40):
-        raw = solve_vandermonde(nodes, rhs)
-        y_values = []
-        for value in raw:
-            if value.denominator != 1:
-                raise QReliabError("non-integral solution entry")
-            y_values.append(value.numerator)
-    else:
-        bound = (
-            (1 << (params.n_left + params.n_right))
-            * pr**params.n_left
-            * pt**params.n_right
-            + 1
-        )
-        y_values = _solve_scaled_system(nodes, rhs, bound)
-
-    y_vector = dict(zip(cells, y_values))
+    # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
+    bound = (2 * pr) ** params.n_left * (2 * pt) ** params.n_right + 1
+    y_vector = dict(zip(cells, _recover_counts(nodes, rhs, bound)))
     p_result = 0
     for (i, j, c, d, dp), y in y_vector.items():
         if c != 0:

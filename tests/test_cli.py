@@ -97,6 +97,22 @@ def test_pqe_probs_file_bad_constant_exits_1(capsys, five_facts, tmp_path):
     assert err == "error: line 2: bad constant 'a-1'\n"
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("R(a) 1/2\nR(a) 1/3\n", "error: line 2: R(a) already has a probability on line 1\n"),
+        ("R 1/2\nS 1\nR 1/3\n", "error: line 3: R already has a probability on line 1\n"),
+    ],
+)
+def test_pqe_probs_file_duplicate_exits_1(capsys, five_facts, tmp_path, text, err):
+    probs = tmp_path / "p.probs"
+    probs.write_text(text)
+    code, out, got = run(
+        capsys, "pqe", "R(x), S(x,y)", five_facts, "--probs", str(probs)
+    )
+    assert (code, out, got) == (1, "", err)
+
+
 def test_gadgets(capsys):
     code, out, _ = run(capsys, "gadgets", "--rst", "1,1,1")
     assert code == 0

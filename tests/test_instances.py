@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,19 @@ def test_prob_map_per_fact():
 def test_prob_map_per_fact_rejects_bad_constant(line):
     with pytest.raises(ProbabilityError, match="line 2: bad constant"):
         parse_prob_map(f"R(a) 1/3\n{line}\n", "per-fact")
+
+
+@pytest.mark.parametrize(
+    "text, mode, target",
+    [
+        ("R(a) 1/2\nS(a,b) 1\n# again\nR( a ) 1/3\n", "per-fact", "R(a)"),
+        ("R 1/2\nS 1\n\nR 1/2\n", "per-relation", "R"),
+    ],
+)
+def test_prob_map_rejects_duplicates(text, mode, target):
+    message = f"line 4: {target} already has a probability on line 1"
+    with pytest.raises(ProbabilityError, match=re.escape(message)):
+        parse_prob_map(text, mode)
 
 
 def test_prob_map_rejects_out_of_range():

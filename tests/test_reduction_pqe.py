@@ -1,7 +1,11 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qreliab import bipartite
 from qreliab.bipartite import BipartiteGraph, independent_pair_count
 from qreliab.errors import ProbabilityError, QReliabError
 from qreliab.instances import Fact, parse_instance
@@ -109,3 +113,55 @@ def test_run_reduction_pqe_formula_oracle():
 def test_run_reduction_pqe_empty_graph():
     g = BipartiteGraph.build([], [], [])
     assert run_reduction_pqe(g, HALF, HALF).p_result == 1
+
+
+def test_run_reduction_pqe_formula_enumerates_pairs_once(monkeypatch):
+    calls = []
+    iter_pairs = bipartite.iter_pairs
+
+    def counted(g, cap=None):
+        calls.append(g)
+        return iter_pairs(g, cap)
+
+    monkeypatch.setattr(bipartite, "iter_pairs", counted)
+    g = BipartiteGraph.build(
+        ["u1", "u2", "u3"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w1"), ("u3", "w3")]
+    )
+    run = run_reduction_pqe(g, HALF, Fraction(1, 3), oracle="formula")
+    assert len(calls) == 1
+    assert run.p_result == independent_pair_count(g)
+
+
+@st.composite
+def graphs(draw):
+    left = [f"u{k}" for k in range(draw(st.integers(0, 4)))]
+    right = [f"w{k}" for k in range(draw(st.integers(0, 4)))]
+    possible = [(u, w) for u in left for w in right]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True) if possible else st.just([]))
+    return BipartiteGraph.build(left, right, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    graphs(),
+    st.sampled_from([Fraction(1, 3), HALF, Fraction(2, 3), Fraction(1, 7)]),
+    st.sampled_from([Fraction(1, 3), HALF, Fraction(3, 4)]),
+)
+def test_run_reduction_pqe_formula_matches_pair_count(g, r, t):
+    run = run_reduction_pqe(g, r, t, oracle="formula")
+    assert run.p_result == independent_pair_count(g)
+    sizes = Counter(
+        (len(r_sub), len(t_sub))
+        for r_sub in _subsets(g.left)
+        for t_sub in _subsets(g.right)
+        if not any((u, w) in g.edges for u in r_sub for w in t_sub)
+    )
+    assert run.x == {
+        (i, j): sizes[(i, j)]
+        for i in range(len(g.left) + 1)
+        for j in range(len(g.right) + 1)
+    }
+
+
+def _subsets(vertices):
+    return [s for k in range(len(vertices) + 1) for s in combinations(vertices, k)]

@@ -16,6 +16,7 @@ from qreliab.evaluate import pqe_brute, ur_brute
 from qreliab.gadgets import closed_counts, q1_query, qrst_query
 from qreliab.instances import Fact, Instance, ProbAssignment, parse_instance
 from qreliab.reduction_ur import (
+    _recover_counts,
     alpha_coefficient,
     build_Dp,
     lemma_binary_transform,
@@ -25,8 +26,8 @@ from qreliab.reduction_ur import (
     profile_cells,
     reduction_params,
     run_reduction,
-    solve_vandermonde,
 )
+from qreliab.vandermonde import solve_vandermonde
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 
@@ -104,6 +105,10 @@ def test_np_analytic_matches_brute_downsized():
         assert np_analytic(EDGE, 1, 1, 1, p, tiny) == brute
 
 
+def dual_rhs(nodes, y):
+    return [sum(yk * n**p for yk, n in zip(y, nodes)) for p in range(len(nodes))]
+
+
 def test_solve_vandermonde_roundtrip():
     nodes = [2, 3, 5, 7]
     y = [4, 0, 1, 9]
@@ -130,11 +135,60 @@ def test_solve_vandermonde_rejects_duplicates():
         solve_vandermonde([1, 1], [0, 0])
 
 
-def test_run_reduction_single_edge_both_solvers():
-    exact = run_reduction(EDGE, 1, 1, 1, solver="exact")
-    modular = run_reduction(EDGE, 1, 1, 1, solver="modular")
-    assert exact.p_result == modular.p_result == 3
-    assert exact.y_vector == modular.y_vector
+def test_run_reduction_single_edge_satisfies_every_equation():
+    run = run_reduction(EDGE, 1, 1, 1)
+    assert run.p_result == 3
+    assert len(run.n_vector) == run.params.M
+    for p, n_p in enumerate(run.n_vector):
+        assert sum(y * run.alpha[key] ** p for key, y in run.y_vector.items()) == n_p
+
+
+SOLVER_PRIME = (1 << 61) - 1  # the smallest listed prime
+NODES = [2, 3, 5, 7, 11, 13, 17]
+
+
+def test_recover_counts_returns_planted_solution():
+    y = [4, 0, 1, 9, 99, 7, 3]
+    assert _recover_counts(NODES, dual_rhs(NODES, y), 100) == y
+
+
+def test_recover_counts_past_two_primes():
+    bound = 1 << 200
+    y = [bound - 1, 0, 1 << 150, 5, (1 << 199) + 3, 1, bound // 3]
+    assert _recover_counts(NODES, dual_rhs(NODES, y), bound) == y
+
+
+def test_recover_counts_skips_a_prime_where_nodes_collide():
+    nodes = [1, SOLVER_PRIME + 1]  # equal modulo the smallest listed prime
+    assert _recover_counts(nodes, dual_rhs(nodes, [3, 4]), 10) == [3, 4]
+
+
+def test_recover_counts_rejects_bound_past_every_prime():
+    with pytest.raises(QReliabError, match="no solver prime"):
+        _recover_counts([2, 3], dual_rhs([2, 3], [1, 1]), 1 << 5000)
+
+
+def test_recover_counts_rejects_entry_past_bound():
+    y = [4, 0, 100, 9, 1, 7, 3]
+    with pytest.raises(QReliabError, match="bound"):
+        _recover_counts(NODES, dual_rhs(NODES, y), 100)
+
+
+def test_recover_counts_rejects_entry_that_wraps():
+    # the entry reduces to 5 modulo the solver prime, which is within bound
+    y = [4, SOLVER_PRIME + 5, 1, 9, 1, 7, 3]
+    with pytest.raises(QReliabError, match="equation"):
+        _recover_counts(NODES, dual_rhs(NODES, y), 100)
+
+
+def test_recover_counts_checks_every_equation():
+    # Equation 5 is off by a multiple of the solver prime: the modular solve,
+    # the bound and the first four equations cannot see it.
+    y = [4, 0, 1, 9, 1, 7, 3]
+    rhs = dual_rhs(NODES, y)
+    rhs[5] += SOLVER_PRIME
+    with pytest.raises(QReliabError, match="p=5"):
+        _recover_counts(NODES, rhs, 100)
 
 
 def test_run_reduction_brute_oracle_downscaled_graph():
