@@ -184,13 +184,13 @@ def profile_of_masks(g: BipartiteGraph, r_mask: int, t_mask: int) -> Profile:
     return _profile(_edge_masks(g), r_mask, t_mask)
 
 
-def x_table(g: BipartiteGraph, r: int, t: int, cap: int | None = None) -> ProfileTable:
+def x_table(g: BipartiteGraph, r: int, t: int) -> ProfileTable:
     """Profile histogram X by pair enumeration, and its weighted variant Y."""
     edge_bits = _edge_masks(g)
     x: dict[ProfileKey, int] = {}
     # Called through this module's global, so that a wrapper installed on
     # bipartite.iter_pairs (the benchmark's pair counter) sees every call.
-    for r_mask, t_mask in iter_pairs(g, cap):
+    for r_mask, t_mask in iter_pairs(g):
         key = _profile(edge_bits, r_mask, t_mask).key
         x[key] = x.get(key, 0) + 1
     n_left, n_right = len(g.left), len(g.right)

@@ -52,18 +52,24 @@ def resolve_cap(cap: int | None, default: int = DEFAULT_BRUTE_CAP) -> int:
     return default if override is None else override
 
 
-def _support_masks(q: Query, instance: Instance) -> tuple[list[Fact], list[int]]:
-    """Facts appearing in some match support, with each support as a bitmask."""
+def _lineage(
+    q: Query, instance: Instance, certain: set[Fact], cap: int | None
+) -> tuple[list[Fact], list[int]]:
+    """The query's lineage over the uncertain facts: the facts of some match
+    support that are not certain, and each support as a bitmask over them.
+
+    Raises CapExceededError when the widest independent component of the
+    minimised masks, the counter's real width, exceeds the resolved cap.
+    """
     supports = set(enumerate_matches(q, instance))
-    support_facts = sorted(set().union(*supports)) if supports else []
-    index = {f: i for i, f in enumerate(support_facts)}
-    masks = []
-    for sup in supports:
-        mask = 0
-        for f in sup:
-            mask |= 1 << index[f]
-        masks.append(mask)
-    return support_facts, masks
+    facts = sorted(set().union(*supports) - certain)
+    index = {f: 1 << i for i, f in enumerate(facts)}
+    masks = [sum(index[f] for f in sup if f not in certain) for sup in supports]
+    limit = resolve_cap(cap)
+    width = kernels.lineage_width(masks)
+    if width > limit:
+        raise CapExceededError(width, limit)
+    return facts, masks
 
 
 def ur_brute(q: Query, instance: Instance, cap: int | None = None) -> int:
@@ -71,13 +77,9 @@ def ur_brute(q: Query, instance: Instance, cap: int | None = None) -> int:
 
     Facts outside every match support contribute a free factor 2**k.
     """
-    support_facts, masks = _support_masks(q, instance)
-    limit = resolve_cap(cap)
-    if len(support_facts) > limit:
-        raise CapExceededError(len(support_facts), limit)
-    count = kernels.count_containing_any(len(support_facts), masks)
-    free = len(instance) - len(support_facts)
-    return count << free
+    facts, masks = _lineage(q, instance, set(), cap)
+    count = kernels.count_containing_any(len(facts), masks)
+    return count << (len(instance) - len(facts))
 
 
 def pqe_brute(
@@ -92,29 +94,14 @@ def pqe_brute(
     Certain facts (probability 1) are fixed present; facts outside every match
     support contribute a factor of 1 either way.
     """
-    support_facts, masks = _support_masks(q, instance)
     probs = {f: prob.prob_of(f) for f in instance.facts}
-
-    enum_facts = [f for f in support_facts if probs[f] != 1]
-    certain = {f for f in support_facts if probs[f] == 1}
-    limit = resolve_cap(cap)
-    if len(enum_facts) > limit:
-        raise CapExceededError(len(enum_facts), limit)
-
-    index = {f: i for i, f in enumerate(enum_facts)}
-    reduced = []
-    for mask in masks:
-        red = 0
-        for i, f in enumerate(support_facts):
-            if mask >> i & 1 and f not in certain:
-                red |= 1 << index[f]
-        reduced.append(red)
+    certain = {f for f, p in probs.items() if p == 1}
+    facts, masks = _lineage(q, instance, certain, cap)
     weights = [
-        (probs[f].numerator, probs[f].denominator - probs[f].numerator)
-        for f in enum_facts
+        (probs[f].numerator, probs[f].denominator - probs[f].numerator) for f in facts
     ]
-    denominator = math.prod(probs[f].denominator for f in enum_facts)
-    violated = kernels.count_avoiding(reduced, weights)
+    denominator = math.prod(probs[f].denominator for f in facts)
+    violated = kernels.count_avoiding(masks, weights)
     return Fraction(denominator - violated, denominator)
 
 

@@ -12,14 +12,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernels
-from .cq import Atom, Query, Term, enumerate_matches, parse_query
+from .cq import Atom, Query, Term, parse_query
 from .errors import CapExceededError, QReliabError
-from .evaluate import resolve_cap
+from .evaluate import _lineage
 from .instances import Fact, Instance
 
 GADGET_KINDS = ("ab", "abcd", "abcd_left", "abcd_right", "abcd_trimmed")
-
-DEFAULT_GADGET_CAP = 30
 
 
 def qrst_query(r: int, s: int, t: int) -> Query:
@@ -137,25 +135,14 @@ def count_violating(
     forced absent; a forced-absent fact is removed before matching.
     """
     present = set(forced_present)
-    absent = set(forced_absent)
-    reduced = Instance(instance.facts - absent)
-    free = sorted(reduced.facts - present)
-    limit = resolve_cap(cap, DEFAULT_GADGET_CAP)
-    if len(free) > limit:
-        raise CapExceededError(len(free), limit)
-    index = {f: i for i, f in enumerate(free)}
-    masks = []
-    for support in set(enumerate_matches(query, reduced)):
-        mask = 0
-        for f in support:
-            if f not in present:
-                mask |= 1 << index[f]
-        masks.append(mask)
-    satisfied = kernels.count_containing_any(len(free), masks)
-    return (1 << len(free)) - satisfied
+    reduced = Instance(instance.facts - set(forced_absent))
+    facts, masks = _lineage(query, reduced, present, cap)
+    avoiding = (1 << len(facts)) - kernels.count_containing_any(len(facts), masks)
+    # Free facts outside every support double the count each.
+    return avoiding << (len(reduced.facts - present) - len(facts))
 
 
-def brute_counts(r: int, s: int, t: int, cap: int | None = None) -> GadgetCounts:
+def brute_counts(r: int, s: int, t: int) -> GadgetCounts:
     """All eight counts by enumerating gadget worlds with boundary masks."""
     query = qrst_query(r, s, t)
     ab = build_gadget("ab", r, s, t, ["@g.a", "@g.b"])
@@ -164,22 +151,18 @@ def brute_counts(r: int, s: int, t: int, cap: int | None = None) -> GadgetCounts
     t_on_b = _t_facts(t, "@g.b")
     t_on_d = _t_facts(t, "@g.d")
 
-    lam_r = count_violating(ab, query, forced_present=r_on_a, cap=cap)
-    lam_rbar = count_violating(ab, query, forced_absent=r_on_a, cap=cap)
-    lam_t = count_violating(ab, query, forced_present=t_on_b, cap=cap)
-    lam_tbar = count_violating(ab, query, forced_absent=t_on_b, cap=cap)
-    gamma = count_violating(
-        chain, query, forced_present=r_on_a + t_on_d, cap=cap
-    )
+    lam_r = count_violating(ab, query, forced_present=r_on_a)
+    lam_rbar = count_violating(ab, query, forced_absent=r_on_a)
+    lam_t = count_violating(ab, query, forced_present=t_on_b)
+    lam_tbar = count_violating(ab, query, forced_absent=t_on_b)
+    gamma = count_violating(chain, query, forced_present=r_on_a + t_on_d)
     delta_r = count_violating(
-        chain, query, forced_present=r_on_a, forced_absent=t_on_d, cap=cap
+        chain, query, forced_present=r_on_a, forced_absent=t_on_d
     )
     delta_t = count_violating(
-        chain, query, forced_present=t_on_d, forced_absent=r_on_a, cap=cap
+        chain, query, forced_present=t_on_d, forced_absent=r_on_a
     )
-    delta_bot = count_violating(
-        chain, query, forced_absent=r_on_a + t_on_d, cap=cap
-    )
+    delta_bot = count_violating(chain, query, forced_absent=r_on_a + t_on_d)
     return GadgetCounts(
         r=r,
         s=s,
@@ -221,16 +204,10 @@ class LemmaCheck:
         )
 
 
-def verify_lemmas(
-    max_r: int,
-    max_s: int,
-    max_t: int,
-    brute_cap: int | None = None,
-) -> list[LemmaCheck]:
+def verify_lemmas(max_r: int, max_s: int, max_t: int) -> list[LemmaCheck]:
     """Check the parity/valuation facts and the product-difference identity
     on every (r, s, t) in range; cross-check against brute force where the
-    gadget enumeration fits the cap."""
-    limit = resolve_cap(brute_cap, DEFAULT_GADGET_CAP)
+    gadget lineages fit the brute cap."""
     checks = []
     for r in range(1, max_r + 1):
         for s in range(1, max_s + 1):
@@ -246,10 +223,10 @@ def verify_lemmas(
                     cc.delta_r * cc.delta_t - cc.gamma * cc.delta_bot == cc.kappa
                     and cc.kappa > 0
                 )
-                brute_match = None
-                if t + r + 3 * s <= limit:
-                    bc = brute_counts(r, s, t, cap=brute_cap)
-                    brute_match = bc == cc
+                try:
+                    brute_match = brute_counts(r, s, t) == cc
+                except CapExceededError:
+                    brute_match = None
                 checks.append(
                     LemmaCheck((r, s, t), gamma_odd, valuations, kappa_ok, brute_match)
                 )

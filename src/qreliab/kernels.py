@@ -44,6 +44,15 @@ def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
     return groups
 
 
+def lineage_width(masks) -> int:
+    """Variables of the widest independent component of the minimised masks:
+    the width the counter branches over."""
+    return max(
+        (variables.bit_count() for variables, _ in _components(minimize_masks(masks))),
+        default=0,
+    )
+
+
 def count_avoiding(masks, weights: Sequence[tuple[int, int]]) -> int:
     """Total weight of the worlds that contain no mask.
 
@@ -107,4 +116,10 @@ def count_containing_any(nbits: int, masks) -> int:
     return (1 << nbits) - count_avoiding(masks, [(1, 1)] * nbits)
 
 
-__all__ = ["BACKEND", "count_avoiding", "count_containing_any", "minimize_masks"]
+__all__ = [
+    "BACKEND",
+    "count_avoiding",
+    "count_containing_any",
+    "lineage_width",
+    "minimize_masks",
+]

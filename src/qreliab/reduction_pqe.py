@@ -24,11 +24,11 @@ from .vandermonde import interpolate
 
 @dataclass(frozen=True)
 class KronSystem:
-    """Cell table and the two node sequences whose outer powers generate it."""
+    """The two node sequences whose outer powers generate the system: the
+    cell (c, d, i, j) is alpha[c]**i * beta[d]**j."""
 
     alpha: tuple[Fraction, ...]  # indexed by c = 0..|R|
     beta: tuple[Fraction, ...]  # indexed by d = 0..|T|
-    cells: Mapping[tuple[int, int, int, int], Fraction]  # (c, d, i, j)
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,10 @@ def _check_open_unit(r: Fraction, t: Fraction) -> None:
             )
 
 
-def _independent_pairs(g: BipartiteGraph, cap: int | None) -> dict[tuple[int, int], int]:
+def _independent_pairs(g: BipartiteGraph) -> dict[tuple[int, int], int]:
     """Independent pairs (no edge contained) per (|R'|, |T'|)."""
     counts: dict[tuple[int, int], int] = {}
-    for (i, j, contained, _d, _dp), count in x_table(g, 1, 1, cap=cap).x.items():
+    for (i, j, contained, _d, _dp), count in x_table(g, 1, 1).x.items():
         if contained == 0:
             counts[(i, j)] = counts.get((i, j), 0) + count
     return counts
@@ -106,16 +106,15 @@ def pi_value(
     r: Fraction,
     t: Fraction,
     oracle: str = "brute",
-    cap: int | None = None,
 ) -> Fraction:
     """Probability that a sampled world of the padded encoding has no match."""
     r, t = Fraction(r), Fraction(t)
     if oracle == "brute":
         instance, phi = build_Icd(g, c, d, r, t)
-        return 1 - pqe_brute(q1_query(), instance, phi, cap=cap)
+        return 1 - pqe_brute(q1_query(), instance, phi)
     if oracle == "formula":
         _check_open_unit(r, t)
-        return _pi_formula(g, _independent_pairs(g, cap), c, d, r, t)
+        return _pi_formula(g, _independent_pairs(g), c, d, r, t)
     raise QReliabError(f"unknown oracle {oracle!r}")
 
 
@@ -125,14 +124,7 @@ def kron_system(n_left: int, n_right: int, r: Fraction, t: Fraction) -> KronSyst
     _check_open_unit(r, t)
     alpha = tuple(r / (1 - r) * (1 - t) ** c for c in range(n_left + 1))
     beta = tuple(t / (1 - t) * (1 - r) ** d for d in range(n_right + 1))
-    cells = {
-        (c, d, i, j): alpha[c] ** i * beta[d] ** j
-        for c in range(n_left + 1)
-        for d in range(n_right + 1)
-        for i in range(n_left + 1)
-        for j in range(n_right + 1)
-    }
-    return KronSystem(alpha, beta, cells)
+    return KronSystem(alpha, beta)
 
 
 def run_reduction_pqe(
@@ -140,7 +132,6 @@ def run_reduction_pqe(
     r: Fraction,
     t: Fraction,
     oracle: str = "brute",
-    cap: int | None = None,
 ) -> PqeReductionRun:
     """End-to-end: all violation probabilities, the nested Vandermonde solve,
     and the recovered independent-set-pair count."""
@@ -151,11 +142,11 @@ def run_reduction_pqe(
     scale = (1 - r) ** n_left * (1 - t) ** n_right
 
     if oracle == "formula":  # one pair enumeration serves every cell
-        independent = _independent_pairs(g, cap)
+        independent = _independent_pairs(g)
     pi = {
         (c, d): _pi_formula(g, independent, c, d, r, t)
         if oracle == "formula"
-        else pi_value(g, c, d, r, t, oracle=oracle, cap=cap)
+        else pi_value(g, c, d, r, t, oracle=oracle)
         for c in range(n_left + 1)
         for d in range(n_right + 1)
     }

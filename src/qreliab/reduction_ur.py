@@ -105,28 +105,17 @@ def build_Dp(
     t: int,
     p: int,
     params: ReductionParams | None = None,
-    override: Mapping[str, int] | None = None,
 ) -> Instance:
     """The p-th oracle instance: graph vertices as R*/T* bundles, plus the
     gadget copies whose multiplicities encode p into the world counts.
 
-    ``override`` replaces individual multiplicities (keys M1, M2, M3) for
-    downsized testing; such instances are not usable for the full reduction.
+    ``params`` from ``override_params`` give downsized test instances, which
+    are not usable for the full reduction.
     """
     if p < 0:
         raise QReliabError("p must be non-negative")
     if params is None:
         params = reduction_params(g, r, s, t)
-    if override:
-        unknown = set(override) - {"M1", "M2", "M3"}
-        if unknown:
-            raise QReliabError(f"unknown override keys {sorted(unknown)}")
-        params = override_params(
-            params,
-            override.get("M1", params.M1),
-            override.get("M2", params.M2),
-            override.get("M3", params.M3),
-        )
     facts: list[Fact] = []
     for u in g.left:
         facts += [Fact(f"R{k}", (u,)) for k in range(1, r + 1)]
@@ -221,26 +210,22 @@ def np_analytic(
     t: int,
     p: int,
     params: ReductionParams | None = None,
-    cap: int | None = None,
 ) -> int:
     """Violating-world count of D_p predicted by the per-pair formula."""
     if params is None:
         params = reduction_params(g, r, s, t)
     counts = closed_counts(r, s, t)
     total = 0
-    for key, weight in x_table(g, params.r, params.t, cap).y.items():
+    for key, weight in x_table(g, params.r, params.t).y.items():
         total += weight * alpha_coefficient(key, counts, params) ** p
     return total
 
 
 def _n_vector_analytic(
-    g: BipartiteGraph,
-    counts: GadgetCounts,
-    params: ReductionParams,
-    cap: int | None = None,
+    g: BipartiteGraph, counts: GadgetCounts, params: ReductionParams
 ) -> list[int]:
     """All N_p at once, with incrementally maintained coefficient powers."""
-    weights = x_table(g, params.r, params.t, cap).y
+    weights = x_table(g, params.r, params.t).y
     alphas = {
         key: alpha_coefficient(key, counts, params) for key in weights
     }
@@ -294,8 +279,6 @@ def run_reduction(
     t: int,
     oracle: str = "analytic",
     emit_dir: str | None = None,
-    pair_cap: int | None = None,
-    ur_cap: int | None = None,
 ) -> ReductionRun:
     """End-to-end reduction: oracle counts N_p, Vandermonde solve, recovery
     of the independent-set-pair count."""
@@ -321,10 +304,10 @@ def run_reduction(
                 with open(path, "w") as fh:
                     fh.write(dp_inst.serialize())
             if oracle == "brute":
-                satisfied = ur_brute(query, dp_inst, cap=ur_cap)
+                satisfied = ur_brute(query, dp_inst)
                 n_vector.append((1 << len(dp_inst)) - satisfied)
     if oracle == "analytic":
-        n_vector = _n_vector_analytic(g, counts, params, cap=pair_cap)
+        n_vector = _n_vector_analytic(g, counts, params)
 
     # Clear denominators: nodes scaled by L stay distinct, and the right-hand
     # side picks up L**p.

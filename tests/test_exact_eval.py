@@ -48,6 +48,16 @@ def test_ur_brute_cap():
         ur_brute(Q1, parse_instance(facts), cap=20)
 
 
+def test_ur_brute_cap_bounds_the_widest_component():
+    # 20 disjoint triangles: 60 support facts, but no component wider than 3.
+    facts = "".join(f"R(c{i})\nS(c{i},d{i})\nT(d{i})\n" for i in range(20))
+    i = parse_instance(facts)
+    assert ur_brute(Q1, i) == 2**60 - 7**20
+    with pytest.raises(CapExceededError) as err:
+        ur_brute(Q1, i, cap=2)
+    assert err.value.required == 3
+
+
 def test_pqe_brute_uniform_half():
     i = parse_instance("R(a)\nS(a,b)\nT(b)\n")
     assert pqe_brute(Q1, i, HALF) == Fraction(1, 8)

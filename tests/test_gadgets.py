@@ -1,5 +1,9 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qreliab.cq import enumerate_matches
 from qreliab.errors import QReliabError
 from qreliab.gadgets import (
     brute_counts,
@@ -11,7 +15,7 @@ from qreliab.gadgets import (
     v2,
     verify_lemmas,
 )
-from qreliab.instances import Fact
+from qreliab.instances import Fact, Instance
 
 
 def test_qrst_query_shape():
@@ -77,6 +81,46 @@ def test_count_violating_whole_gadget():
     assert count_violating(g, qrst_query(1, 1, 1)) == 7
 
 
+def _violating_worlds(instance, query, present, absent):
+    """Reference: every world over the unconstrained facts, one by one; the
+    forced-present facts are instance facts here."""
+    free = sorted(instance.facts - present - absent)
+    count = 0
+    for keep in itertools.product((False, True), repeat=len(free)):
+        world = Instance(list(present) + [f for f, k in zip(free, keep) if k])
+        count += not enumerate_matches(query, world)
+    return count
+
+
+@st.composite
+def _constrained_instances(draw):
+    """A small R*/S*/T* instance over a two-by-two domain, each fact free,
+    forced present or forced absent.  A forced-absent fact can leave others
+    outside every support, which then double the count."""
+    r, s, t = (draw(st.integers(1, 2)) for _ in range(3))
+    candidates = [Fact(f"R{k}", (a,)) for k in range(1, r + 1) for a in "ab"]
+    candidates += [
+        Fact(f"S{k}", (a, b)) for k in range(1, s + 1) for a in "ab" for b in "cd"
+    ]
+    candidates += [Fact(f"T{k}", (b,)) for k in range(1, t + 1) for b in "cd"]
+    facts = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=11))
+    roles = draw(
+        st.lists(st.sampled_from("fpa"), min_size=len(facts), max_size=len(facts))
+    )
+    present = {f for f, role in zip(facts, roles) if role == "p"}
+    absent = {f for f, role in zip(facts, roles) if role == "a"}
+    return qrst_query(r, s, t), Instance(facts), present, absent
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constrained_instances())
+def test_count_violating_matches_world_enumeration(case):
+    query, instance, present, absent = case
+    assert count_violating(instance, query, present, absent) == _violating_worlds(
+        instance, query, present, absent
+    )
+
+
 def test_q1_query_is_base_family():
     assert str(q1_query()) == "R(x), S(x, y), T(y)"
 
@@ -96,8 +140,9 @@ def test_verify_lemmas_small_cube():
     assert all(c.brute_match is True for c in checks)
 
 
-def test_verify_lemmas_skips_over_cap():
-    checks = verify_lemmas(1, 4, 1, brute_cap=10)
+def test_verify_lemmas_skips_over_cap(monkeypatch):
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "10")
+    checks = verify_lemmas(1, 4, 1)
     by_rst = {c.rst: c for c in checks}
     assert by_rst[(1, 1, 1)].brute_match is True
     assert by_rst[(1, 4, 1)].brute_match is None

