@@ -76,8 +76,6 @@ class NonIntegralResultError(QReliabError):
 
 
 class DuplicateNodeError(QReliabError):
-    """Two interpolation nodes coincide.
-
-    In the main reduction this would contradict the coefficient-distinctness
-    claim, so it is surfaced as a hard error rather than handled.
+    """Two interpolation nodes coincide (modulo the prime, for a modular
+    solve).  The main reduction then moves on to its next listed prime.
     """

@@ -2,20 +2,20 @@
 to uniform reliability of the R*/S*/T* query family.
 
 Builds the oracle instances D_p, assembles the linear system whose matrix is
-a Vandermonde in the per-pair coefficients, solves it modulo a prime above
-the solution's combinatorial bound, and recovers the independent-set-pair
-count.  Also provides the query-generalization transform (arbitrary
-non-hierarchical query <- R*/S*/T* family) and the power-of-two probability
-merge.
+a Vandermonde in the per-pair coefficients, directly in residues modulo a
+prime above the solution's combinatorial bound, solves it there, and
+recovers the independent-set-pair count.  Also provides the
+query-generalization transform (arbitrary non-hierarchical query <- R*/S*/T*
+family) and the power-of-two probability merge.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from functools import cache, cached_property
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .bipartite import BipartiteGraph, ProfileKey, x_table
 from .cq import Query, noncomparable_pair_and_rst
@@ -32,7 +32,7 @@ from .instances import Fact, Instance, ProbAssignment, fresh_constant
 from .vandermonde import solve_vandermonde
 
 # Mersenne primes, smallest first.  The system is solved modulo one of them
-# and checked modulo the next, so the last one only ever checks.
+# and checked modulo a later one, so the last one only ever checks.
 _MERSENNE_PRIMES = tuple(
     (1 << e) - 1
     for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689)
@@ -58,10 +58,23 @@ class ReductionRun:
     params: ReductionParams
     counts: GadgetCounts
     cells: tuple[ProfileKey, ...]
-    alpha: Mapping[ProfileKey, Fraction]
-    n_vector: list[int]
+    graph: BipartiteGraph
+    oracle_counts: list[int] | None  # N_0..N_{M-1} counted on D_p (brute oracle)
     y_vector: Mapping[ProfileKey, int]
     p_result: int
+
+    @cached_property
+    def alpha(self) -> dict[ProfileKey, Fraction]:
+        """Each cell's exact coefficient, computed on first access."""
+        return {key: _alpha_cell(key, self.counts, self.params) for key in self.cells}
+
+    @cached_property
+    def n_vector(self) -> list[int]:
+        """N_0..N_{M-1}: the brute oracle's counts, or else the analytic
+        formula's, computed exactly on first access."""
+        if self.oracle_counts is not None:
+            return self.oracle_counts
+        return _n_vector_analytic(self.graph, self.counts, self.params)
 
 
 def reduction_params(g: BipartiteGraph, r: int, s: int, t: int) -> ReductionParams:
@@ -158,29 +171,55 @@ def profile_cells(params: ReductionParams) -> tuple[ProfileKey, ...]:
     )
 
 
-def _alpha_cell(
+def _alpha_factors(
     key: ProfileKey, counts: GadgetCounts, params: ReductionParams
-) -> Fraction:
-    """Per-pair world-count coefficient, extended to the full index grid.
+) -> tuple[tuple[int, int], ...]:
+    """The (gadget count, exponent) pairs whose product is the per-pair
+    world-count coefficient of a cell, extended to the full index grid.
 
     Cells with c + d + d' > m have no realizing pair (their count variable is
-    identically zero) and get a negative excluded-edge exponent; the value is
-    then a non-integer rational, which is fine since only its distinctness
+    identically zero) and get a negative excluded-edge exponent; the product
+    is then a non-integer rational, which is fine since only its distinctness
     matters for the system matrix.
     """
     i, j, c, d, dp = key
     e = params.m - c - d - dp
-    value = Fraction(counts.gamma) ** c
-    value *= Fraction(counts.delta_r) ** d
-    value *= Fraction(counts.delta_t) ** dp
-    value *= Fraction(counts.delta_bot) ** e
-    value *= Fraction(counts.lam_r) ** (params.M1 * (c + d) + params.M2 * i)
-    value *= Fraction(counts.lam_t) ** (params.M3 * j)
-    value *= Fraction(counts.lam_rbar) ** (
-        params.M1 * (dp + e) + params.M2 * (params.n_left - i)
+    return (
+        (counts.gamma, c),
+        (counts.delta_r, d),
+        (counts.delta_t, dp),
+        (counts.delta_bot, e),
+        (counts.lam_r, params.M1 * (c + d) + params.M2 * i),
+        (counts.lam_t, params.M3 * j),
+        (counts.lam_rbar, params.M1 * (dp + e) + params.M2 * (params.n_left - i)),
+        (counts.lam_tbar, params.M3 * (params.n_right - j)),
     )
-    value *= Fraction(counts.lam_tbar) ** (params.M3 * (params.n_right - j))
+
+
+def _alpha_cell(
+    key: ProfileKey, counts: GadgetCounts, params: ReductionParams
+) -> Fraction:
+    """The exact coefficient of a cell."""
+    value = Fraction(1)
+    for base, exponent in _alpha_factors(key, counts, params):
+        value *= Fraction(base) ** exponent
     return value
+
+
+def _node_residues(
+    cells: Sequence[ProfileKey], counts: GadgetCounts, params: ReductionParams, prime: int
+) -> list[int]:
+    """Each cell's coefficient modulo ``prime``, a numerator times the inverse
+    of its denominator.  Raises ValueError if a denominator is a multiple of
+    ``prime``: a negative exponent on a gadget count that ``prime`` divides.
+    """
+    nodes = []
+    for key in cells:
+        value = 1
+        for base, exponent in _alpha_factors(key, counts, params):
+            value = value * pow(base, exponent, prime) % prime
+        nodes.append(value)
+    return nodes
 
 
 def alpha_coefficient(
@@ -238,18 +277,37 @@ def _n_vector_analytic(
     return n_vector
 
 
-def _recover_counts(nodes: list[int], rhs: list[int], bound: int) -> list[int]:
-    """The solution of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, whose
-    entries are integers in [0, bound).
+def _power_sums(terms: Sequence[int], nodes: Sequence[int], n: int, prime: int) -> list[int]:
+    """sum_k terms_k * nodes_k**p modulo ``prime``, for p = 0..n-1."""
+    sums = []
+    terms = [term % prime for term in terms]
+    for _ in range(n):
+        sums.append(sum(terms) % prime)
+        terms = [term * x % prime for term, x in zip(terms, nodes)]
+    return sums
+
+
+def _recover_counts(
+    residues: Callable[[int], tuple[list[int], list[int]]],
+    node: Callable[[int], Fraction | int],
+    head: Sequence[int],
+    bound: int,
+) -> list[int]:
+    """The solution of sum_k y_k * x_k**p = b_p, p = 0..n-1, whose entries
+    are integers in [0, bound).
+
+    ``residues(q)`` gives the nodes x_k and the right-hand side b_p modulo
+    the prime q, and raises ValueError if some node is undefined modulo q;
+    ``node(k)`` is x_k exactly and ``head`` is b_0..b_3 exactly.
 
     Solved modulo the smallest listed prime above ``bound`` at which the
-    nodes stay distinct, so every residue is the entry itself.  Checked
-    exactly on the first four equations and on all of them modulo the next
-    listed prime.
+    nodes are defined and distinct, so every residue is the entry itself.
+    Distinct residues imply distinct nodes, so the system is regular.
+    Checked exactly on the first four equations, and on all of them modulo
+    the next listed prime at which the nodes are defined.
     """
-    for prime, check in zip(_MERSENNE_PRIMES, _MERSENNE_PRIMES[1:]):
-        if prime <= bound:
-            continue
+    solvers = _defined_residues(residues, [q for q in _MERSENNE_PRIMES[:-1] if q > bound])
+    for prime, nodes, rhs in solvers:
         try:
             solution = solve_vandermonde(nodes, rhs, prime)
         except DuplicateNodeError:
@@ -259,17 +317,34 @@ def _recover_counts(nodes: list[int], rhs: list[int], bound: int) -> list[int]:
         raise QReliabError("no solver prime exceeds the solution bound with distinct nodes")
     if any(y >= bound for y in solution):
         raise QReliabError("recovered value exceeds its combinatorial bound")
-    for p in range(min(4, len(rhs))):
-        lhs = sum(y * node**p for y, node in zip(solution, nodes))
-        if lhs != rhs[p]:
+    support = [k for k, y in enumerate(solution) if y]
+    for p, b in enumerate(head):
+        if sum(solution[k] * node(k) ** p for k in support) != b:
             raise QReliabError(f"modular solution fails exact equation p={p}")
-    terms = solution  # y_k * nodes_k**p modulo check, for p = 0, 1, ...
-    residues = [node % check for node in nodes]
-    for p, b in enumerate(rhs):
-        if sum(terms) % check != b % check:
+    checks = _defined_residues(residues, [q for q in _MERSENNE_PRIMES if q > prime])
+    for check, nodes, rhs in checks:
+        break
+    else:
+        raise QReliabError("no check prime above the solver prime has every node defined")
+    lhs = _power_sums(
+        [solution[k] for k in support], [nodes[k] for k in support], len(rhs), check
+    )
+    for p, (a, b) in enumerate(zip(lhs, rhs)):
+        if a != b:
             raise QReliabError(f"modular solution fails equation p={p} modulo {check}")
-        terms = [term * x % check for term, x in zip(terms, residues)]
     return solution
+
+
+def _defined_residues(
+    residues: Callable[[int], tuple[list[int], list[int]]], primes: Sequence[int]
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(q, nodes, rhs) for each of ``primes`` at which every node is defined."""
+    for prime in primes:
+        try:
+            nodes, rhs = residues(prime)
+        except ValueError:
+            continue
+        yield prime, nodes, rhs
 
 
 def run_reduction(
@@ -281,20 +356,22 @@ def run_reduction(
     emit_dir: str | None = None,
 ) -> ReductionRun:
     """End-to-end reduction: oracle counts N_p, Vandermonde solve, recovery
-    of the independent-set-pair count."""
+    of the independent-set-pair count.
+
+    The system sum_k y_k * alpha_k**p = N_p is built only modulo the solver
+    and check primes: node residues by modular powers of the gadget counts,
+    and with the analytic oracle N_p = sum_k Y_k * alpha_k**p, Y the weighted
+    pair-profile histogram, by one modular multiply per (cell of Y, p).  Exact
+    coefficients are computed only for the exact check of N_0..N_3.
+    """
     if oracle not in ("analytic", "brute"):
         raise QReliabError(f"unknown oracle {oracle!r}")
     params = reduction_params(g, r, s, t)
     counts = closed_counts(r, s, t)
     cells = profile_cells(params)
-    alpha = {key: _alpha_cell(key, counts, params) for key in cells}
-    if len(set(alpha.values())) != len(cells):
-        raise DuplicateNodeError(
-            "coefficients are not pairwise distinct; the system is singular"
-        )
 
     query = qrst_query(r, s, t)
-    n_vector: list[int] = []
+    oracle_counts: list[int] = []
     if oracle == "brute" or emit_dir is not None:
         for p in range(params.M):
             dp_inst = build_Dp(g, r, s, t, p, params)
@@ -305,32 +382,32 @@ def run_reduction(
                     fh.write(dp_inst.serialize())
             if oracle == "brute":
                 satisfied = ur_brute(query, dp_inst)
-                n_vector.append((1 << len(dp_inst)) - satisfied)
-    if oracle == "analytic":
-        n_vector = _n_vector_analytic(g, counts, params)
+                oracle_counts.append((1 << len(dp_inst)) - satisfied)
 
-    # Clear denominators: nodes scaled by L stay distinct, and the right-hand
-    # side picks up L**p.
-    scale = 1
-    for value in alpha.values():
-        scale = math.lcm(scale, value.denominator)
-    nodes = []
-    for key in cells:
-        scaled = alpha[key] * scale
-        if scaled.denominator != 1:
-            raise NonIntegralResultError(f"node {scaled} of profile {key} is not an integer")
-        nodes.append(scaled.numerator)
-    rhs = []
-    power = 1
-    for n_p in n_vector:
-        rhs.append(n_p * power)
-        power *= scale
+    node = cache(lambda k: _alpha_cell(cells[k], counts, params))
+    if oracle == "brute":
+        head = oracle_counts[:4]
+    else:
+        weights = x_table(g, r, t).y
+        index = {key: k for k, key in enumerate(cells)}
+        support = [index[key] for key in weights]
+        head = [
+            sum(w * node(k) ** p for k, w in zip(support, weights.values()))
+            for p in range(min(4, params.M))
+        ]
+
+    def residues(prime: int) -> tuple[list[int], list[int]]:
+        nodes = _node_residues(cells, counts, params, prime)
+        if oracle == "brute":
+            return nodes, [n_p % prime for n_p in oracle_counts]
+        rhs = _power_sums(list(weights.values()), [nodes[k] for k in support], params.M, prime)
+        return nodes, rhs
 
     pr = (1 << r) - 1
     pt = (1 << t) - 1
     # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
     bound = (2 * pr) ** params.n_left * (2 * pt) ** params.n_right + 1
-    y_vector = dict(zip(cells, _recover_counts(nodes, rhs, bound)))
+    y_vector = dict(zip(cells, _recover_counts(residues, node, head, bound)))
     p_result = 0
     for (i, j, c, d, dp), y in y_vector.items():
         if c != 0:
@@ -339,7 +416,10 @@ def run_reduction(
         if y % weight != 0:
             raise QReliabError("non-integral division during count recovery")
         p_result += y // weight
-    return ReductionRun(params, counts, cells, alpha, n_vector, y_vector, p_result)
+    return ReductionRun(
+        params, counts, cells, g, oracle_counts if oracle == "brute" else None,
+        y_vector, p_result,
+    )
 
 
 def _qrst_role_relations(q: Query) -> tuple[str, str, list[int], list[int], list[int], list[int]]:

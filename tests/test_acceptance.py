@@ -173,8 +173,9 @@ def test_criterion_6_main_reduction_end_to_end():
     for g in _graphs(2, 2, 2):
         expected = independent_pair_count(g)
         for rst in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]:
-            # run_reduction raises DuplicateNodeError if the coefficient
-            # distinctness check ever fails
+            # run_reduction raises QReliabError ("no solver prime ...") if
+            # the coefficients collide, or are undefined, modulo every listed
+            # solver prime
             run = run_reduction(g, *rst, oracle="analytic")
             assert run.p_result == expected, (g, rst)
 

@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreliab.bipartite import BipartiteGraph, independent_pair_count
+from qreliab import reduction_ur
+from qreliab.bipartite import BipartiteGraph, independent_pair_count, x_table
 from qreliab.cq import parse_query
 from qreliab.errors import (
     DuplicateNodeError,
@@ -136,41 +138,68 @@ def test_run_reduction_single_edge_satisfies_every_equation():
 
 
 SOLVER_PRIME = (1 << 61) - 1  # the smallest listed prime
+SYSTEM_PRIMES = [(1 << e) - 1 for e in (61, 89, 107)]  # the three smallest
 NODES = [2, 3, 5, 7, 11, 13, 17]
+
+
+def residue(x, prime):
+    """A rational modulo a prime: its numerator times the inverse of its
+    denominator (ValueError if the prime divides the denominator)."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, prime) % prime
+
+
+def recover(nodes, rhs, bound):
+    """_recover_counts on a system given by exact nodes and right-hand side."""
+
+    def residues(prime):
+        return [residue(x, prime) for x in nodes], [residue(b, prime) for b in rhs]
+
+    return _recover_counts(residues, nodes.__getitem__, rhs[:4], bound)
 
 
 def test_recover_counts_returns_planted_solution():
     y = [4, 0, 1, 9, 99, 7, 3]
-    assert _recover_counts(NODES, dual_rhs(NODES, y), 100) == y
+    assert recover(NODES, dual_rhs(NODES, y), 100) == y
 
 
 def test_recover_counts_past_two_primes():
     bound = 1 << 200
     y = [bound - 1, 0, 1 << 150, 5, (1 << 199) + 3, 1, bound // 3]
-    assert _recover_counts(NODES, dual_rhs(NODES, y), bound) == y
+    assert recover(NODES, dual_rhs(NODES, y), bound) == y
 
 
 def test_recover_counts_skips_a_prime_where_nodes_collide():
     nodes = [1, SOLVER_PRIME + 1]  # equal modulo the smallest listed prime
-    assert _recover_counts(nodes, dual_rhs(nodes, [3, 4]), 10) == [3, 4]
+    assert recover(nodes, dual_rhs(nodes, [3, 4]), 10) == [3, 4]
+
+
+def test_recover_counts_skips_a_prime_where_a_node_is_undefined():
+    nodes = [Fraction(1, SOLVER_PRIME), 2]  # no residue modulo the smallest prime
+    assert recover(nodes, dual_rhs(nodes, [3, 4]), 10) == [3, 4]
+
+
+def test_recover_counts_rejects_nodes_colliding_at_every_prime():
+    with pytest.raises(QReliabError, match="no solver prime"):
+        recover([5, 5], [2, 10], 10)
 
 
 def test_recover_counts_rejects_bound_past_every_prime():
     with pytest.raises(QReliabError, match="no solver prime"):
-        _recover_counts([2, 3], dual_rhs([2, 3], [1, 1]), 1 << 5000)
+        recover([2, 3], dual_rhs([2, 3], [1, 1]), 1 << 5000)
 
 
 def test_recover_counts_rejects_entry_past_bound():
     y = [4, 0, 100, 9, 1, 7, 3]
     with pytest.raises(QReliabError, match="bound"):
-        _recover_counts(NODES, dual_rhs(NODES, y), 100)
+        recover(NODES, dual_rhs(NODES, y), 100)
 
 
 def test_recover_counts_rejects_entry_that_wraps():
     # the entry reduces to 5 modulo the solver prime, which is within bound
     y = [4, SOLVER_PRIME + 5, 1, 9, 1, 7, 3]
     with pytest.raises(QReliabError, match="equation"):
-        _recover_counts(NODES, dual_rhs(NODES, y), 100)
+        recover(NODES, dual_rhs(NODES, y), 100)
 
 
 def test_recover_counts_checks_every_equation():
@@ -180,12 +209,13 @@ def test_recover_counts_checks_every_equation():
     rhs = dual_rhs(NODES, y)
     rhs[5] += SOLVER_PRIME
     with pytest.raises(QReliabError, match="p=5"):
-        _recover_counts(NODES, rhs, 100)
+        recover(NODES, rhs, 100)
 
 
 def test_run_reduction_brute_oracle_downscaled_graph():
-    # brute oracle is only tractable on the empty graph, where every D_p
-    # stays tiny
+    # The default width cap refuses every D_p with p >= 1 of a one-edge graph
+    # (each is one lineage component of hundreds of facts); on an edgeless
+    # graph every D_p stays tiny.
     g = BipartiteGraph.build(["u"], [], [])
     run = run_reduction(g, 1, 1, 1, oracle="brute")
     assert run.p_result == independent_pair_count(g) == 2
@@ -202,6 +232,118 @@ def test_run_reduction_recovers_y_histogram():
     assert run.y_vector[(0, 1, 0, 0, 1)] == 1
     assert run.y_vector[(1, 1, 1, 0, 0)] == 1
     assert sum(run.y_vector.values()) == 4
+
+
+def assert_recovers_weighted_histogram(run, g):
+    """The recovered y is x_table's weighted histogram Y, cell by cell, and
+    zero on every other cell."""
+    y = x_table(g, run.params.r, run.params.t).y
+    assert set(y) <= set(run.cells)
+    for key in run.cells:
+        assert run.y_vector[key] == y.get(key, 0), key
+
+
+def small_graphs():
+    """Every graph with up to 2 + 2 vertices and up to 2 edges."""
+    for n_left, n_right in itertools.product(range(3), repeat=2):
+        left = [f"u{k}" for k in range(n_left)]
+        right = [f"w{k}" for k in range(n_right)]
+        possible = [(u, w) for u in left for w in right]
+        for size in range(min(2, len(possible)) + 1):
+            for edges in itertools.combinations(possible, size):
+                yield BipartiteGraph.build(left, right, edges)
+
+
+def test_run_reduction_recovers_weighted_histogram_on_small_graphs():
+    graphs = list(small_graphs())
+    assert len(graphs) == 26
+    for g in graphs:
+        for rst in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]:
+            assert_recovers_weighted_histogram(run_reduction(g, *rst), g)
+
+
+@st.composite
+def graphs_up_to_2x2(draw):
+    left = [f"u{k}" for k in range(draw(st.integers(0, 2)))]
+    right = [f"w{k}" for k in range(draw(st.integers(0, 2)))]
+    possible = [(u, w) for u in left for w in right]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True) if possible else st.just([]))
+    return BipartiteGraph.build(left, right, edges)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_up_to_2x2(), st.tuples(*[st.integers(1, 2)] * 3))
+def test_run_reduction_matches_pair_count(g, rst):
+    run = run_reduction(g, *rst)
+    assert run.p_result == independent_pair_count(g)
+    assert_recovers_weighted_histogram(run, g)
+
+
+def test_run_reduction_three_edge_matching():
+    g = BipartiteGraph.build(
+        ["u1", "u2", "u3"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w2"), ("u3", "w3")]
+    )
+    run = run_reduction(g, 1, 1, 1)
+    assert run.params.M == 1024
+    assert run.p_result == 27
+    assert_recovers_weighted_histogram(run, g)
+
+
+def test_run_reduction_skips_a_prime_dividing_a_gadget_count():
+    # 61 divides r + s + t, so 2**61 - 1 divides delta_bot, whose exponent
+    # is negative on the unrealizable cells
+    assert closed_counts(30, 1, 30).delta_bot % SOLVER_PRIME == 0
+    run = run_reduction(EDGE, 30, 1, 30)
+    assert run.p_result == 3
+    assert_recovers_weighted_histogram(run, EDGE)
+
+
+def solver_system(monkeypatch, g, rst):
+    """run_reduction(g, *rst) and the system it hands to the solver:
+    (run, residues, node, head)."""
+    systems = []
+
+    def spy(residues, node, head, bound):
+        systems.append((residues, node, head))
+        return _recover_counts(residues, node, head, bound)
+
+    monkeypatch.setattr(reduction_ur, "_recover_counts", spy)
+    run = run_reduction(g, *rst)
+    [system] = systems
+    return (run, *system)
+
+
+ONE_OF_TWO = BipartiteGraph.build(["u"], ["w1", "w2"], [("u", "w2")])
+
+
+@pytest.mark.parametrize(
+    "g, rst",
+    [
+        (EDGE, (1, 1, 1)),
+        (EDGE, (30, 1, 30)),
+        (ONE_OF_TWO, (2, 1, 1)),
+        (BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1"), ("u2", "w1")]), (1, 2, 1)),
+    ],
+)
+def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
+    run, residues, node, _head = solver_system(monkeypatch, g, rst)
+    for prime in SYSTEM_PRIMES:
+        try:
+            nodes, _rhs = residues(prime)
+        except ValueError:
+            assert any(run.alpha[key].denominator % prime == 0 for key in run.cells)
+            continue
+        assert nodes == [residue(run.alpha[key], prime) for key in run.cells]
+    assert [node(k) for k in range(run.params.M)] == [run.alpha[key] for key in run.cells]
+
+
+@pytest.mark.parametrize("g, rst", [(EDGE, (1, 1, 1)), (EDGE, (2, 1, 3)), (ONE_OF_TWO, (1, 1, 2))])
+def test_rhs_residues_match_exact_counts(monkeypatch, g, rst):
+    run, residues, _node, head = solver_system(monkeypatch, g, rst)
+    assert head == run.n_vector[:4]
+    for prime in SYSTEM_PRIMES:
+        _nodes, rhs = residues(prime)
+        assert rhs == [n_p % prime for n_p in run.n_vector]
 
 
 def test_run_reduction_emits_instances(tmp_path):
