@@ -28,9 +28,19 @@ def _read(path: str) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    return str(value)
+    """An exact answer in full, however many digits it has: the interpreter's
+    limit on converting long integers to text (Python 3.11+) is lifted for
+    this conversion only, so parsing input stays guarded."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if isinstance(value, Fraction) and value.denominator != 1:
+            return f"{value.numerator}/{value.denominator}"
+        return str(value)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _parse_rst(text: str) -> tuple[int, int, int]:
@@ -63,9 +73,9 @@ def _cmd_ur(args) -> None:
     if method == "auto":
         method = "safe" if classify_hierarchical(q).hierarchical else "brute"
     if method == "safe":
-        print(ur_safe(q, instance))
+        print(_fmt(ur_safe(q, instance)))
     else:
-        print(ur_brute(q, instance))
+        print(_fmt(ur_brute(q, instance)))
 
 
 def _cmd_pqe(args) -> None:

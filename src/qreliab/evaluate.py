@@ -19,7 +19,6 @@ from .errors import (
     CapExceededError,
     InstanceFormatError,
     NonHierarchicalQueryError,
-    NonIntegralResultError,
     UsageError,
 )
 from .instances import Fact, Instance, ProbAssignment
@@ -82,6 +81,22 @@ def ur_brute(q: Query, instance: Instance, cap: int | None = None) -> int:
     return count << (len(instance) - len(facts))
 
 
+def fact_weights(instance: Instance, prob: ProbAssignment) -> dict[Fact, tuple[int, int]]:
+    """Each fact's integer weights (w_in, w_out) = (num, den - num) for its
+    probability num/den: its weight in the worlds where it is present, and
+    in those where it is absent.
+
+    Every fact's probability is resolved, so a missing one is reported
+    whichever facts the evaluation visits.
+    """
+    weights = {}
+    for f in instance.facts:
+        p = prob.prob_of(f)
+        num = p.numerator
+        weights[f] = (num, p.denominator - num)
+    return weights
+
+
 def pqe_brute(
     q: Query,
     instance: Instance,
@@ -89,19 +104,17 @@ def pqe_brute(
     cap: int | None = None,
 ) -> Fraction:
     """Exact query probability by weighted model counting over the uncertain
-    support facts: fact f weighs (num, den - num) for probability num/den.
+    support facts, weighted as ``fact_weights`` says.
 
     Certain facts (probability 1) are fixed present; facts outside every match
     support contribute a factor of 1 either way.
     """
-    probs = {f: prob.prob_of(f) for f in instance.facts}
-    certain = {f for f, p in probs.items() if p == 1}
+    weights = fact_weights(instance, prob)
+    certain = {f for f, (_, w_out) in weights.items() if w_out == 0}
     facts, masks = _lineage(q, instance, certain, cap)
-    weights = [
-        (probs[f].numerator, probs[f].denominator - probs[f].numerator) for f in facts
-    ]
-    denominator = math.prod(probs[f].denominator for f in facts)
-    violated = kernels.count_avoiding(masks, weights)
+    pairs = [weights[f] for f in facts]
+    denominator = math.prod(w_in + w_out for w_in, w_out in pairs)
+    violated = kernels.count_avoiding(masks, pairs)
     return Fraction(denominator - violated, denominator)
 
 
@@ -129,36 +142,42 @@ def _components(atoms: list[tuple[str, ...]]) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _plan(atoms: list[tuple[tuple[str, ...], dict[str, int]]], probs: dict[Fact, Fraction]):
+def _plan(
+    atoms: list[tuple[tuple[str, ...], dict[str, int]]],
+    weights: dict[Fact, tuple[int, int]],
+):
     """Compile the safe plan of a hierarchical query.
 
     ``atoms`` gives each atom's free variables and the column of each
     variable.  The result maps one fact list per atom, already restricted to
-    the constants and bound variables, to the probability that some match is
-    present.  Its shape depends on the query only, so it is built once per
-    call and not per root value.
+    the constants and bound variables, to the integer pair (miss, total):
+    the weight of the worlds of those facts with no match, and of all their
+    worlds, where each fact weighs ``weights[f]`` = (w_in, w_out).  Its
+    shape depends on the query only, so it is built once per call and not
+    per root value.
     """
     comps = _components([free for free, _ in atoms])
     if len(comps) > 1:
         # Independent join: components share no variable and, the query
-        # being self-join-free, no fact.
-        parts = [(comp, _plan([atoms[i] for i in comp], probs)) for comp in comps]
+        # being self-join-free, no fact.  A world matches when every
+        # component's facts match.
+        parts = [(comp, _plan([atoms[i] for i in comp], weights)) for comp in comps]
 
-        def join(lists: list[list[Fact]]) -> Fraction:
-            result = Fraction(1)
+        def join(lists: list[list[Fact]]) -> tuple[int, int]:
+            hit = total = 1
             for comp, part in parts:
-                result *= part([lists[i] for i in comp])
-            return result
+                part_miss, part_total = part([lists[i] for i in comp])
+                hit *= part_total - part_miss
+                total *= part_total
+            return total - hit, total
 
         return join
 
     if len(atoms) == 1:
         # Every remaining fact is a match on its own, independent of the others.
-        def single(lists: list[list[Fact]]) -> Fraction:
-            miss = Fraction(1)
-            for f in lists[0]:
-                miss *= 1 - probs[f]
-            return 1 - miss
+        def single(lists: list[list[Fact]]) -> tuple[int, int]:
+            pairs = [weights[f] for f in lists[0]]
+            return math.prod(w_out for _, w_out in pairs), math.prod(map(sum, pairs))
 
         return single
 
@@ -169,13 +188,14 @@ def _plan(atoms: list[tuple[tuple[str, ...], dict[str, int]]], probs: dict[Fact,
     root_columns = [columns[root] for _, columns in atoms]
     child = _plan(
         [(tuple(v for v in free if v != root), columns) for free, columns in atoms],
-        probs,
+        weights,
     )
 
-    def project(lists: list[list[Fact]]) -> Fraction:
+    def project(lists: list[list[Fact]]) -> tuple[int, int]:
         # Independent project: partition each atom's facts by the root value
-        # once.  Branches for distinct values touch disjoint facts, and a
-        # value that some atom lacks has no match (factor 1).
+        # once.  Branches for distinct values touch disjoint facts; the facts
+        # of a value that some atom lacks take part in no match, so they
+        # weigh the same in the missing worlds as in all worlds.
         groups = []
         for facts, k in zip(lists, root_columns):
             by_value: dict[str, list[Fact]] = {}
@@ -183,11 +203,15 @@ def _plan(atoms: list[tuple[tuple[str, ...], dict[str, int]]], probs: dict[Fact,
                 by_value.setdefault(f.args[k], []).append(f)
             groups.append(by_value)
         smallest = min(groups, key=len)
-        result = Fraction(1)
-        for value in smallest:
-            if all(value in g for g in groups):
-                result *= 1 - child([g[value] for g in groups])
-        return 1 - result
+        common = [value for value in smallest if all(value in g for g in groups)]
+        misses = []
+        totals = []
+        for value in common:
+            branch_miss, branch_total = child([g.pop(value) for g in groups])
+            misses.append(branch_miss)
+            totals.append(branch_total)
+        outside = math.prod(sum(weights[f]) for g in groups for facts in g.values() for f in facts)
+        return math.prod(misses) * outside, math.prod(totals) * outside
 
     return project
 
@@ -201,6 +225,22 @@ def _check_arities(q: Query, instance: Instance) -> None:
             )
 
 
+def _safe_counts(q: Query, instance: Instance, prob: ProbAssignment) -> tuple[int, int, int]:
+    """Run the safe plan of a hierarchical query: (miss, total, covered), the
+    weight of the worlds with no match and of all worlds over the facts the
+    plan covers, and the number of those facts.  Facts weigh as
+    ``fact_weights`` says."""
+    if not classify_hierarchical(q).hierarchical:
+        raise NonHierarchicalQueryError(f"query {q} is not hierarchical")
+    _check_arities(q, instance)
+    weights = fact_weights(instance, prob)
+    patterns = [AtomPattern.of(a) for a in q.atoms]
+    plan = _plan([(a.variables, p.columns) for a, p in zip(q.atoms, patterns)], weights)
+    lists = [p.select(instance.facts_of(a.relation)) for a, p in zip(q.atoms, patterns)]
+    miss, total = plan(lists)
+    return miss, total, sum(map(len, lists))
+
+
 def pqe_safe(q: Query, instance: Instance, prob: ProbAssignment) -> Fraction:
     """Exact probability for hierarchical queries, in time about linear in
     the instance (plus exact-arithmetic cost).
@@ -210,25 +250,18 @@ def pqe_safe(q: Query, instance: Instance, prob: ProbAssignment) -> Fraction:
     connected components, and independent projection on a root variable
     occurring in every atom of its component (which the hierarchy property
     guarantees), splitting each atom's facts by the root value once per
-    level.  Every fact's probability is resolved first, so a missing one is
-    reported whichever facts the plan visits.
+    level.  It works in integer weights (see ``fact_weights``) and builds
+    one Fraction at the end.
     """
-    if not classify_hierarchical(q).hierarchical:
-        raise NonHierarchicalQueryError(f"query {q} is not hierarchical")
-    _check_arities(q, instance)
-    probs = {f: prob.prob_of(f) for f in instance.facts}
-    patterns = [AtomPattern.of(a) for a in q.atoms]
-    plan = _plan([(a.variables, p.columns) for a, p in zip(q.atoms, patterns)], probs)
-    return plan([p.select(instance.facts_of(a.relation)) for a, p in zip(q.atoms, patterns)])
+    miss, total, _ = _safe_counts(q, instance, prob)
+    return Fraction(total - miss, total)
 
 
 def ur_safe(q: Query, instance: Instance) -> int:
-    """|Mod(Q, I)| for hierarchical queries: 2**|I| times the uniform probability."""
-    pr = pqe_safe(q, instance, ProbAssignment.uniform(Fraction(1, 2)))
-    value = pr * (1 << len(instance))
-    if value.denominator != 1:
-        raise NonIntegralResultError(f"2**|I| * Pr(Q) = {value} is not an integer")
-    return value.numerator
+    """|Mod(Q, I)| for hierarchical queries: the safe plan with every fact
+    weighing 1 present and 1 absent, times 2 for each fact it does not cover."""
+    miss, total, covered = _safe_counts(q, instance, ProbAssignment.uniform(Fraction(1, 2)))
+    return (total - miss) << (len(instance) - covered)
 
 
 def rewrite_prob1(instance: Instance, r: Fraction, s: Fraction) -> Fraction:

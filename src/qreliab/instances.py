@@ -12,16 +12,25 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from .cq import _RELATION_RE
 from .errors import ArityError, InstanceFormatError, ProbabilityError, QReliabError
 
 _CONSTANT_RE = re.compile(r"[A-Za-z0-9_.@]+")
-_FACT_RE = re.compile(r"([A-Z][A-Za-z0-9_]*)\((.*)\)\s*$")
+# Reads any line that has a fact's shape, to word the error of a bad one.
+_FACT_RE = re.compile(rf"({_RELATION_RE.pattern})\((.*)\)\s*$")
+# A well-formed fact, whole, and a well-formed per-fact probability line: the
+# relation, the argument list without its outer whitespace, the probability.
+_WELL_FORMED = rf"({_RELATION_RE.pattern})\(\s*({_CONSTANT_RE.pattern}(?:\s*,\s*{_CONSTANT_RE.pattern})*)\s*\)"
+_FACT_LINE_RE = re.compile(_WELL_FORMED)
+_PROB_LINE_RE = re.compile(rf"{_WELL_FORMED}\s+(\S+)")
+_ARG_SEP_RE = re.compile(r"\s*,\s*")
 
 
-@dataclass(frozen=True, order=True)
-class Fact:
+class Fact(NamedTuple):
+    """A fact: equal to, hashed and ordered as its (relation, args) tuple."""
+
     relation: str
     args: tuple[str, ...]
 
@@ -90,19 +99,29 @@ def _fact_args(body: str, lineno: int, error: type[QReliabError]) -> tuple[str, 
     return args
 
 
+def _fact_of(text: str, lineno: int, error: type[QReliabError]) -> Fact:
+    """The fact in text, which the well-formed pattern rejected, read piece by
+    piece so that the error raised names what is wrong."""
+    m = _FACT_RE.match(text)
+    if not m:
+        raise error(f"line {lineno}: cannot parse fact {text!r}")
+    return Fact(m.group(1), _fact_args(m.group(2), lineno, error))
+
+
 def parse_instance(text: str, schema: Mapping[str, int] | None = None) -> Instance:
     """Parse a fact file; validate relations and arities against schema."""
     facts = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        m = _FACT_RE.match(line)
-        if not m:
-            raise InstanceFormatError(f"line {lineno}: cannot parse fact {line!r}")
-        relation = m.group(1)
-        args = _fact_args(m.group(2), lineno, InstanceFormatError)
+        m = _FACT_LINE_RE.fullmatch(line)
+        if m:
+            fact = Fact(m[1], tuple(_ARG_SEP_RE.split(m[2])))
+        else:
+            fact = _fact_of(line, lineno, InstanceFormatError)
         if schema is not None:
+            relation, args = fact
             if relation not in schema:
                 raise InstanceFormatError(f"line {lineno}: unknown relation {relation!r}")
             if len(args) != schema[relation]:
@@ -110,7 +129,7 @@ def parse_instance(text: str, schema: Mapping[str, int] | None = None) -> Instan
                     f"line {lineno}: {relation!r} expects arity "
                     f"{schema[relation]}, got {len(args)}"
                 )
-        facts.append(Fact(relation, args))
+        facts.append(fact)
     return Instance(facts)
 
 
@@ -174,35 +193,42 @@ def parse_prob_map(text: str, mode: str) -> ProbAssignment:
     given on two lines is an error."""
     if mode not in ("per-fact", "per-relation"):
         raise ProbabilityError(f"unknown mode {mode!r}")
+    per_fact = mode == "per-fact"
     probs: dict = {}  # Fact or relation name -> probability
     first_line: dict = {}
+    parsed: dict[str, Fraction] = {}  # probability token -> its value
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        try:
-            target, value = line.rsplit(None, 1)
-        except ValueError:
-            raise ProbabilityError(f"line {lineno}: expected '<target> p/q'") from None
-        prob = _parse_rational(value)
-        if mode == "per-relation":
-            if not re.fullmatch(r"[A-Z][A-Za-z0-9_]*", target):
-                raise ProbabilityError(f"line {lineno}: bad relation name {target!r}")
+        m = _PROB_LINE_RE.fullmatch(line) if per_fact else None
+        if m:
+            value = m[3]
+        else:
+            try:
+                target, value = line.rsplit(None, 1)
+            except ValueError:
+                raise ProbabilityError(f"line {lineno}: expected '<target> p/q'") from None
+        prob = parsed.get(value)
+        if prob is None:
+            prob = parsed[value] = _parse_rational(value)
+        if m:
+            key = Fact(m[1], tuple(_ARG_SEP_RE.split(m[2])))
+        elif per_fact:
+            key = _fact_of(target, lineno, ProbabilityError)
+        elif _RELATION_RE.fullmatch(target):
             key = target
         else:
-            m = _FACT_RE.match(target)
-            if not m:
-                raise ProbabilityError(f"line {lineno}: cannot parse fact {target!r}")
-            key = Fact(m.group(1), _fact_args(m.group(2), lineno, ProbabilityError))
+            raise ProbabilityError(f"line {lineno}: bad relation name {target!r}")
         if key in first_line:
             raise ProbabilityError(
                 f"line {lineno}: {key} already has a probability on line {first_line[key]}"
             )
         first_line[key] = lineno
         probs[key] = prob
-    if mode == "per-relation":
-        return ProbAssignment.for_relations(probs)
-    return ProbAssignment.for_facts(probs)
+    if per_fact:
+        return ProbAssignment.for_facts(probs)
+    return ProbAssignment.for_relations(probs)
 
 
 def fresh_constant(namespace: str, indices: Iterable[int]) -> str:

@@ -1,3 +1,6 @@
+import sys
+from decimal import Decimal
+
 import pytest
 
 from qreliab.cli import main
@@ -111,6 +114,27 @@ def test_pqe_probs_file_duplicate_exits_1(capsys, five_facts, tmp_path, text, er
         capsys, "pqe", "R(x), S(x,y)", five_facts, "--probs", str(probs)
     )
     assert (code, out, got) == (1, "", err)
+
+
+def test_long_exact_answers_print_in_full(capsys, tmp_path):
+    # 2**15000 - 1 has 4,516 digits, past the interpreter's default limit on
+    # int-to-str conversion (Python 3.11+).  The command line lifts it while
+    # printing the answer and restores it afterwards.  Decimal converts
+    # without that limit, so it spells out the expected digits.
+    def limit():
+        return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+    before = limit()
+    count, worlds = Decimal(2**15000 - 1), Decimal(2**15000)
+    facts = tmp_path / "big.facts"
+    facts.write_text("".join(f"R(a{i})\n" for i in range(15_000)))
+    code, out, err = run(capsys, "ur", "R(x)", str(facts))
+    assert (code, err) == (0, "")
+    assert out == f"{count}\n"
+    code, out, err = run(capsys, "pqe", "R(x)", str(facts), "--uniform", "1/2")
+    assert (code, err) == (0, "")
+    assert out == f"{count}/{worlds}\n"
+    assert limit() == before
 
 
 def test_gadgets(capsys):

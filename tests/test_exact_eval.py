@@ -225,6 +225,41 @@ def test_ur_safe_invariant_under_renaming_constants(case, names):
     assert ur_safe(renamed_query, renamed) == ur_safe(q, instance)
 
 
+_COPRIME = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hierarchical_case())
+def test_safe_plan_integer_weights_match_brute(case):
+    """The integer plan against the counter: UR is an int, per-relation
+    probabilities have coprime denominators, and certain facts weigh 0 absent."""
+    q, instance = case
+    ur = ur_safe(q, instance)
+    assert type(ur) is int
+    assert ur == ur_brute(q, instance)
+    relations = sorted({f.relation for f in instance.facts})
+    coprime = ProbAssignment.for_relations({r: _COPRIME[k % 3] for k, r in enumerate(relations)})
+    assert pqe_safe(q, instance, coprime) == pqe_brute(q, instance, coprime)
+    certain = ProbAssignment.for_facts(
+        {f: Fraction(1) if k % 2 else _COPRIME[k % 3] for k, f in enumerate(sorted(instance.facts))}
+    )
+    assert pqe_safe(q, instance, certain) == pqe_brute(q, instance, certain)
+
+
+def test_pqe_safe_certain_facts():
+    q = parse_query("R(x), S(x,y)")
+    i = parse_instance("R(a)\nS(a,b)\nS(a,c)\nR(d)\n")
+    phi = ProbAssignment.for_facts({
+        Fact("R", ("a",)): Fraction(1),
+        Fact("S", ("a", "b")): Fraction(1),
+        Fact("S", ("a", "c")): Fraction(2, 7),
+        Fact("R", ("d",)): Fraction(5, 11),
+    })
+    assert pqe_safe(q, i, phi) == 1 == pqe_brute(q, i, phi)
+    phi = ProbAssignment.for_relations({"R": Fraction(1), "S": Fraction(2, 7)})
+    assert pqe_safe(q, i, phi) == 1 - Fraction(5, 7) ** 2 == pqe_brute(q, i, phi)
+
+
 def test_ur_safe_three_levels_closed_form():
     """R(x), S(x,y), T(x,y,z) on 20,000 facts of varying fan-out, with R facts
     lacking S facts, S facts lacking T facts and T facts lacking an S fact."""

@@ -2,9 +2,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qreliab.errors import ArityError, InstanceFormatError, ProbabilityError
+from qreliab.errors import ArityError, InstanceFormatError, ProbabilityError, QReliabError
 from qreliab.instances import (
     Fact,
     Instance,
@@ -124,3 +124,181 @@ def test_fresh_constant_format():
     assert fresh_constant("c0", []) == "@c0"
     assert fresh_constant("e1.b", [3]) == "@e1.b.3"
     assert fresh_constant("u0", [1, 2]) == "@u0.1.2"
+
+
+def test_fact_is_its_relation_args_tuple():
+    f = Fact("S", ("a", "b"))
+    assert f == ("S", ("a", "b"))
+    assert hash(f) == hash(("S", ("a", "b")))
+    assert (f.relation, f.args) == ("S", ("a", "b"))
+    assert repr(f) == "Fact(relation='S', args=('a', 'b'))"
+    assert str(f) == "S(a,b)"
+
+
+@given(st.lists(
+    st.sampled_from([("R", 1), ("S", 2), ("Tx", 3), ("T_1", 1)]).flatmap(
+        lambda ra: st.tuples(st.just(ra[0]), st.lists(_constants, min_size=ra[1], max_size=ra[1]))
+    ),
+    max_size=10,
+))
+def test_fact_order_is_relation_args_order(raw):
+    facts = [Fact(rel, tuple(args)) for rel, args in raw]
+    assert [tuple(f) for f in sorted(facts)] == sorted((rel, tuple(args)) for rel, args in raw)
+    keep = {(f.relation, f.args): f for f in facts}
+    serialized = "".join(f"{f}\n" for _, f in sorted(keep.items()))
+    assert Instance(facts).serialize() == serialized
+    assert parse_instance(serialized) == Instance(facts)
+
+
+# The line parser as it was before the one-pattern fast path: the relation and
+# a parenthesised body, then the body split on commas and every stripped
+# piece checked as a constant.  The fast path must agree with it on every
+# line: the same facts, or the same error class and message.
+_ORACLE_CONSTANT_RE = re.compile(r"[A-Za-z0-9_.@]+")
+_ORACLE_FACT_RE = re.compile(r"([A-Z][A-Za-z0-9_]*)\((.*)\)\s*$")
+
+
+def _oracle_fact(text, lineno, error):
+    m = _ORACLE_FACT_RE.match(text)
+    if not m:
+        raise error(f"line {lineno}: cannot parse fact {text!r}")
+    args = tuple(a.strip() for a in m.group(2).split(","))
+    for a in args:
+        if not _ORACLE_CONSTANT_RE.fullmatch(a):
+            raise error(f"line {lineno}: bad constant {a!r}")
+    return Fact(m.group(1), args)
+
+
+def oracle_parse_instance(text):
+    facts = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            facts.append(_oracle_fact(line, lineno, InstanceFormatError))
+    return Instance(facts)
+
+
+def oracle_parse_prob_map(text, mode):
+    probs = {}
+    first_line = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            target, value = line.rsplit(None, 1)
+        except ValueError:
+            raise ProbabilityError(f"line {lineno}: expected '<target> p/q'") from None
+        try:
+            prob = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ProbabilityError(f"malformed rational {value!r}") from None
+        if not 0 < prob <= 1:
+            raise ProbabilityError(f"probability {value} is outside (0, 1]")
+        if mode == "per-relation":
+            if not re.fullmatch(r"[A-Z][A-Za-z0-9_]*", target):
+                raise ProbabilityError(f"line {lineno}: bad relation name {target!r}")
+            key = target
+        else:
+            key = _oracle_fact(target, lineno, ProbabilityError)
+        if key in first_line:
+            raise ProbabilityError(
+                f"line {lineno}: {key} already has a probability on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        probs[key] = prob
+    if mode == "per-relation":
+        return ProbAssignment.for_relations(probs)
+    return ProbAssignment.for_facts(probs)
+
+
+def _outcome(parse, *args):
+    """The parsed value, or the class and message of the error raised."""
+    try:
+        return parse(*args)
+    except QReliabError as exc:
+        return type(exc), str(exc)
+
+
+_space = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0", "\u2003"])
+# Mostly well-formed pieces, so that whole files are often accepted.
+_relation = st.sampled_from(["R", "S", "Tx", "T_1"] * 3 + ["r", "_R", "1R", "R-1", ""])
+_token = st.one_of(
+    _constants,
+    _constants,
+    _constants,
+    st.sampled_from(["", "a-1", "a b", "(a)", "a)", "(", ")", "'a'", "a,", "é", "#"]),
+)
+
+
+@st.composite
+def _fact_text(draw):
+    """Text shaped like a fact, well formed or broken in one or more places."""
+    args = draw(st.lists(st.tuples(_space, _token, _space), max_size=3))
+    body = ",".join(before + token + after for before, token, after in args)
+    opening, closing = draw(st.sampled_from([("(", ")")] * 12 + [("", ")"), ("(", ""), ("((", "))"), ("(", "))")]))
+    return draw(_relation) + draw(st.sampled_from([""] * 5 + [" "])) + opening + body + closing
+
+
+_tail = st.sampled_from([""] * 8 + [" ", "\t", "x", " x", ")", "(", ",", " # note", "()"])
+_probability = st.sampled_from(["1/2", "3/8", "3/8", "1", "2/4", "0", "3/2", "1/0", "x", "-1/2", ""])
+
+
+@st.composite
+def _fact_lines(draw):
+    lines = draw(st.lists(
+        st.one_of(
+            st.tuples(_space, _fact_text(), _tail).map("".join),
+            st.sampled_from(["", "  ", "# comment", "  # R(a"]),
+        ),
+        min_size=1,
+        max_size=5,
+    ))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def _prob_lines(draw, mode):
+    target = _fact_text() if mode == "per-fact" else _relation
+    lines = draw(st.lists(
+        st.one_of(
+            st.tuples(_space, target, st.sampled_from([" ", "\t", "  ", ""]), _probability, _tail).map("".join),
+            st.sampled_from(["", "# comment"]),
+        ),
+        min_size=1,
+        max_size=5,
+    ))
+    return "\n".join(lines)
+
+
+@settings(max_examples=400)
+@given(_fact_lines())
+def test_parse_instance_agrees_with_plain_parser(text):
+    got = _outcome(parse_instance, text)
+    assert got == _outcome(oracle_parse_instance, text)
+    if isinstance(got, Instance):
+        assert all(type(f) is Fact and type(f.args) is tuple for f in got)
+
+
+@settings(max_examples=400)
+@given(st.data(), st.sampled_from(["per-fact", "per-relation"]))
+def test_parse_prob_map_agrees_with_plain_parser(data, mode):
+    text = data.draw(_prob_lines(mode))
+    assert _outcome(parse_prob_map, text, mode) == _outcome(oracle_parse_prob_map, text, mode)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["R( a , b )", "R(a,\tb)", "R(@c0.1, a_b)", "R()", "R(a,)", "R(,a)", "R((a))", "R(a))", "R(a) x",
+     "R (a)", "R(a b)", "R(a-1)", "r(a)", "R(a", "Ra)"],
+)
+def test_parse_instance_lines_agree_with_plain_parser(line):
+    text = f"S(z)\n{line}\n"
+    assert _outcome(parse_instance, text) == _outcome(oracle_parse_instance, text)
+
+
+def test_repeated_probability_token_is_one_value():
+    phi = parse_prob_map("R(a) 3/8\nR(b) 3/8\nR(c) 6/16\n", "per-fact")
+    values = [phi.prob_of(Fact("R", (c,))) for c in "abc"]
+    assert values == [Fraction(3, 8)] * 3
+    assert values[0] is values[1]
