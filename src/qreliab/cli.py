@@ -43,15 +43,27 @@ def _fmt(value) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-def _parse_rst(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise QReliabError(f"--rst expects r,s,t; got {text!r}")
+# Argument types: a malformed value is a usage error (exit 2); a well-formed
+# value out of range is left to the library's check (exit 1).
+def _rst(text: str) -> tuple[int, int, int]:
     try:
-        r, s, t = (int(p) for p in parts)
+        r, s, t = (int(p) for p in text.split(","))
     except ValueError:
-        raise QReliabError(f"--rst expects integers; got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects integers r,s,t; got {text!r}") from None
     return r, s, t
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expects a rational p/q; got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer; got {text!r}")
+    return int(text)
 
 
 def _cmd_classify(args) -> None:
@@ -82,7 +94,7 @@ def _cmd_pqe(args) -> None:
     q = parse_query(args.query)
     instance = parse_instance(_read(args.facts))
     if args.uniform is not None:
-        prob = ProbAssignment.uniform(Fraction(args.uniform))
+        prob = ProbAssignment.uniform(args.uniform)
     else:
         text = _read(args.probs)
         per_fact = any(
@@ -100,7 +112,7 @@ def _cmd_pqe(args) -> None:
 
 
 def _cmd_gadgets(args) -> None:
-    r, s, t = _parse_rst(args.rst)
+    r, s, t = args.rst
     cc = closed_counts(r, s, t)
     fields = (
         "lam_r",
@@ -139,16 +151,14 @@ def _cmd_isets(args) -> None:
 
 def _cmd_reduce_ur(args) -> None:
     g = parse_graph(_read(args.graph))
-    r, s, t = _parse_rst(args.rst)
+    r, s, t = args.rst
     run = run_reduction(g, r, s, t, oracle=args.oracle, emit_dir=args.emit_instances)
     print(f"P={run.p_result}")
 
 
 def _cmd_reduce_pqe(args) -> None:
     g = parse_graph(_read(args.graph))
-    run = run_reduction_pqe(
-        g, Fraction(args.r), Fraction(args.t), oracle=args.oracle
-    )
+    run = run_reduction_pqe(g, args.r, args.t, oracle=args.oracle)
     print(f"P={run.p_result}")
 
 
@@ -175,16 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("facts")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--probs", help="probability file")
-    group.add_argument("--uniform", help="uniform probability p/q")
+    group.add_argument("--uniform", type=_rational, help="uniform probability p/q")
     p.set_defaults(func=_cmd_pqe)
 
     p = sub.add_parser("gadgets", help="gadget world counts for (r,s,t)")
-    p.add_argument("--rst", required=True)
+    p.add_argument("--rst", type=_rst, required=True)
     p.add_argument("--check-brute", action="store_true")
     p.set_defaults(func=_cmd_gadgets)
 
     p = sub.add_parser("lemmas", help="count-identity checks over a parameter cube")
-    p.add_argument("--max-rst", type=int, required=True)
+    p.add_argument("--max-rst", type=_positive_int, required=True)
     p.set_defaults(func=_cmd_lemmas)
 
     p = sub.add_parser("isets", help="independent-set-pair count of a bipartite graph")
@@ -193,15 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-ur", help="counting reduction via uniform reliability")
     p.add_argument("graph")
-    p.add_argument("--rst", required=True)
+    p.add_argument("--rst", type=_rst, required=True)
     p.add_argument("--oracle", choices=("analytic", "brute"), default="analytic")
     p.add_argument("--emit-instances", metavar="DIR")
     p.set_defaults(func=_cmd_reduce_ur)
 
     p = sub.add_parser("reduce-pqe", help="counting reduction via query probability")
     p.add_argument("graph")
-    p.add_argument("--r", required=True, help="R-fact probability p/q")
-    p.add_argument("--t", required=True, help="T-fact probability p/q")
+    p.add_argument("--r", type=_rational, required=True, help="R-fact probability p/q")
+    p.add_argument("--t", type=_rational, required=True, help="T-fact probability p/q")
     p.add_argument("--oracle", choices=("brute", "formula"), default="brute")
     p.set_defaults(func=_cmd_reduce_pqe)
     return parser

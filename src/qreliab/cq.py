@@ -288,6 +288,17 @@ def _plan_join(q: Query) -> _JoinPlan:
     return _JoinPlan(tuple(steps), tuple(slot[v] for v in q.variables))
 
 
+def check_arities(q: Query, instance) -> None:
+    """Raise ArityError if a query relation has facts of another arity."""
+    for relation, arity in q.schema.items():
+        inst_arity = instance.arity_of(relation)
+        if inst_arity is not None and inst_arity != arity:
+            raise ArityError(
+                f"relation {relation!r} has arity {arity} in the query "
+                f"but {inst_arity} in the instance"
+            )
+
+
 def enumerate_matches(q: Query, instance) -> list[frozenset]:
     """All query matches of q over the instance, as fact supports.
 
@@ -299,14 +310,7 @@ def enumerate_matches(q: Query, instance) -> list[frozenset]:
     variables that earlier atoms bind, so each partial assignment reaches
     exactly the facts that extend it.
     """
-    for relation, arity in q.schema.items():
-        inst_arity = instance.arity_of(relation)
-        if inst_arity is not None and inst_arity != arity:
-            raise ArityError(
-                f"relation {relation!r} has arity {arity} in the query "
-                f"but {inst_arity} in the instance"
-            )
-
+    check_arities(q, instance)
     plan = q._join_plan
     # partial matches: (assigned constants in slot order, support facts)
     partial: list[tuple[tuple[str, ...], tuple]] = [((), ())]

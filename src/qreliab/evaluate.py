@@ -13,9 +13,9 @@ import os
 from fractions import Fraction
 
 from . import kernels
-from .cq import AtomPattern, Query, classify_hierarchical, enumerate_matches, parse_query
+from .cq import AtomPattern, Query, check_arities, classify_hierarchical
+from .cq import enumerate_matches, parse_query
 from .errors import (
-    ArityError,
     CapExceededError,
     InstanceFormatError,
     NonHierarchicalQueryError,
@@ -216,15 +216,6 @@ def _plan(
     return project
 
 
-def _check_arities(q: Query, instance: Instance) -> None:
-    for relation, arity in q.schema.items():
-        inst_arity = instance.arity_of(relation)
-        if inst_arity is not None and inst_arity != arity:
-            raise ArityError(
-                f"relation {relation!r}: query arity {arity}, instance arity {inst_arity}"
-            )
-
-
 def _safe_counts(q: Query, instance: Instance, prob: ProbAssignment) -> tuple[int, int, int]:
     """Run the safe plan of a hierarchical query: (miss, total, covered), the
     weight of the worlds with no match and of all worlds over the facts the
@@ -232,7 +223,7 @@ def _safe_counts(q: Query, instance: Instance, prob: ProbAssignment) -> tuple[in
     ``fact_weights`` says."""
     if not classify_hierarchical(q).hierarchical:
         raise NonHierarchicalQueryError(f"query {q} is not hierarchical")
-    _check_arities(q, instance)
+    check_arities(q, instance)
     weights = fact_weights(instance, prob)
     patterns = [AtomPattern.of(a) for a in q.atoms]
     plan = _plan([(a.variables, p.columns) for a, p in zip(q.atoms, patterns)], weights)

@@ -67,10 +67,9 @@ def _t_facts(t: int, elem: str) -> list[Fact]:
     return [Fact(f"T{k}", (elem,)) for k in range(1, t + 1)]
 
 
-def build_gadget(
-    kind: str, r: int, s: int, t: int, endpoints: Sequence[str]
-) -> Instance:
-    """The (a,b)-gadget or one of the (a,b,c,d)-chain variants.
+def gadget_facts(kind: str, r: int, s: int, t: int, endpoints: Sequence[str]) -> list[Fact]:
+    """The facts of the (a,b)-gadget or of one of the (a,b,c,d)-chain
+    variants, in a fixed order.
 
     The left variant omits the T-facts on d, the right variant omits the
     R-facts on a, and the trimmed variant omits both.
@@ -81,7 +80,7 @@ def build_gadget(
         if len(endpoints) != 2:
             raise QReliabError("the (a,b)-gadget takes 2 endpoints")
         a, b = endpoints
-        return Instance(_r_facts(r, a) + _s_facts(s, a, b) + _t_facts(t, b))
+        return _r_facts(r, a) + _s_facts(s, a, b) + _t_facts(t, b)
     if len(endpoints) != 4:
         raise QReliabError("the chain gadgets take 4 endpoints")
     a, b, c, d = endpoints
@@ -91,7 +90,12 @@ def build_gadget(
         facts += _r_facts(r, a)
     if kind in ("abcd", "abcd_right"):
         facts += _t_facts(t, d)
-    return Instance(facts)
+    return facts
+
+
+def build_gadget(kind: str, r: int, s: int, t: int, endpoints: Sequence[str]) -> Instance:
+    """The gadget of ``gadget_facts`` as an instance."""
+    return Instance(gadget_facts(kind, r, s, t, endpoints))
 
 
 def closed_counts(r: int, s: int, t: int) -> GadgetCounts:

@@ -64,14 +64,6 @@ def build_Icd(
     return Instance(facts), phi
 
 
-def _check_open_unit(r: Fraction, t: Fraction) -> None:
-    for name, value in (("r", r), ("t", t)):
-        if not 0 < value < 1:
-            raise ProbabilityError(
-                f"{name} must lie strictly between 0 and 1, got {value}"
-            )
-
-
 def _independent_pairs(g: BipartiteGraph) -> dict[tuple[int, int], int]:
     """Independent pairs (no edge contained) per (|R'|, |T'|)."""
     counts: dict[tuple[int, int], int] = {}
@@ -81,22 +73,20 @@ def _independent_pairs(g: BipartiteGraph) -> dict[tuple[int, int], int]:
     return counts
 
 
+def _scale(g: BipartiteGraph, r: Fraction, t: Fraction) -> Fraction:
+    """(1 - r)**|L| * (1 - t)**|R|, the factor that every cell shares."""
+    return (1 - r) ** len(g.left) * (1 - t) ** len(g.right)
+
+
 def _pi_formula(
-    g: BipartiteGraph,
-    independent: Mapping[tuple[int, int], int],
-    c: int,
-    d: int,
-    r: Fraction,
-    t: Fraction,
+    independent: Mapping[tuple[int, int], int], alpha: Fraction, beta: Fraction, scale: Fraction
 ) -> Fraction:
-    """The violation probability of the padded encoding, in closed form from
-    the independent-pair counts."""
-    alpha = r / (1 - r) * (1 - t) ** c
-    beta = t / (1 - t) * (1 - r) ** d
+    """The violation probability of the cell with Kronecker nodes alpha and
+    beta, in closed form from the independent-pair counts."""
     total = Fraction(0)
     for (i, j), count in independent.items():
         total += count * alpha**i * beta**j
-    return (1 - r) ** len(g.left) * (1 - t) ** len(g.right) * total
+    return scale * total
 
 
 def pi_value(
@@ -113,15 +103,20 @@ def pi_value(
         instance, phi = build_Icd(g, c, d, r, t)
         return 1 - pqe_brute(q1_query(), instance, phi)
     if oracle == "formula":
-        _check_open_unit(r, t)
-        return _pi_formula(g, _independent_pairs(g), c, d, r, t)
+        if c < 0 or d < 0:
+            raise QReliabError("c and d must be non-negative")
+        system = kron_system(c, d, r, t)
+        independent = _independent_pairs(g)
+        return _pi_formula(independent, system.alpha[c], system.beta[d], _scale(g, r, t))
     raise QReliabError(f"unknown oracle {oracle!r}")
 
 
 def kron_system(n_left: int, n_right: int, r: Fraction, t: Fraction) -> KronSystem:
     """The (|R|+1)(|T|+1) square system in Kronecker form."""
     r, t = Fraction(r), Fraction(t)
-    _check_open_unit(r, t)
+    for name, value in (("r", r), ("t", t)):
+        if not 0 < value < 1:
+            raise ProbabilityError(f"{name} must lie strictly between 0 and 1, got {value}")
     alpha = tuple(r / (1 - r) * (1 - t) ** c for c in range(n_left + 1))
     beta = tuple(t / (1 - t) * (1 - r) ** d for d in range(n_right + 1))
     return KronSystem(alpha, beta)
@@ -136,15 +131,14 @@ def run_reduction_pqe(
     """End-to-end: all violation probabilities, the nested Vandermonde solve,
     and the recovered independent-set-pair count."""
     r, t = Fraction(r), Fraction(t)
-    _check_open_unit(r, t)
     n_left, n_right = len(g.left), len(g.right)
     system = kron_system(n_left, n_right, r, t)
-    scale = (1 - r) ** n_left * (1 - t) ** n_right
+    scale = _scale(g, r, t)
 
     if oracle == "formula":  # one pair enumeration serves every cell
         independent = _independent_pairs(g)
     pi = {
-        (c, d): _pi_formula(g, independent, c, d, r, t)
+        (c, d): _pi_formula(independent, system.alpha[c], system.beta[d], scale)
         if oracle == "formula"
         else pi_value(g, c, d, r, t, oracle=oracle)
         for c in range(n_left + 1)

@@ -27,7 +27,7 @@ from .errors import (
     SchemaMismatchError,
 )
 from .evaluate import ur_brute
-from .gadgets import GadgetCounts, closed_counts, qrst_query
+from .gadgets import GadgetCounts, closed_counts, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
 from .vandermonde import solve_vandermonde
 
@@ -74,7 +74,9 @@ class ReductionRun:
         formula's, computed exactly on first access."""
         if self.oracle_counts is not None:
             return self.oracle_counts
-        return _n_vector_analytic(self.graph, self.counts, self.params)
+        weights = x_table(self.graph, self.params.r, self.params.t).y
+        nodes = [alpha_coefficient(key, self.counts, self.params) for key in weights]
+        return _power_sums(list(weights.values()), nodes, self.params.M)
 
 
 def reduction_params(g: BipartiteGraph, r: int, s: int, t: int) -> ReductionParams:
@@ -98,13 +100,6 @@ def override_params(params: ReductionParams, M1: int, M2: int, M3: int) -> Reduc
     return replace(params, M1=M1, M2=M2, M3=M3)
 
 
-def _ab_gadget_facts(r: int, s: int, t: int, a: str, b: str) -> list[Fact]:
-    facts = [Fact(f"R{k}", (a,)) for k in range(1, r + 1)]
-    facts += [Fact(f"S{k}", (a, b)) for k in range(1, s + 1)]
-    facts += [Fact(f"T{k}", (b,)) for k in range(1, t + 1)]
-    return facts
-
-
 def _ordered_edges(g: BipartiteGraph) -> list[tuple[str, str]]:
     left_pos = {u: i for i, u in enumerate(g.left)}
     right_pos = {w: i for i, w in enumerate(g.right)}
@@ -120,7 +115,8 @@ def build_Dp(
     params: ReductionParams | None = None,
 ) -> Instance:
     """The p-th oracle instance: graph vertices as R*/T* bundles, plus the
-    gadget copies whose multiplicities encode p into the world counts.
+    gadget copies whose multiplicities encode p into the world counts.  The
+    gadgets come from ``gadget_facts``, whose counts ``brute_counts`` checks.
 
     ``params`` from ``override_params`` give downsized test instances, which
     are not usable for the full reduction.
@@ -138,23 +134,18 @@ def build_Dp(
         for copy in range(1, p + 1):
             b = fresh_constant(f"e{ei}.b", [copy])
             c = fresh_constant(f"e{ei}.c", [copy])
-            # chain gadget (u, b, c, w)
-            facts += [Fact(f"S{k}", (u, b)) for k in range(1, s + 1)]
-            facts += [Fact(f"T{k}", (b,)) for k in range(1, t + 1)]
-            facts += [Fact(f"S{k}", (c, b)) for k in range(1, s + 1)]
-            facts += [Fact(f"R{k}", (c,)) for k in range(1, r + 1)]
-            facts += [Fact(f"S{k}", (c, w)) for k in range(1, s + 1)]
+            facts += gadget_facts("abcd_trimmed", r, s, t, (u, b, c, w))
         for copy in range(1, params.M1 * p + 1):
             b = fresh_constant(f"e{ei}.m", [copy])
-            facts += _ab_gadget_facts(r, s, t, u, b)
+            facts += gadget_facts("ab", r, s, t, (u, b))
     for ui, u in enumerate(g.left):
         for copy in range(1, params.M2 * p + 1):
             b = fresh_constant(f"u{ui}.b", [copy])
-            facts += _ab_gadget_facts(r, s, t, u, b)
+            facts += gadget_facts("ab", r, s, t, (u, b))
     for wi, w in enumerate(g.right):
         for copy in range(1, params.M3 * p + 1):
             a = fresh_constant(f"w{wi}.a", [copy])
-            facts += _ab_gadget_facts(r, s, t, a, w)
+            facts += gadget_facts("ab", r, s, t, (a, w))
     return Instance(facts)
 
 
@@ -197,29 +188,20 @@ def _alpha_factors(
 
 
 def _alpha_cell(
-    key: ProfileKey, counts: GadgetCounts, params: ReductionParams
-) -> Fraction:
-    """The exact coefficient of a cell."""
-    value = Fraction(1)
-    for base, exponent in _alpha_factors(key, counts, params):
-        value *= Fraction(base) ** exponent
-    return value
-
-
-def _node_residues(
-    cells: Sequence[ProfileKey], counts: GadgetCounts, params: ReductionParams, prime: int
-) -> list[int]:
-    """Each cell's coefficient modulo ``prime``, a numerator times the inverse
-    of its denominator.  Raises ValueError if a denominator is a multiple of
+    key: ProfileKey, counts: GadgetCounts, params: ReductionParams, prime: int | None = None
+) -> Fraction | int:
+    """The coefficient of a cell: the exact ``Fraction``, or its residue
+    modulo ``prime`` if one is given, a numerator times the inverse of its
+    denominator.  Raises ValueError if a denominator is a multiple of
     ``prime``: a negative exponent on a gadget count that ``prime`` divides.
     """
-    nodes = []
-    for key in cells:
-        value = 1
-        for base, exponent in _alpha_factors(key, counts, params):
+    value = Fraction(1) if prime is None else 1
+    for base, exponent in _alpha_factors(key, counts, params):
+        if prime is None:
+            value *= Fraction(base) ** exponent
+        else:
             value = value * pow(base, exponent, prime) % prime
-        nodes.append(value)
-    return nodes
+    return value
 
 
 def alpha_coefficient(
@@ -260,30 +242,20 @@ def np_analytic(
     return total
 
 
-def _n_vector_analytic(
-    g: BipartiteGraph, counts: GadgetCounts, params: ReductionParams
-) -> list[int]:
-    """All N_p at once, with incrementally maintained coefficient powers."""
-    weights = x_table(g, params.r, params.t).y
-    alphas = {
-        key: alpha_coefficient(key, counts, params) for key in weights
-    }
-    powers = {key: 1 for key in weights}
-    n_vector = []
-    for _ in range(params.M):
-        n_vector.append(sum(w * powers[k] for k, w in weights.items()))
-        for k in powers:
-            powers[k] *= alphas[k]
-    return n_vector
-
-
-def _power_sums(terms: Sequence[int], nodes: Sequence[int], n: int, prime: int) -> list[int]:
-    """sum_k terms_k * nodes_k**p modulo ``prime``, for p = 0..n-1."""
+def _power_sums(terms: Sequence, nodes: Sequence, n: int, prime: int | None = None) -> list:
+    """sum_k terms_k * nodes_k**p for p = 0..n-1, exactly or modulo ``prime``,
+    each power by one multiply from the one before."""
+    if prime is not None:
+        terms = [term % prime for term in terms]
     sums = []
-    terms = [term % prime for term in terms]
-    for _ in range(n):
-        sums.append(sum(terms) % prime)
-        terms = [term * x % prime for term, x in zip(terms, nodes)]
+    for p in range(n):
+        if p:
+            pairs = zip(terms, nodes)
+            if prime is None:
+                terms = [term * x for term, x in pairs]
+            else:
+                terms = [term * x % prime for term, x in pairs]
+        sums.append(sum(terms) if prime is None else sum(terms) % prime)
     return sums
 
 
@@ -318,8 +290,9 @@ def _recover_counts(
     if any(y >= bound for y in solution):
         raise QReliabError("recovered value exceeds its combinatorial bound")
     support = [k for k, y in enumerate(solution) if y]
-    for p, b in enumerate(head):
-        if sum(solution[k] * node(k) ** p for k in support) != b:
+    lhs = _power_sums([solution[k] for k in support], [node(k) for k in support], len(head))
+    for p, (a, b) in enumerate(zip(lhs, head)):
+        if a != b:
             raise QReliabError(f"modular solution fails exact equation p={p}")
     checks = _defined_residues(residues, [q for q in _MERSENNE_PRIMES if q > prime])
     for check, nodes, rhs in checks:
@@ -391,13 +364,12 @@ def run_reduction(
         weights = x_table(g, r, t).y
         index = {key: k for k, key in enumerate(cells)}
         support = [index[key] for key in weights]
-        head = [
-            sum(w * node(k) ** p for k, w in zip(support, weights.values()))
-            for p in range(min(4, params.M))
-        ]
+        head = _power_sums(
+            list(weights.values()), [node(k) for k in support], min(4, params.M)
+        )
 
     def residues(prime: int) -> tuple[list[int], list[int]]:
-        nodes = _node_residues(cells, counts, params, prime)
+        nodes = [_alpha_cell(key, counts, params, prime) for key in cells]
         if oracle == "brute":
             return nodes, [n_p % prime for n_p in oracle_counts]
         rhs = _power_sums(list(weights.values()), [nodes[k] for k in support], params.M, prime)
@@ -445,9 +417,7 @@ def lemma_binary_transform(q: Query, i_prime: Instance) -> Instance:
     """
     x, y, x_only, shared, y_only, rest = _qrst_role_relations(q)
     r, s, t = len(x_only), len(shared), len(y_only)
-    expected = {f"R{k}": 1 for k in range(1, r + 1)}
-    expected |= {f"S{k}": 2 for k in range(1, s + 1)}
-    expected |= {f"T{k}": 1 for k in range(1, t + 1)}
+    expected = qrst_query(r, s, t).schema  # the witness makes r, s, t >= 1
     for fact in i_prime.facts:
         if fact.relation not in expected or len(fact.args) != expected[fact.relation]:
             raise SchemaMismatchError(

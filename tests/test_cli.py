@@ -210,3 +210,59 @@ def test_query_syntax_error_exits_1(capsys, five_facts):
     code, _, err = run(capsys, "ur", "R(x", five_facts)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ur", "R(x), S(x,y)", "--method", "safe"],
+        ["ur", "R(x), S(x,y)", "--method", "brute"],
+        ["pqe", "R(x), S(x,y)", "--uniform", "1/2"],
+        ["pqe", "R(x), S(x,y), T(y)", "--uniform", "1/2"],
+    ],
+)
+def test_arity_mismatch_reads_the_same_on_every_route(capsys, tmp_path, argv):
+    facts = tmp_path / "wide.facts"
+    facts.write_text("R(a,b)\nS(a,b)\n")
+    code, out, err = run(capsys, *argv[:2], str(facts), *argv[2:])
+    assert (code, out) == (1, "")
+    assert err == "error: relation 'R' has arity 1 in the query but 2 in the instance\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reduce-ur", "GRAPH", "--rst", "1,1"], "argument --rst: expects integers r,s,t; got '1,1'"),
+        (["gadgets", "--rst", "1,x,1"], "argument --rst: expects integers r,s,t; got '1,x,1'"),
+        (["pqe", "R(x)", "FACTS", "--uniform", "abc"], "argument --uniform: expects a rational"),
+        (["pqe", "R(x)", "FACTS", "--uniform", "1/0"], "argument --uniform: expects a rational"),
+        (["reduce-pqe", "GRAPH", "--r", "abc", "--t", "1/2"], "argument --r: expects a rational"),
+        (["reduce-pqe", "GRAPH", "--r", "1/2", "--t", "1/0"], "argument --t: expects a rational"),
+        (["lemmas", "--max-rst", "0"], "argument --max-rst: expects a positive integer; got '0'"),
+    ],
+)
+def test_malformed_value_is_a_usage_error(capsys, five_facts, edge_graph, argv, message):
+    argv = [{"GRAPH": edge_graph, "FACTS": five_facts}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["reduce-ur", "GRAPH", "--rst", "0,1,1"], "error: r, s, t must all be positive\n"),
+        (["gadgets", "--rst", "1,1,0"], "error: r, s, t must all be positive\n"),
+        (
+            ["reduce-pqe", "GRAPH", "--r", "1", "--t", "1/2"],
+            "error: r must lie strictly between 0 and 1, got 1\n",
+        ),
+        (["pqe", "R(x)", "FACTS", "--uniform", "3/2"], "error: probability 3/2 is outside (0, 1]\n"),
+    ],
+)
+def test_out_of_range_value_exits_1(capsys, five_facts, edge_graph, argv, err):
+    argv = [{"GRAPH": edge_graph, "FACTS": five_facts}.get(a, a) for a in argv]
+    assert run(capsys, *argv) == (1, "", err)

@@ -10,6 +10,7 @@ from qreliab.gadgets import (
     build_gadget,
     closed_counts,
     count_violating,
+    gadget_facts,
     q1_query,
     qrst_query,
     v2,
@@ -43,6 +44,21 @@ def test_chain_gadget_sizes():
     assert len(trimmed) == 5
     assert Fact("R1", ("a",)) in full and Fact("R1", ("a",)) not in right
     assert Fact("T1", ("d",)) in full and Fact("T1", ("d",)) not in left
+
+
+def test_trimmed_chain_facts():
+    # the chain that build_Dp places on each edge (u, b, c, w)
+    assert gadget_facts("abcd_trimmed", 2, 1, 1, ["u", "b", "c", "w"]) == [
+        Fact("S1", ("u", "b")),
+        Fact("T1", ("b",)),
+        Fact("S1", ("c", "b")),
+        Fact("R1", ("c",)),
+        Fact("R2", ("c",)),
+        Fact("S1", ("c", "w")),
+    ]
+    assert build_gadget("ab", 1, 2, 1, ["a", "b"]) == Instance(
+        gadget_facts("ab", 1, 2, 1, ["a", "b"])
+    )
 
 
 def test_build_gadget_validates():

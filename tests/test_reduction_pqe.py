@@ -72,6 +72,12 @@ def test_pi_oracles_agree():
                 )
 
 
+@pytest.mark.parametrize("oracle", ["brute", "formula"])
+def test_pi_value_rejects_negative_padding(oracle):
+    with pytest.raises(QReliabError, match="non-negative"):
+        pi_value(EDGE, -1, 0, HALF, HALF, oracle=oracle)
+
+
 def test_pi_value_unknown_oracle():
     with pytest.raises(QReliabError):
         pi_value(EDGE, 0, 0, HALF, HALF, oracle="guess")
