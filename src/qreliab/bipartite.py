@@ -37,6 +37,11 @@ class BipartiteGraph:
             if u not in self.left or w not in self.right:
                 raise GraphFormatError(f"edge ({u}, {w}) has an undeclared endpoint")
 
+    def __repr__(self) -> str:
+        # Edges in declaration order: a frozenset's order follows the hash seed.
+        edges = f"frozenset({ordered_edges(self)!r})"
+        return f"BipartiteGraph(left={self.left!r}, right={self.right!r}, edges={edges})"
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -49,6 +54,13 @@ class BipartiteGraph:
         edges: Iterable[tuple[str, str]],
     ) -> "BipartiteGraph":
         return cls(tuple(left), tuple(right), frozenset(edges))
+
+
+def ordered_edges(g: BipartiteGraph) -> list[tuple[str, str]]:
+    """The edges in declaration order: by left endpoint, then right endpoint."""
+    left_pos = {u: i for i, u in enumerate(g.left)}
+    right_pos = {w: i for i, w in enumerate(g.right)}
+    return sorted(g.edges, key=lambda e: (left_pos[e[0]], right_pos[e[1]]))
 
 
 @dataclass(frozen=True)

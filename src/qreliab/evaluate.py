@@ -4,6 +4,10 @@ Three routes are provided: the brute route, exact model counting over the
 match supports (the oracle used by the verification suites); a polynomial
 safe-plan evaluator for hierarchical queries; and the certain-T rewrite that
 makes the (r, s, 1) per-relation setting tractable.
+
+Both exact routes take each fact's integer weights (w_in, w_out) and return
+(miss, total, covered).  UR weighs every fact (1, 1), which makes |Mod(Q, I)|
+= 2**|I| * P(Q) at p = 1/2; PQE weighs by ``fact_weights``.
 """
 
 from __future__ import annotations
@@ -15,15 +19,12 @@ from fractions import Fraction
 from . import kernels
 from .cq import AtomPattern, Query, check_arities, classify_hierarchical
 from .cq import enumerate_matches, parse_query
-from .errors import (
-    CapExceededError,
-    InstanceFormatError,
-    NonHierarchicalQueryError,
-    UsageError,
-)
+from .errors import InstanceFormatError, NonHierarchicalQueryError, UsageError
 from .instances import Fact, Instance, ProbAssignment
 
 DEFAULT_BRUTE_CAP = 30
+
+Weights = dict[Fact, tuple[int, int]]
 
 _Q1_SCHEMA = {"R": 1, "S": 2, "T": 1}
 
@@ -51,37 +52,7 @@ def resolve_cap(cap: int | None, default: int = DEFAULT_BRUTE_CAP) -> int:
     return default if override is None else override
 
 
-def _lineage(
-    q: Query, instance: Instance, certain: set[Fact], cap: int | None
-) -> tuple[list[Fact], list[int]]:
-    """The query's lineage over the uncertain facts: the facts of some match
-    support that are not certain, and each support as a bitmask over them.
-
-    Raises CapExceededError when the widest independent component of the
-    minimised masks, the counter's real width, exceeds the resolved cap.
-    """
-    supports = set(enumerate_matches(q, instance))
-    facts = sorted(set().union(*supports) - certain)
-    index = {f: 1 << i for i, f in enumerate(facts)}
-    masks = [sum(index[f] for f in sup if f not in certain) for sup in supports]
-    limit = resolve_cap(cap)
-    width = kernels.lineage_width(masks)
-    if width > limit:
-        raise CapExceededError(width, limit)
-    return facts, masks
-
-
-def ur_brute(q: Query, instance: Instance, cap: int | None = None) -> int:
-    """|Mod(Q, I)| by exact model counting over the support facts.
-
-    Facts outside every match support contribute a free factor 2**k.
-    """
-    facts, masks = _lineage(q, instance, set(), cap)
-    count = kernels.count_containing_any(len(facts), masks)
-    return count << (len(instance) - len(facts))
-
-
-def fact_weights(instance: Instance, prob: ProbAssignment) -> dict[Fact, tuple[int, int]]:
+def fact_weights(instance: Instance, prob: ProbAssignment) -> Weights:
     """Each fact's integer weights (w_in, w_out) = (num, den - num) for its
     probability num/den: its weight in the worlds where it is present, and
     in those where it is absent.
@@ -97,6 +68,33 @@ def fact_weights(instance: Instance, prob: ProbAssignment) -> dict[Fact, tuple[i
     return weights
 
 
+def _brute_counts(
+    q: Query, instance: Instance, weights: Weights, cap: int | None
+) -> tuple[int, int, int]:
+    """The brute twin of ``_safe_counts``, by exact model counting over the
+    match supports.  A fact with w_out = 0 is certain: it is fixed present
+    and leaves the lineage.  The counter raises CapExceededError when the
+    lineage's widest independent component exceeds the resolved cap.
+    """
+    supports = set(enumerate_matches(q, instance))
+    covered = set().union(*supports)
+    certain = {f for f in covered if weights[f][1] == 0}
+    facts = sorted(covered - certain)
+    index = {f: 1 << i for i, f in enumerate(facts)}
+    masks = [sum(index.get(f, 0) for f in sup) for sup in supports]
+    miss = kernels.count_avoiding(masks, [weights[f] for f in facts], resolve_cap(cap))
+    miss *= math.prod(weights[f][0] for f in certain)
+    return miss, math.prod(sum(weights[f]) for f in covered), len(covered)
+
+
+def ur_brute(q: Query, instance: Instance, cap: int | None = None) -> int:
+    """|Mod(Q, I)| by exact model counting over the support facts, every
+    fact weighing 1 present and 1 absent; each fact outside every match
+    support doubles the count."""
+    miss, total, covered = _brute_counts(q, instance, dict.fromkeys(instance.facts, (1, 1)), cap)
+    return (total - miss) << (len(instance) - covered)
+
+
 def pqe_brute(
     q: Query,
     instance: Instance,
@@ -109,13 +107,8 @@ def pqe_brute(
     Certain facts (probability 1) are fixed present; facts outside every match
     support contribute a factor of 1 either way.
     """
-    weights = fact_weights(instance, prob)
-    certain = {f for f, (_, w_out) in weights.items() if w_out == 0}
-    facts, masks = _lineage(q, instance, certain, cap)
-    pairs = [weights[f] for f in facts]
-    denominator = math.prod(w_in + w_out for w_in, w_out in pairs)
-    violated = kernels.count_avoiding(masks, pairs)
-    return Fraction(denominator - violated, denominator)
+    miss, total, _ = _brute_counts(q, instance, fact_weights(instance, prob), cap)
+    return Fraction(total - miss, total)
 
 
 def _components(atoms: list[tuple[str, ...]]) -> list[list[int]]:
@@ -144,7 +137,7 @@ def _components(atoms: list[tuple[str, ...]]) -> list[list[int]]:
 
 def _plan(
     atoms: list[tuple[tuple[str, ...], dict[str, int]]],
-    weights: dict[Fact, tuple[int, int]],
+    weights: Weights,
 ):
     """Compile the safe plan of a hierarchical query.
 
@@ -216,15 +209,14 @@ def _plan(
     return project
 
 
-def _safe_counts(q: Query, instance: Instance, prob: ProbAssignment) -> tuple[int, int, int]:
+def _safe_counts(q: Query, instance: Instance, weights: Weights) -> tuple[int, int, int]:
     """Run the safe plan of a hierarchical query: (miss, total, covered), the
     weight of the worlds with no match and of all worlds over the facts the
-    plan covers, and the number of those facts.  Facts weigh as
-    ``fact_weights`` says."""
+    plan covers, and the number of those facts.  Each fact weighs
+    ``weights[f]`` = (w_in, w_out)."""
     if not classify_hierarchical(q).hierarchical:
         raise NonHierarchicalQueryError(f"query {q} is not hierarchical")
     check_arities(q, instance)
-    weights = fact_weights(instance, prob)
     patterns = [AtomPattern.of(a) for a in q.atoms]
     plan = _plan([(a.variables, p.columns) for a, p in zip(q.atoms, patterns)], weights)
     lists = [p.select(instance.facts_of(a.relation)) for a, p in zip(q.atoms, patterns)]
@@ -244,14 +236,14 @@ def pqe_safe(q: Query, instance: Instance, prob: ProbAssignment) -> Fraction:
     level.  It works in integer weights (see ``fact_weights``) and builds
     one Fraction at the end.
     """
-    miss, total, _ = _safe_counts(q, instance, prob)
+    miss, total, _ = _safe_counts(q, instance, fact_weights(instance, prob))
     return Fraction(total - miss, total)
 
 
 def ur_safe(q: Query, instance: Instance) -> int:
     """|Mod(Q, I)| for hierarchical queries: the safe plan with every fact
     weighing 1 present and 1 absent, times 2 for each fact it does not cover."""
-    miss, total, covered = _safe_counts(q, instance, ProbAssignment.uniform(Fraction(1, 2)))
+    miss, total, covered = _safe_counts(q, instance, dict.fromkeys(instance.facts, (1, 1)))
     return (total - miss) << (len(instance) - covered)
 
 

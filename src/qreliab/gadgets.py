@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import kernels
 from .cq import Atom, Query, Term, parse_query
 from .errors import CapExceededError, QReliabError
-from .evaluate import _lineage
+from .evaluate import _brute_counts
 from .instances import Fact, Instance
 
 GADGET_KINDS = ("ab", "abcd", "abcd_left", "abcd_right", "abcd_trimmed")
@@ -136,14 +135,15 @@ def count_violating(
     """Worlds of the instance violating the query, under presence constraints.
 
     Worlds range over subsets of the facts that are neither forced present nor
-    forced absent; a forced-absent fact is removed before matching.
+    forced absent; a forced-absent fact is removed before matching, and a
+    forced-present one weighs (1, 0), so it is in every world.
     """
     present = set(forced_present)
     reduced = Instance(instance.facts - set(forced_absent))
-    facts, masks = _lineage(query, reduced, present, cap)
-    avoiding = (1 << len(facts)) - kernels.count_containing_any(len(facts), masks)
-    # Free facts outside every support double the count each.
-    return avoiding << (len(reduced.facts - present) - len(facts))
+    weights = {f: (1, 0) if f in present else (1, 1) for f in reduced.facts}
+    miss, total, _ = _brute_counts(query, reduced, weights, cap)
+    # total = 2**k for the k free support facts; each other free fact doubles the count.
+    return miss << (len(reduced.facts - present) - (total.bit_length() - 1))
 
 
 def brute_counts(r: int, s: int, t: int) -> GadgetCounts:

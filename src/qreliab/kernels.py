@@ -6,12 +6,17 @@ every variable of some mask.  ``count_avoiding`` sums the weights of the
 worlds that satisfy no mask.  It drops superset masks, splits the rest into
 independent components, branches on the most frequent variable and caches
 each component's result for the length of one call: DPLL counting with
-component caching (Sang, Beame & Kautz, SAT 2004).
+component caching (Sang, Beame & Kautz, SAT 2004).  It checks its width cap
+on the components of its first split, before it branches.
+``count_containing_any``, the unweighted complement, has no caller in the
+package; it stays because the benchmark's trace mode wraps it by name.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .errors import CapExceededError
 
 # Kept because result files of the benchmark record it; there is one kernel.
 BACKEND = "python"
@@ -44,22 +49,15 @@ def _components(masks: list[int]) -> list[tuple[int, list[int]]]:
     return groups
 
 
-def lineage_width(masks) -> int:
-    """Variables of the widest independent component of the minimised masks:
-    the width the counter branches over."""
-    return max(
-        (variables.bit_count() for variables, _ in _components(minimize_masks(masks))),
-        default=0,
-    )
-
-
-def count_avoiding(masks, weights: Sequence[tuple[int, int]]) -> int:
+def count_avoiding(masks, weights: Sequence[tuple[int, int]], cap: int | None = None) -> int:
     """Total weight of the worlds that contain no mask.
 
     Worlds range over the variables 0 .. len(weights) - 1, and every mask must
     lie within them.  ``weights[i]`` is the pair (w_in, w_out) of variable i:
     the factor of a world that contains it, and of one that omits it.  A
-    world's weight is the product of its variables' factors.
+    world's weight is the product of its variables' factors.  A widest
+    independent component of the minimised masks with more than ``cap``
+    variables raises CapExceededError; a zero mask gives 0 at any cap.
     """
     w_in: dict[int, int] = {}
     w_out: dict[int, int] = {}
@@ -76,12 +74,17 @@ def count_avoiding(masks, weights: Sequence[tuple[int, int]]) -> int:
             variables ^= low
         return value
 
-    def avoid(masks: list[int], variables: int) -> int:
+    def avoid(masks: list[int], variables: int, cap: int | None = None) -> int:
         """Weight over ``variables``, a superset of the masks' variables."""
         if 0 in masks:
             return 0
+        components = _components(minimize_masks(masks))
+        if cap is not None:
+            widest = max((v.bit_count() for v, _ in components), default=0)
+            if widest > cap:
+                raise CapExceededError(widest, cap)
         value = 1
-        for comp_vars, comp in _components(minimize_masks(masks)):
+        for comp_vars, comp in components:
             value *= component(tuple(sorted(comp)), comp_vars)
             variables &= ~comp_vars
         return value * product(total, variables)
@@ -106,7 +109,7 @@ def count_avoiding(masks, weights: Sequence[tuple[int, int]]) -> int:
         cache[masks] = value
         return value
 
-    return avoid(list(masks), (1 << len(weights)) - 1)
+    return avoid(list(masks), (1 << len(weights)) - 1, cap)
 
 
 def count_containing_any(nbits: int, masks) -> int:
@@ -120,6 +123,5 @@ __all__ = [
     "BACKEND",
     "count_avoiding",
     "count_containing_any",
-    "lineage_width",
     "minimize_masks",
 ]

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .bipartite import BipartiteGraph, x_table
 from .errors import ProbabilityError, QReliabError
-from .evaluate import pqe_brute
+from .evaluate import _brute_counts, fact_weights
 from .gadgets import q1_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
 from .vandermonde import interpolate
@@ -101,7 +101,8 @@ def pi_value(
     r, t = Fraction(r), Fraction(t)
     if oracle == "brute":
         instance, phi = build_Icd(g, c, d, r, t)
-        return 1 - pqe_brute(q1_query(), instance, phi)
+        miss, total, _ = _brute_counts(q1_query(), instance, fact_weights(instance, phi), None)
+        return Fraction(miss, total)
     if oracle == "formula":
         if c < 0 or d < 0:
             raise QReliabError("c and d must be non-negative")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .bipartite import BipartiteGraph, ProfileKey, x_table
+from .bipartite import BipartiteGraph, ProfileKey, ordered_edges, x_table
 from .cq import Query, noncomparable_pair_and_rst
 from .errors import (
     DuplicateNodeError,
@@ -26,8 +26,7 @@ from .errors import (
     QReliabError,
     SchemaMismatchError,
 )
-from .evaluate import ur_brute
-from .gadgets import GadgetCounts, closed_counts, gadget_facts, qrst_query
+from .gadgets import GadgetCounts, closed_counts, count_violating, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
 from .vandermonde import solve_vandermonde
 
@@ -100,12 +99,6 @@ def override_params(params: ReductionParams, M1: int, M2: int, M3: int) -> Reduc
     return replace(params, M1=M1, M2=M2, M3=M3)
 
 
-def _ordered_edges(g: BipartiteGraph) -> list[tuple[str, str]]:
-    left_pos = {u: i for i, u in enumerate(g.left)}
-    right_pos = {w: i for i, w in enumerate(g.right)}
-    return sorted(g.edges, key=lambda e: (left_pos[e[0]], right_pos[e[1]]))
-
-
 def build_Dp(
     g: BipartiteGraph,
     r: int,
@@ -130,7 +123,7 @@ def build_Dp(
         facts += [Fact(f"R{k}", (u,)) for k in range(1, r + 1)]
     for w in g.right:
         facts += [Fact(f"T{k}", (w,)) for k in range(1, t + 1)]
-    for ei, (u, w) in enumerate(_ordered_edges(g)):
+    for ei, (u, w) in enumerate(ordered_edges(g)):
         for copy in range(1, p + 1):
             b = fresh_constant(f"e{ei}.b", [copy])
             c = fresh_constant(f"e{ei}.c", [copy])
@@ -354,8 +347,7 @@ def run_reduction(
                 with open(path, "w") as fh:
                     fh.write(dp_inst.serialize())
             if oracle == "brute":
-                satisfied = ur_brute(query, dp_inst)
-                oracle_counts.append((1 << len(dp_inst)) - satisfied)
+                oracle_counts.append(count_violating(dp_inst, query))
 
     node = cache(lambda k: _alpha_cell(cells[k], counts, params))
     if oracle == "brute":

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qreliab
 from qreliab.bipartite import (
     BipartiteGraph,
     independent_pair_count,
@@ -11,6 +17,36 @@ from qreliab.bipartite import (
 from qreliab.errors import CapExceededError, GraphFormatError
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
+
+_SQUARE = (
+    "BipartiteGraph.build(['u1', 'u2'], ['w1', 'w2'], "
+    "[('u2', 'w2'), ('u1', 'w2'), ('u2', 'w1'), ('u1', 'w1')])"
+)
+
+
+def test_repr_lists_edges_in_declaration_order():
+    g = eval(_SQUARE)
+    assert repr(g) == (
+        "BipartiteGraph(left=('u1', 'u2'), right=('w1', 'w2'), edges=frozenset("
+        "[('u1', 'w1'), ('u1', 'w2'), ('u2', 'w1'), ('u2', 'w2')]))"
+    )
+    assert eval(repr(g)) == g
+    assert repr(BipartiteGraph.build(["u"], [], [])) == (
+        "BipartiteGraph(left=('u',), right=(), edges=frozenset([]))"
+    )
+
+
+def test_repr_is_the_same_under_every_hash_seed():
+    src = str(Path(qreliab.__file__).resolve().parent.parent)
+    code = f"from qreliab.bipartite import BipartiteGraph; print(repr({_SQUARE}))"
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def test_parse_graph():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qreliab.cq import enumerate_matches
 from qreliab.errors import QReliabError
+from qreliab.evaluate import ur_brute
 from qreliab.gadgets import (
     brute_counts,
     build_gadget,
@@ -135,6 +136,14 @@ def test_count_violating_matches_world_enumeration(case):
     assert count_violating(instance, query, present, absent) == _violating_worlds(
         instance, query, present, absent
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constrained_instances())
+def test_count_violating_is_the_complement_of_ur(case):
+    # The UR reduction's brute oracle takes N_p = count_violating(D_p, q).
+    query, instance, _, _ = case
+    assert count_violating(instance, query) == 2 ** len(instance) - ur_brute(query, instance)
 
 
 def test_q1_query_is_base_family():

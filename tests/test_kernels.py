@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreliab import kernels
 from qreliab.cq import enumerate_matches
+from qreliab.errors import CapExceededError
 from qreliab.evaluate import pqe_brute, ur_brute
 from qreliab.gadgets import q1_query
 from qreliab.instances import Fact, Instance, ProbAssignment
@@ -61,6 +63,44 @@ def test_count_wide_sparse_lineage():
     # 40 disjoint pairs: far past plain enumeration, exact by components.
     masks = [0b11 << (2 * k) for k in range(40)]
     assert count_containing_any(80, masks) == (1 << 80) - 3**40
+
+
+# A one-variable component and a three-variable chain, split in that order.
+_NARROW_THEN_WIDE = [0b0001, 0b0110, 0b1100]
+
+
+def test_count_avoiding_cap_reports_the_widest_component():
+    split = kernels._components(minimize_masks(_NARROW_THEN_WIDE))
+    assert [variables for variables, _ in split] == [0b0001, 0b1110]
+    with pytest.raises(CapExceededError) as info:
+        count_avoiding(_NARROW_THEN_WIDE, [(1, 1)] * 4, cap=2)
+    assert (info.value.required, info.value.cap) == (3, 2)
+
+
+def test_count_avoiding_counts_at_cap_equal_to_width():
+    weights = [(1, 2), (3, 1), (2, 2), (1, 4)]
+    assert count_avoiding(_NARROW_THEN_WIDE, weights, cap=3) == naive_avoiding(
+        _NARROW_THEN_WIDE, weights
+    )
+
+
+def test_count_avoiding_zero_mask_is_zero_at_any_cap():
+    # A support made only of certain facts: no world avoids it.
+    assert count_avoiding([0, 0b111], [(1, 1)] * 3, cap=0) == 0
+
+
+def test_brute_count_splits_its_lineage_once(monkeypatch):
+    calls = []
+    split = kernels._components
+
+    def counted(masks):
+        calls.append(masks)
+        return split(masks)
+
+    monkeypatch.setattr(kernels, "_components", counted)
+    instance = Instance([Fact("R", ("a",)), Fact("S", ("a", "b")), Fact("T", ("b",))])
+    assert ur_brute(q1_query(), instance) == 1
+    assert len(calls) == 1
 
 
 def test_minimize_masks_drops_supersets():
