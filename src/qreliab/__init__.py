@@ -4,8 +4,6 @@ reductions from bipartite independent-set-pair counting."""
 
 from .bipartite import (
     BipartiteGraph,
-    Profile,
-    ProfileTable,
     independent_pair_count,
     parse_graph,
     profile_stats,
@@ -62,6 +60,7 @@ from .reduction_ur import (
     override_params,
     reduction_params,
     run_reduction,
+    weighted_profiles,
 )
 from .vandermonde import solve_vandermonde
 
@@ -79,8 +78,6 @@ __all__ = [
     "LemmaCheck",
     "PqeReductionRun",
     "ProbAssignment",
-    "Profile",
-    "ProfileTable",
     "QReliabError",
     "Query",
     "ReductionParams",
@@ -121,5 +118,6 @@ __all__ = [
     "ur_brute",
     "ur_safe",
     "verify_lemmas",
+    "weighted_profiles",
     "x_table",
 ]

@@ -5,17 +5,18 @@ with ``#`` comments.  Vertex order is declaration order.  Vertex names follow
 the constant grammar of fact files and may not start with ``@``, the prefix
 of generated constants.
 
-A profile of a vertex-subset pair (R', T') records how the edges fall with
-respect to it: contained in R' x T', dangling from R', dangling from T', or
-excluded.  These are the quantities the reduction's linear system is indexed
-by.  This module is a verification oracle: everything is computed by plain
-enumeration.
+The profile key (i, j, c, d, d') of a vertex-subset pair (R', T') records
+the sizes of R' and T' and how the edges fall with respect to them: c
+contained in R' x T', d dangling from R' only, d' dangling from T' only;
+the rest are excluded.  These are the quantities the reduction's linear
+system is indexed by.  This module is a verification oracle: everything is
+computed by plain enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import CapExceededError, GraphFormatError
 from .evaluate import resolve_cap
@@ -63,30 +64,6 @@ def ordered_edges(g: BipartiteGraph) -> list[tuple[str, str]]:
     return sorted(g.edges, key=lambda e: (left_pos[e[0]], right_pos[e[1]]))
 
 
-@dataclass(frozen=True)
-class Profile:
-    i: int
-    j: int
-    c: int
-    d: int
-    d_prime: int
-    e: int
-
-    @property
-    def key(self) -> ProfileKey:
-        return (self.i, self.j, self.c, self.d, self.d_prime)
-
-
-@dataclass(frozen=True)
-class ProfileTable:
-    """X counts pairs per profile; Y applies the (2^r-1)/(2^t-1) weights."""
-
-    x: Mapping[ProfileKey, int]
-    y: Mapping[ProfileKey, int]
-    r: int
-    t: int
-
-
 def parse_graph(text: str) -> BipartiteGraph:
     left: list[str] = []
     right: list[str] = []
@@ -118,33 +95,24 @@ def parse_graph(text: str) -> BipartiteGraph:
     return BipartiteGraph(tuple(left), tuple(right), frozenset(edges))
 
 
-def profile_stats(g: BipartiteGraph, r_sub: Iterable[str], t_sub: Iterable[str]) -> Profile:
+def profile_stats(g: BipartiteGraph, r_sub: Iterable[str], t_sub: Iterable[str]) -> ProfileKey:
+    """The profile key (i, j, c, d, d') of the pair of named vertex subsets."""
     r_set = set(r_sub)
     t_set = set(t_sub)
     if not r_set <= set(g.left):
         raise GraphFormatError("left subset contains vertices outside the graph")
     if not t_set <= set(g.right):
         raise GraphFormatError("right subset contains vertices outside the graph")
-    c = d = d_prime = 0
-    for u, w in g.edges:
-        if u in r_set:
-            if w in t_set:
-                c += 1
-            else:
-                d += 1
-        elif w in t_set:
-            d_prime += 1
-    e = g.m - c - d - d_prime
-    return Profile(len(r_set), len(t_set), c, d, d_prime, e)
+    r_mask = sum(1 << k for k, u in enumerate(g.left) if u in r_set)
+    t_mask = sum(1 << k for k, w in enumerate(g.right) if w in t_set)
+    return _profile(_edge_masks(g), r_mask, t_mask)
 
 
 def _edge_masks(g: BipartiteGraph) -> list[tuple[int, int]]:
     """Per edge: (left-vertex bit, right-vertex bit)."""
     left_index = {u: i for i, u in enumerate(g.left)}
     right_index = {w: i for i, w in enumerate(g.right)}
-    return [
-        (1 << left_index[u], 1 << right_index[w]) for u, w in sorted(g.edges)
-    ]
+    return [(1 << left_index[u], 1 << right_index[w]) for u, w in g.edges]
 
 
 def _check_pair_cap(g: BipartiteGraph, cap: int | None) -> None:
@@ -172,7 +140,9 @@ def independent_pair_count(g: BipartiteGraph, cap: int | None = None) -> int:
     return count
 
 
-def _profile(edge_bits: list[tuple[int, int]], r_mask: int, t_mask: int) -> Profile:
+def _profile(edge_bits: list[tuple[int, int]], r_mask: int, t_mask: int) -> ProfileKey:
+    """The profile key of the pair of masks, the only code that counts c,
+    d and d'."""
     c = d = d_prime = 0
     for ub, wb in edge_bits:
         if r_mask & ub:
@@ -182,34 +152,16 @@ def _profile(edge_bits: list[tuple[int, int]], r_mask: int, t_mask: int) -> Prof
                 d += 1
         elif t_mask & wb:
             d_prime += 1
-    return Profile(
-        bin(r_mask).count("1"),
-        bin(t_mask).count("1"),
-        c,
-        d,
-        d_prime,
-        len(edge_bits) - c - d - d_prime,
-    )
+    return r_mask.bit_count(), t_mask.bit_count(), c, d, d_prime
 
 
-def profile_of_masks(g: BipartiteGraph, r_mask: int, t_mask: int) -> Profile:
-    return _profile(_edge_masks(g), r_mask, t_mask)
-
-
-def x_table(g: BipartiteGraph, r: int, t: int) -> ProfileTable:
-    """Profile histogram X by pair enumeration, and its weighted variant Y."""
+def x_table(g: BipartiteGraph) -> dict[ProfileKey, int]:
+    """The profile histogram X: the number of pairs (R', T') per profile key."""
     edge_bits = _edge_masks(g)
     x: dict[ProfileKey, int] = {}
     # Called through this module's global, so that a wrapper installed on
     # bipartite.iter_pairs (the benchmark's pair counter) sees every call.
     for r_mask, t_mask in iter_pairs(g):
-        key = _profile(edge_bits, r_mask, t_mask).key
+        key = _profile(edge_bits, r_mask, t_mask)
         x[key] = x.get(key, 0) + 1
-    n_left, n_right = len(g.left), len(g.right)
-    y = {
-        (i, j, c, d, dp): ((1 << r) - 1) ** (n_left - i)
-        * ((1 << t) - 1) ** (n_right - j)
-        * value
-        for (i, j, c, d, dp), value in x.items()
-    }
-    return ProfileTable(x=x, y=y, r=r, t=t)
+    return x

@@ -16,7 +16,7 @@ from .errors import CapExceededError, QReliabError
 from .evaluate import _brute_counts
 from .instances import Fact, Instance
 
-GADGET_KINDS = ("ab", "abcd", "abcd_left", "abcd_right", "abcd_trimmed")
+GADGET_KINDS = ("ab", "abcd", "abcd_trimmed")
 
 
 def qrst_query(r: int, s: int, t: int) -> Query:
@@ -67,11 +67,11 @@ def _t_facts(t: int, elem: str) -> list[Fact]:
 
 
 def gadget_facts(kind: str, r: int, s: int, t: int, endpoints: Sequence[str]) -> list[Fact]:
-    """The facts of the (a,b)-gadget or of one of the (a,b,c,d)-chain
-    variants, in a fixed order.
+    """The facts of the (a,b)-gadget or of the (a,b,c,d)-chain, in a fixed
+    order.
 
-    The left variant omits the T-facts on d, the right variant omits the
-    R-facts on a, and the trimmed variant omits both.
+    The trimmed chain omits the R-facts on a and the T-facts on d, which
+    ``build_Dp`` supplies from the graph's vertex bundles.
     """
     if kind not in GADGET_KINDS:
         raise QReliabError(f"unknown gadget kind {kind!r}")
@@ -85,10 +85,8 @@ def gadget_facts(kind: str, r: int, s: int, t: int, endpoints: Sequence[str]) ->
     a, b, c, d = endpoints
     facts = _s_facts(s, a, b) + _t_facts(t, b) + _s_facts(s, c, b)
     facts += _r_facts(r, c) + _s_facts(s, c, d)
-    if kind in ("abcd", "abcd_left"):
-        facts += _r_facts(r, a)
-    if kind in ("abcd", "abcd_right"):
-        facts += _t_facts(t, d)
+    if kind == "abcd":
+        facts += _r_facts(r, a) + _t_facts(t, d)
     return facts
 
 

@@ -159,8 +159,10 @@ class ProbAssignment:
     def __post_init__(self):
         if self.mode not in ("per-fact", "per-relation"):
             raise ProbabilityError(f"unknown mode {self.mode!r}")
-        for p in list(self.per_fact.values()) + list(self.per_relation.values()):
-            if not 0 < p <= 1:
+        # A Fraction's denominator is positive, so integer comparisons check
+        # 0 < p <= 1 without building a Fraction per fact.
+        for p in (*self.per_fact.values(), *self.per_relation.values()):
+            if not 0 < p.numerator <= p.denominator:
                 raise ProbabilityError(f"probability {p} is outside (0, 1]")
         if self.default is not None and not 0 < self.default <= 1:
             raise ProbabilityError(f"probability {self.default} is outside (0, 1]")

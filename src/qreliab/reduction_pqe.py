@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .bipartite import BipartiteGraph, x_table
 from .errors import ProbabilityError, QReliabError
-from .evaluate import _brute_counts, fact_weights
+from .evaluate import pqe_brute
 from .gadgets import q1_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
 from .vandermonde import interpolate
@@ -67,7 +67,7 @@ def build_Icd(
 def _independent_pairs(g: BipartiteGraph) -> dict[tuple[int, int], int]:
     """Independent pairs (no edge contained) per (|R'|, |T'|)."""
     counts: dict[tuple[int, int], int] = {}
-    for (i, j, contained, _d, _dp), count in x_table(g, 1, 1).x.items():
+    for (i, j, contained, _d, _dp), count in x_table(g).items():
         if contained == 0:
             counts[(i, j)] = counts.get((i, j), 0) + count
     return counts
@@ -101,8 +101,7 @@ def pi_value(
     r, t = Fraction(r), Fraction(t)
     if oracle == "brute":
         instance, phi = build_Icd(g, c, d, r, t)
-        miss, total, _ = _brute_counts(q1_query(), instance, fact_weights(instance, phi), None)
-        return Fraction(miss, total)
+        return 1 - pqe_brute(q1_query(), instance, phi)
     if oracle == "formula":
         if c < 0 or d < 0:
             raise QReliabError("c and d must be non-negative")

@@ -73,7 +73,7 @@ class ReductionRun:
         formula's, computed exactly on first access."""
         if self.oracle_counts is not None:
             return self.oracle_counts
-        weights = x_table(self.graph, self.params.r, self.params.t).y
+        weights = weighted_profiles(self.graph, self.params.r, self.params.t)
         nodes = [alpha_coefficient(key, self.counts, self.params) for key in weights]
         return _power_sums(list(weights.values()), nodes, self.params.M)
 
@@ -140,6 +140,18 @@ def build_Dp(
             a = fresh_constant(f"w{wi}.a", [copy])
             facts += gadget_facts("ab", r, s, t, (a, w))
     return Instance(facts)
+
+
+def weighted_profiles(g: BipartiteGraph, r: int, t: int) -> dict[ProfileKey, int]:
+    """The weighted histogram Y: each count of ``x_table`` times
+    (2^r-1)^(n_left-i) * (2^t-1)^(n_right-j), the choices of a non-full
+    R- or T-bundle on each vertex outside the pair."""
+    pr, pt = (1 << r) - 1, (1 << t) - 1
+    n_left, n_right = len(g.left), len(g.right)
+    return {
+        key: pr ** (n_left - key[0]) * pt ** (n_right - key[1]) * count
+        for key, count in x_table(g).items()
+    }
 
 
 def profile_cells(params: ReductionParams) -> tuple[ProfileKey, ...]:
@@ -230,7 +242,7 @@ def np_analytic(
         params = reduction_params(g, r, s, t)
     counts = closed_counts(r, s, t)
     total = 0
-    for key, weight in x_table(g, params.r, params.t).y.items():
+    for key, weight in weighted_profiles(g, params.r, params.t).items():
         total += weight * alpha_coefficient(key, counts, params) ** p
     return total
 
@@ -353,7 +365,7 @@ def run_reduction(
     if oracle == "brute":
         head = oracle_counts[:4]
     else:
-        weights = x_table(g, r, t).y
+        weights = weighted_profiles(g, r, t)
         index = {key: k for k, key in enumerate(cells)}
         support = [index[key] for key in weights]
         head = _power_sums(

@@ -1,16 +1,18 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qreliab
 from qreliab.bipartite import (
     BipartiteGraph,
     independent_pair_count,
     parse_graph,
-    profile_of_masks,
     profile_stats,
     x_table,
 )
@@ -98,50 +100,59 @@ def test_profile_stats():
         "left u1\nleft u2\nright w1\nright w2\n"
         "edge u1 w1\nedge u1 w2\nedge u2 w1\n"
     )
-    p = profile_stats(g, ["u1"], ["w1"])
-    assert (p.i, p.j, p.c, p.d, p.d_prime, p.e) == (1, 1, 1, 1, 1, 0)
-    full = profile_stats(g, ["u1", "u2"], ["w1", "w2"])
-    assert (full.c, full.e) == (3, 0)
-    empty = profile_stats(g, [], [])
-    assert (empty.c, empty.d, empty.d_prime, empty.e) == (0, 0, 0, 3)
+    assert profile_stats(g, ["u1"], ["w1"]) == (1, 1, 1, 1, 1)
+    assert profile_stats(g, ["u1", "u2"], ["w1", "w2"]) == (2, 2, 3, 0, 0)
+    assert profile_stats(g, [], []) == (0, 0, 0, 0, 0)
+    assert profile_stats(g, ["u2"], ["w2"]) == (1, 1, 0, 1, 1)
+    assert profile_stats(g, ["u1"], []) == (1, 0, 0, 2, 0)
+    assert profile_stats(g, [], ["w1"]) == (0, 1, 0, 0, 2)
 
 
 def test_profile_stats_rejects_foreign_vertices():
     with pytest.raises(GraphFormatError):
         profile_stats(EDGE, ["zzz"], [])
-
-
-def test_profile_of_masks_agrees_with_stats():
-    g = parse_graph(
-        "left u1\nleft u2\nright w1\nright w2\nedge u1 w2\nedge u2 w1\n"
-    )
-    for r_mask in range(4):
-        for t_mask in range(4):
-            subset_l = [g.left[k] for k in range(2) if r_mask >> k & 1]
-            subset_r = [g.right[k] for k in range(2) if t_mask >> k & 1]
-            assert profile_of_masks(g, r_mask, t_mask) == profile_stats(
-                g, subset_l, subset_r
-            )
-
-
-def test_profile_e_is_residual():
-    p = profile_stats(EDGE, ["u"], [])
-    assert p.c + p.d + p.d_prime + p.e == EDGE.m
+    with pytest.raises(GraphFormatError):
+        profile_stats(EDGE, [], ["u"])
 
 
 def test_x_table_single_edge():
-    table = x_table(EDGE, 1, 1)
-    assert sum(table.x.values()) == 4
-    assert table.x[(1, 1, 1, 0, 0)] == 1
-    assert table.x[(0, 0, 0, 0, 0)] == 1
-    # (2^1 - 1) weights are all 1, so X = Y here
-    assert table.y == table.x
+    x = x_table(EDGE)
+    assert x == {(0, 0, 0, 0, 0): 1, (1, 0, 0, 1, 0): 1, (0, 1, 0, 0, 1): 1, (1, 1, 1, 0, 0): 1}
 
 
-def test_x_table_weights():
-    table = x_table(EDGE, 2, 1)
-    # dropped left vertex contributes (2^2 - 1)
-    assert table.y[(0, 0, 0, 0, 0)] == 3 * table.x[(0, 0, 0, 0, 0)]
+@st.composite
+def graphs(draw):
+    left = [f"u{k}" for k in range(draw(st.integers(0, 3)))]
+    right = [f"w{k}" for k in range(draw(st.integers(0, 3)))]
+    possible = [(u, w) for u in left for w in right]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True) if possible else st.just([]))
+    return BipartiteGraph.build(left, right, edges)
+
+
+def _subsets(vertices):
+    return [set(s) for k in range(len(vertices) + 1) for s in combinations(vertices, k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_x_table_matches_named_subset_histogram(g):
+    """x_table against a histogram built from named subsets by set logic."""
+    expected = Counter(
+        (
+            len(r_sub),
+            len(t_sub),
+            sum(u in r_sub and w in t_sub for u, w in g.edges),
+            sum(u in r_sub and w not in t_sub for u, w in g.edges),
+            sum(u not in r_sub and w in t_sub for u, w in g.edges),
+        )
+        for r_sub in _subsets(g.left)
+        for t_sub in _subsets(g.right)
+    )
+    x = x_table(g)
+    assert x == expected
+    assert sum(x.values()) == 2 ** (len(g.left) + len(g.right))
+    independent = sum(count for (_i, _j, c, _d, _dp), count in x.items() if c == 0)
+    assert independent == independent_pair_count(g)
 
 
 def test_pair_cap():

@@ -28,6 +28,7 @@ from qreliab.reduction_ur import (
     profile_cells,
     reduction_params,
     run_reduction,
+    weighted_profiles,
 )
 from qreliab.vandermonde import solve_vandermonde
 
@@ -223,6 +224,19 @@ def test_run_reduction_brute_oracle_downscaled_graph():
     assert run.n_vector[0] == 2
 
 
+def test_weighted_profiles():
+    g = BipartiteGraph.build(["u1", "u2"], ["w"], [("u1", "w")])
+    x = x_table(g)
+    # at r = t = 1 every weight (2^1 - 1)^k is 1
+    assert weighted_profiles(g, 1, 1) == x
+    y = weighted_profiles(g, 2, 3)
+    assert set(y) == set(x)
+    # each dropped left vertex contributes 2^2 - 1, the dropped right one 2^3 - 1
+    assert y[(0, 0, 0, 0, 0)] == 3**2 * 7 * x[(0, 0, 0, 0, 0)]
+    assert y[(1, 0, 0, 1, 0)] == 3 * 7
+    assert y[(2, 1, 1, 0, 0)] == 1
+
+
 def test_run_reduction_recovers_y_histogram():
     run = run_reduction(EDGE, 1, 1, 1)
     # independent pairs: (0,0), (1,0), (0,1); the dependent pair (1,1) has
@@ -235,9 +249,9 @@ def test_run_reduction_recovers_y_histogram():
 
 
 def assert_recovers_weighted_histogram(run, g):
-    """The recovered y is x_table's weighted histogram Y, cell by cell, and
-    zero on every other cell."""
-    y = x_table(g, run.params.r, run.params.t).y
+    """The recovered y is the weighted histogram Y, cell by cell, and zero
+    on every other cell."""
+    y = weighted_profiles(g, run.params.r, run.params.t)
     assert set(y) <= set(run.cells)
     for key in run.cells:
         assert run.y_vector[key] == y.get(key, 0), key

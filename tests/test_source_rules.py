@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import qreliab
+from qreliab import kernels
 
 PACKAGE = Path(qreliab.__file__).parent
 
@@ -15,3 +16,10 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    # A removed name must not stay behind in __all__.
+    for module in (qreliab, kernels):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
