@@ -62,7 +62,7 @@ from .reduction_ur import (
     run_reduction,
     weighted_profiles,
 )
-from .vandermonde import solve_vandermonde
+from .vandermonde import power_sums, solve_vandermonde
 
 __version__ = "0.1.0"
 
@@ -105,6 +105,7 @@ __all__ = [
     "parse_prob_map",
     "parse_query",
     "pi_value",
+    "power_sums",
     "pqe_brute",
     "pqe_safe",
     "profile_stats",

@@ -76,6 +76,6 @@ class NonIntegralResultError(QReliabError):
 
 
 class DuplicateNodeError(QReliabError):
-    """Two interpolation nodes coincide (modulo the prime, for a modular
+    """Two Vandermonde nodes coincide (modulo the prime, for a modular
     solve).  The main reduction then moves on to its next listed prime.
     """

@@ -2,10 +2,13 @@
 counting to exact probability evaluation of R(x),S(x,y),T(y) with certain
 S-facts and per-relation probabilities (r, 1, t).
 
-Each oracle instance pads every graph vertex with fresh pendant neighbors;
-the violation probabilities form a linear system whose matrix is the
-Kronecker product of two Vandermonde matrices, solved here as two nested
-one-dimensional solves.
+Each oracle instance pads every graph vertex with fresh pendant neighbors.
+With a = r/(1-r), b = t/(1-t) and the nodes x_i = (1-t)**i, y_j = (1-r)**j,
+the violation probability of the instance padded by (c, d) is
+scale * sum_{i,j} a**i * b**j * X_ij * x_i**c * y_j**d, X_ij the independent
+pairs with |R'| = i, |T'| = j.  That is a Kronecker product of two dual
+Vandermonde systems, the form the uniform-reliability reduction solves too,
+and it is solved here as two nested one-dimensional dual solves.
 """
 
 from __future__ import annotations
@@ -19,16 +22,18 @@ from .errors import ProbabilityError, QReliabError
 from .evaluate import pqe_brute
 from .gadgets import q1_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import interpolate
+from .vandermonde import power_sums, solve_vandermonde
 
 
 @dataclass(frozen=True)
 class KronSystem:
-    """The two node sequences whose outer powers generate the system: the
-    cell (c, d, i, j) is alpha[c]**i * beta[d]**j."""
+    """The system in dual form: the cell (c, d, i, j) is
+    a**i * b**j * nodes_left[i]**c * nodes_right[j]**d."""
 
-    alpha: tuple[Fraction, ...]  # indexed by c = 0..|R|
-    beta: tuple[Fraction, ...]  # indexed by d = 0..|T|
+    nodes_left: tuple[Fraction, ...]  # (1 - t)**i, i = 0..|R|
+    nodes_right: tuple[Fraction, ...]  # (1 - r)**j, j = 0..|T|
+    a: Fraction  # r / (1 - r)
+    b: Fraction  # t / (1 - t)
 
 
 @dataclass(frozen=True)
@@ -78,17 +83,6 @@ def _scale(g: BipartiteGraph, r: Fraction, t: Fraction) -> Fraction:
     return (1 - r) ** len(g.left) * (1 - t) ** len(g.right)
 
 
-def _pi_formula(
-    independent: Mapping[tuple[int, int], int], alpha: Fraction, beta: Fraction, scale: Fraction
-) -> Fraction:
-    """The violation probability of the cell with Kronecker nodes alpha and
-    beta, in closed form from the independent-pair counts."""
-    total = Fraction(0)
-    for (i, j), count in independent.items():
-        total += count * alpha**i * beta**j
-    return scale * total
-
-
 def pi_value(
     g: BipartiteGraph,
     c: int,
@@ -105,21 +99,24 @@ def pi_value(
     if oracle == "formula":
         if c < 0 or d < 0:
             raise QReliabError("c and d must be non-negative")
-        system = kron_system(c, d, r, t)
-        independent = _independent_pairs(g)
-        return _pi_formula(independent, system.alpha[c], system.beta[d], _scale(g, r, t))
+        system = kron_system(0, 0, r, t)  # checks r and t
+        alpha, beta = system.a * (1 - t) ** c, system.b * (1 - r) ** d
+        total = sum(
+            count * alpha**i * beta**j for (i, j), count in _independent_pairs(g).items()
+        )
+        return _scale(g, r, t) * total
     raise QReliabError(f"unknown oracle {oracle!r}")
 
 
 def kron_system(n_left: int, n_right: int, r: Fraction, t: Fraction) -> KronSystem:
-    """The (|R|+1)(|T|+1) square system in Kronecker form."""
+    """The (|R|+1)(|T|+1) square system in dual Kronecker form."""
     r, t = Fraction(r), Fraction(t)
     for name, value in (("r", r), ("t", t)):
         if not 0 < value < 1:
             raise ProbabilityError(f"{name} must lie strictly between 0 and 1, got {value}")
-    alpha = tuple(r / (1 - r) * (1 - t) ** c for c in range(n_left + 1))
-    beta = tuple(t / (1 - t) * (1 - r) ** d for d in range(n_right + 1))
-    return KronSystem(alpha, beta)
+    nodes_left = tuple((1 - t) ** i for i in range(n_left + 1))
+    nodes_right = tuple((1 - r) ** j for j in range(n_right + 1))
+    return KronSystem(nodes_left, nodes_right, r / (1 - r), t / (1 - t))
 
 
 def run_reduction_pqe(
@@ -135,31 +132,37 @@ def run_reduction_pqe(
     system = kron_system(n_left, n_right, r, t)
     scale = _scale(g, r, t)
 
+    lefts, rights = range(n_left + 1), range(n_right + 1)
+    # rhs[c][d] = pi(c, d) / scale = sum_{i,j} Z_ij * x_i**c * y_j**d,
+    # Z_ij = a**i * b**j * X_ij
     if oracle == "formula":  # one pair enumeration serves every cell
         independent = _independent_pairs(g)
-    pi = {
-        (c, d): _pi_formula(independent, system.alpha[c], system.beta[d], scale)
-        if oracle == "formula"
-        else pi_value(g, c, d, r, t, oracle=oracle)
-        for c in range(n_left + 1)
-        for d in range(n_right + 1)
-    }
+        by_c = [  # by_c[j][c] = sum_i Z_ij * x_i**c
+            power_sums(
+                [independent.get((i, j), 0) * system.a**i * system.b**j for i in lefts],
+                system.nodes_left,
+                n_left + 1,
+            )
+            for j in rights
+        ]
+        rhs = [
+            power_sums([by_c[j][c] for j in rights], system.nodes_right, n_right + 1)
+            for c in lefts
+        ]
+        pi = {(c, d): scale * rhs[c][d] for c in lefts for d in rights}
+    else:
+        pi = {(c, d): pi_value(g, c, d, r, t, oracle=oracle) for c in lefts for d in rights}
+        rhs = [[pi[(c, d)] / scale for d in rights] for c in lefts]
 
-    # Kronecker factorization: first solve in beta along d for every fixed c,
-    # then solve in alpha along c for every fixed j.
-    inner: list[list[Fraction]] = []  # inner[c][j] = sum_i X_{i,j} alpha_c**i
-    for c in range(n_left + 1):
-        rhs = [pi[(c, d)] / scale for d in range(n_right + 1)]
-        inner.append(interpolate(system.beta, rhs))
-    by_j = [
-        interpolate(system.alpha, [inner[c][j] for c in range(n_left + 1)])
-        for j in range(n_right + 1)
-    ]
+    # The same two sums undone: first solve in y along d for every fixed c,
+    # then in x along c for every fixed j.
+    inner = [solve_vandermonde(system.nodes_right, rhs[c]) for c in lefts]
+    z = [solve_vandermonde(system.nodes_left, [inner[c][j] for c in lefts]) for j in rights]
 
     x: dict[tuple[int, int], int] = {}
-    for i in range(n_left + 1):
-        for j in range(n_right + 1):
-            value = by_j[j][i]
+    for i in lefts:
+        for j in rights:
+            value = z[j][i] / (system.a**i * system.b**j)
             if value.denominator != 1 or value < 0:
                 raise QReliabError(
                     f"recovered X[{i},{j}] = {value} is not a non-negative integer"

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gadgets import GadgetCounts, closed_counts, count_violating, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import solve_vandermonde
+from .vandermonde import power_sums, solve_vandermonde
 
 # Mersenne primes, smallest first.  The system is solved modulo one of them
 # and checked modulo a later one, so the last one only ever checks.
@@ -75,7 +75,7 @@ class ReductionRun:
             return self.oracle_counts
         weights = weighted_profiles(self.graph, self.params.r, self.params.t)
         nodes = [alpha_coefficient(key, self.counts, self.params) for key in weights]
-        return _power_sums(list(weights.values()), nodes, self.params.M)
+        return power_sums(list(weights.values()), nodes, self.params.M)
 
 
 def reduction_params(g: BipartiteGraph, r: int, s: int, t: int) -> ReductionParams:
@@ -142,14 +142,19 @@ def build_Dp(
     return Instance(facts)
 
 
+def _pair_weight(r: int, t: int, outside_left: int, outside_right: int) -> int:
+    """(2^r-1)^outside_left * (2^t-1)^outside_right: the choices of a
+    non-full R- or T-bundle on each vertex outside a pair."""
+    return ((1 << r) - 1) ** outside_left * ((1 << t) - 1) ** outside_right
+
+
 def weighted_profiles(g: BipartiteGraph, r: int, t: int) -> dict[ProfileKey, int]:
-    """The weighted histogram Y: each count of ``x_table`` times
-    (2^r-1)^(n_left-i) * (2^t-1)^(n_right-j), the choices of a non-full
-    R- or T-bundle on each vertex outside the pair."""
-    pr, pt = (1 << r) - 1, (1 << t) - 1
+    """The weighted histogram Y: each count of ``x_table`` with profile key
+    (i, j, ...) times ``_pair_weight`` of the n_left - i and n_right - j
+    vertices outside the pair."""
     n_left, n_right = len(g.left), len(g.right)
     return {
-        key: pr ** (n_left - key[0]) * pt ** (n_right - key[1]) * count
+        key: _pair_weight(r, t, n_left - key[0], n_right - key[1]) * count
         for key, count in x_table(g).items()
     }
 
@@ -247,23 +252,6 @@ def np_analytic(
     return total
 
 
-def _power_sums(terms: Sequence, nodes: Sequence, n: int, prime: int | None = None) -> list:
-    """sum_k terms_k * nodes_k**p for p = 0..n-1, exactly or modulo ``prime``,
-    each power by one multiply from the one before."""
-    if prime is not None:
-        terms = [term % prime for term in terms]
-    sums = []
-    for p in range(n):
-        if p:
-            pairs = zip(terms, nodes)
-            if prime is None:
-                terms = [term * x for term, x in pairs]
-            else:
-                terms = [term * x % prime for term, x in pairs]
-        sums.append(sum(terms) if prime is None else sum(terms) % prime)
-    return sums
-
-
 def _recover_counts(
     residues: Callable[[int], tuple[list[int], list[int]]],
     node: Callable[[int], Fraction | int],
@@ -295,7 +283,7 @@ def _recover_counts(
     if any(y >= bound for y in solution):
         raise QReliabError("recovered value exceeds its combinatorial bound")
     support = [k for k, y in enumerate(solution) if y]
-    lhs = _power_sums([solution[k] for k in support], [node(k) for k in support], len(head))
+    lhs = power_sums([solution[k] for k in support], [node(k) for k in support], len(head))
     for p, (a, b) in enumerate(zip(lhs, head)):
         if a != b:
             raise QReliabError(f"modular solution fails exact equation p={p}")
@@ -304,7 +292,7 @@ def _recover_counts(
         break
     else:
         raise QReliabError("no check prime above the solver prime has every node defined")
-    lhs = _power_sums(
+    lhs = power_sums(
         [solution[k] for k in support], [nodes[k] for k in support], len(rhs), check
     )
     for p, (a, b) in enumerate(zip(lhs, rhs)):
@@ -368,7 +356,7 @@ def run_reduction(
         weights = weighted_profiles(g, r, t)
         index = {key: k for k, key in enumerate(cells)}
         support = [index[key] for key in weights]
-        head = _power_sums(
+        head = power_sums(
             list(weights.values()), [node(k) for k in support], min(4, params.M)
         )
 
@@ -376,19 +364,18 @@ def run_reduction(
         nodes = [_alpha_cell(key, counts, params, prime) for key in cells]
         if oracle == "brute":
             return nodes, [n_p % prime for n_p in oracle_counts]
-        rhs = _power_sums(list(weights.values()), [nodes[k] for k in support], params.M, prime)
+        rhs = power_sums(list(weights.values()), [nodes[k] for k in support], params.M, prime)
         return nodes, rhs
 
-    pr = (1 << r) - 1
-    pt = (1 << t) - 1
     # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
-    bound = (2 * pr) ** params.n_left * (2 * pt) ** params.n_right + 1
+    heaviest = _pair_weight(r, t, params.n_left, params.n_right)
+    bound = 2 ** (params.n_left + params.n_right) * heaviest + 1
     y_vector = dict(zip(cells, _recover_counts(residues, node, head, bound)))
     p_result = 0
     for (i, j, c, d, dp), y in y_vector.items():
         if c != 0:
             continue
-        weight = pr ** (params.n_left - i) * pt ** (params.n_right - j)
+        weight = _pair_weight(r, t, params.n_left - i, params.n_right - j)
         if y % weight != 0:
             raise QReliabError("non-integral division during count recovery")
         p_result += y // weight

@@ -83,18 +83,25 @@ def test_pi_value_unknown_oracle():
         pi_value(EDGE, 0, 0, HALF, HALF, oracle="guess")
 
 
+def cell(system, c, d, i, j):
+    return system.a**i * system.b**j * system.nodes_left[i] ** c * system.nodes_right[j] ** d
+
+
 def test_kron_system_half():
     system = kron_system(1, 1, HALF, HALF)
-    assert system.alpha == (Fraction(1), HALF)
-    assert system.beta == (Fraction(1), HALF)
-    assert system.alpha[1] ** 1 * system.beta[1] ** 1 == Fraction(1, 4)
-    assert system.alpha[0] ** 0 * system.beta[1] ** 0 == 1
+    assert system.nodes_left == (Fraction(1), HALF)
+    assert system.nodes_right == (Fraction(1), HALF)
+    assert (system.a, system.b) == (1, 1)
+    assert cell(system, 1, 1, 1, 1) == Fraction(1, 4)
+    assert cell(system, 0, 1, 0, 0) == 1
 
 
 def test_kron_system_third():
     system = kron_system(1, 0, Fraction(1, 3), Fraction(1, 4))
-    assert system.alpha[0] == Fraction(1, 2)
-    assert system.alpha[1] == Fraction(1, 2) * Fraction(3, 4)
+    assert system.nodes_left == (1, Fraction(3, 4))
+    assert system.nodes_right == (1,)
+    assert (system.a, system.b) == (Fraction(1, 2), Fraction(1, 3))
+    assert cell(system, 1, 0, 1, 0) == Fraction(1, 2) * Fraction(3, 4)
 
 
 def test_kron_system_rejects_boundary_probabilities():
@@ -139,12 +146,29 @@ def test_run_reduction_pqe_formula_enumerates_pairs_once(monkeypatch):
 
 
 @st.composite
-def graphs(draw):
-    left = [f"u{k}" for k in range(draw(st.integers(0, 4)))]
-    right = [f"w{k}" for k in range(draw(st.integers(0, 4)))]
+def graphs(draw, max_side=4):
+    left = [f"u{k}" for k in range(draw(st.integers(0, max_side)))]
+    right = [f"w{k}" for k in range(draw(st.integers(0, max_side)))]
     possible = [(u, w) for u in left for w in right]
     edges = draw(st.lists(st.sampled_from(possible), unique=True) if possible else st.just([]))
     return BipartiteGraph.build(left, right, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    graphs(3),
+    st.sampled_from([Fraction(1, 3), HALF, Fraction(2, 3)]),
+    st.sampled_from([Fraction(1, 3), HALF, Fraction(2, 3)]),
+)
+def test_run_reduction_pqe_forward_map_matches_pi_value(g, r, t):
+    # the formula oracle's pi, built by two nested power sums, against the
+    # closed form cell by cell, and against the brute oracle up to 2+2
+    pi = run_reduction_pqe(g, r, t, oracle="formula").pi
+    small = len(g.left) <= 2 and len(g.right) <= 2
+    for (c, d), value in pi.items():
+        assert value == pi_value(g, c, d, r, t, oracle="formula")
+        if small:
+            assert value == pi_value(g, c, d, r, t, oracle="brute")
 
 
 @settings(max_examples=100, deadline=None)
