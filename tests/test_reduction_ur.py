@@ -173,6 +173,11 @@ def test_recover_counts_past_two_primes():
 def test_recover_counts_skips_a_prime_where_nodes_collide():
     nodes = [1, SOLVER_PRIME + 1]  # equal modulo the smallest listed prime
     assert recover(nodes, dual_rhs(nodes, [3, 4]), 10) == [3, 4]
+    # the same collision between the first and the last of 100 nodes, which
+    # the solve holds in different leaf blocks of its subproduct tree
+    nodes = list(range(1, 100)) + [SOLVER_PRIME + 1]
+    y = [k % 7 for k in range(100)]
+    assert recover(nodes, dual_rhs(nodes, y), 10) == y
 
 
 def test_recover_counts_skips_a_prime_where_a_node_is_undefined():
@@ -293,13 +298,24 @@ def test_run_reduction_matches_pair_count(g, rst):
     assert_recovers_weighted_histogram(run, g)
 
 
+def matching(n):
+    left, right = [f"u{k}" for k in range(n)], [f"w{k}" for k in range(n)]
+    return BipartiteGraph.build(left, right, list(zip(left, right)))
+
+
 def test_run_reduction_three_edge_matching():
-    g = BipartiteGraph.build(
-        ["u1", "u2", "u3"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w2"), ("u3", "w3")]
-    )
+    g = matching(3)
     run = run_reduction(g, 1, 1, 1)
     assert run.params.M == 1024
     assert run.p_result == 27
+    assert_recovers_weighted_histogram(run, g)
+
+
+def test_run_reduction_four_edge_matching():
+    g = matching(4)
+    run = run_reduction(g, 1, 1, 1)
+    assert run.params.M == 3125
+    assert run.p_result == 81 == independent_pair_count(g)
     assert_recovers_weighted_histogram(run, g)
 
 

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import qreliab
@@ -23,3 +24,22 @@ def test_every_exported_name_resolves():
     for module in (qreliab, kernels):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_package_imports_only_the_standard_library():
+    # The package is pure Python with no dependencies: a fast path may not
+    # reach for a third-party module.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "qreliab" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []

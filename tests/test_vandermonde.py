@@ -1,16 +1,93 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qreliab.errors import DuplicateNodeError, QReliabError
 from qreliab.vandermonde import power_sums, solve_vandermonde
 
 PRIME = (1 << 61) - 1
+MODULI = [PRIME, (1 << 521) - 1, 10007]
+
+
+def quadratic_dual_solve(nodes, rhs, prime=None):
+    """The reference solve in O(n^2) operations (Bjorck & Pereyra, Math.
+    Comp. 24, 1970).  With P(x) = prod_k (x - x_k) and the synthetic
+    quotients Q_k = P / (x - x_k), Q_k vanishes at every node but x_k, hence
+    y_k = sum_p Q_k[p] b_p / Q_k(x_k)."""
+    n = len(nodes)
+    if len(rhs) != n:
+        raise QReliabError("nodes and right-hand side differ in length")
+    if prime is not None:
+        nodes = [x % prime for x in nodes]
+        rhs = [b % prime for b in rhs]
+    reduce = (lambda v: v) if prime is None else (lambda v: v % prime)
+    if len(set(nodes)) != n:
+        where = "" if prime is None else f" modulo {prime}"
+        raise DuplicateNodeError(f"nodes are not pairwise distinct{where}")
+    master = [1]  # coefficients of P, low to high
+    for x in nodes:
+        master = [0] + master
+        for p in range(len(master) - 1):
+            master[p] = reduce(master[p] - x * master[p + 1])
+    solution = []
+    for x in nodes:
+        quotient = [0] * n  # coefficients of Q_k, low to high
+        quotient[n - 1] = master[n]
+        for p in range(n - 1, 0, -1):
+            quotient[p - 1] = reduce(master[p] + x * quotient[p])
+        value = 0  # Q_k(x_k)
+        for q in reversed(quotient):
+            value = reduce(value * x + q)
+        numer = sum(q * b for q, b in zip(quotient, rhs))
+        if prime is None:
+            solution.append(Fraction(numer, value))
+        else:
+            solution.append(numer % prime * pow(value, -1, prime) % prime)
+    return solution
 
 
 def dual_rhs(nodes, y):
     return [sum(yk * x**p for yk, x in zip(y, nodes)) for p in range(len(nodes))]
+
+
+def distinct(draw_one, n, rnd, zero=False):
+    """n distinct values from ``draw_one(rnd)``, with 0 among them at a random
+    place if ``zero``.  Large systems come from a drawn seed, not value by
+    value, which would overrun Hypothesis's input buffer."""
+    values = {0} if zero else set()
+    while len(values) < n:
+        values.add(draw_one(rnd))
+    values = sorted(values)
+    rnd.shuffle(values)
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MODULI),
+    st.one_of(st.integers(1, 300), st.sampled_from([32, 33, 64, 65, 96, 97])),
+    st.booleans(),
+    st.integers(0, 1 << 32),
+)
+def test_solve_matches_quadratic_solve(prime, n, zero, seed):
+    # sizes at and just past the leaf blocks of the subproduct tree, moduli
+    # of one machine word, of many, and one below every solver prime
+    rnd = random.Random(seed)
+    nodes = distinct(lambda r: r.randrange(prime), n, rnd, zero)
+    rhs = [rnd.randrange(prime) for _ in nodes]
+    assert solve_vandermonde(nodes, rhs, prime) == quadratic_dual_solve(nodes, rhs, prime)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(33, 40), st.integers(0, 1 << 32))
+def test_solve_over_fractions_past_one_block(n, seed):
+    # the remainder tree and its Newton inverses over the rationals
+    rnd = random.Random(seed)
+    nodes = distinct(lambda r: Fraction(r.randint(-50, 50), r.randint(1, 4)), n, rnd)
+    y = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in nodes]
+    assert solve_vandermonde(nodes, power_sums(y, nodes, n)) == y
 
 
 @settings(max_examples=200, deadline=None)
@@ -32,21 +109,26 @@ def test_modular_dual_solve_matches_exact(nodes, bound, data):
     assert solve_vandermonde(nodes, residues, PRIME) == y
 
 
+@st.composite
+def fraction_systems(draw):
+    """Distinct Fraction nodes and a Fraction solution of the same length."""
+    nodes = draw(
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=12),
+            min_size=1,
+            max_size=7,
+            unique=True,
+        )
+    )
+    fractions = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+    return nodes, [draw(fractions) for _ in nodes]
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.fractions(min_value=-20, max_value=20, max_denominator=12),
-        min_size=1,
-        max_size=7,
-        unique=True,
-    ),
-    st.data(),
-)
-def test_power_sums_roundtrip_over_fractions(nodes, data):
-    y = [
-        data.draw(st.fractions(min_value=-50, max_value=50, max_denominator=9))
-        for _ in nodes
-    ]
+@given(fraction_systems())
+@example(([2, 3, 5, 7], [4, 0, 1, 9]))
+def test_power_sums_roundtrip_over_fractions(system):
+    nodes, y = system
     rhs = power_sums(y, nodes, len(nodes))
     assert rhs == dual_rhs(nodes, y)
     assert solve_vandermonde(nodes, rhs) == y
@@ -62,7 +144,15 @@ def test_modular_solve_rejects_nodes_colliding_modulo_the_prime():
     with pytest.raises(DuplicateNodeError):
         solve_vandermonde([1, 1 + 7], [0, 0], 7)
     with pytest.raises(DuplicateNodeError):
+        solve_vandermonde([1, 1], [0, 0])
+    with pytest.raises(DuplicateNodeError):
         solve_vandermonde([Fraction(1, 2), Fraction(2, 4)], [0, 0])
+    # first and last node, in different leaf blocks: only the check before
+    # any polynomial work tells this from a division by zero in the tree
+    nodes = list(range(2, 102))
+    nodes[-1] = nodes[0] + PRIME
+    with pytest.raises(DuplicateNodeError):
+        solve_vandermonde(nodes, [0] * 100, PRIME)
 
 
 def test_length_mismatch():
