@@ -115,16 +115,17 @@ def _edge_masks(g: BipartiteGraph) -> list[tuple[int, int]]:
     return [(1 << left_index[u], 1 << right_index[w]) for u, w in g.edges]
 
 
-def _check_pair_cap(g: BipartiteGraph, cap: int | None) -> None:
+def _check_pair_cap(vertices: int, cap: int | None) -> None:
+    """Raise CapExceededError if enumerating every subset of ``vertices``
+    vertices passes the pair cap."""
     limit = resolve_cap(cap, DEFAULT_PAIR_CAP)
-    total = len(g.left) + len(g.right)
-    if total > limit:
-        raise CapExceededError(total, limit)
+    if vertices > limit:
+        raise CapExceededError(vertices, limit)
 
 
 def iter_pairs(g: BipartiteGraph, cap: int | None = None):
     """All (R' mask, T' mask) pairs, as bitmasks over declaration order."""
-    _check_pair_cap(g, cap)
+    _check_pair_cap(len(g.left) + len(g.right), cap)
     for r_mask in range(1 << len(g.left)):
         for t_mask in range(1 << len(g.right)):
             yield r_mask, t_mask

@@ -7,22 +7,29 @@ With a = r/(1-r), b = t/(1-t) and the nodes x_i = (1-t)**i, y_j = (1-r)**j,
 the violation probability of the instance padded by (c, d) is
 scale * sum_{i,j} a**i * b**j * X_ij * x_i**c * y_j**d, X_ij the independent
 pairs with |R'| = i, |T'| = j.  That is a Kronecker product of two dual
-Vandermonde systems, the form the uniform-reliability reduction solves too,
-and it is solved here as two nested one-dimensional dual solves.
+Vandermonde systems, with column weights a**i and b**j, and it is solved as
+the uniform-reliability reduction's system is, by
+``vandermonde.recover_counts``: in residues modulo a Mersenne prime above
+every bound C(|R|, i) * C(|T|, j) + 1 on X_ij, checked exactly on the cells
+c, d < 2 and modulo a second prime on every cell.  The formula oracle
+gets X from a fold over the subsets of the graph's smaller side.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 from typing import Mapping
 
-from .bipartite import BipartiteGraph, x_table
+from .bipartite import BipartiteGraph, _check_pair_cap
 from .errors import ProbabilityError, QReliabError
 from .evaluate import pqe_brute
 from .gadgets import q1_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import power_sums, solve_vandermonde
+from .vandermonde import Factor, kron_power_sums, recover_counts
 
 
 @dataclass(frozen=True)
@@ -35,14 +42,35 @@ class KronSystem:
     a: Fraction  # r / (1 - r)
     b: Fraction  # t / (1 - t)
 
+    def factors(self) -> list[Factor]:
+        """Both factors, nodes with their column weights a**i and b**j."""
+        return [
+            (self.nodes_left, [self.a**i for i in range(len(self.nodes_left))]),
+            (self.nodes_right, [self.b**j for j in range(len(self.nodes_right))]),
+        ]
+
 
 @dataclass(frozen=True)
 class PqeReductionRun:
     r: Fraction
     t: Fraction
-    pi: Mapping[tuple[int, int], Fraction]
+    graph: BipartiteGraph
+    oracle_pi: Mapping[tuple[int, int], Fraction] | None  # pi(c, d) by the brute oracle
     x: Mapping[tuple[int, int], int]
     p_result: int
+
+    @cached_property
+    def pi(self) -> Mapping[tuple[int, int], Fraction]:
+        """pi(c, d) for every padding: the brute oracle's values, or else
+        the formula's, computed exactly from x on first access."""
+        if self.oracle_pi is not None:
+            return self.oracle_pi
+        system = kron_system(len(self.graph.left), len(self.graph.right), self.r, self.t)
+        shape = (len(system.nodes_left), len(system.nodes_right))
+        # x is in row-major order of (i, j), and the system is square
+        sums = kron_power_sums(list(self.x.values()), system.factors(), shape)
+        scale = _scale(self.graph, self.r, self.t)
+        return {cell: scale * value for cell, value in zip(self.x, sums)}
 
 
 def build_Icd(
@@ -70,12 +98,46 @@ def build_Icd(
 
 
 def _independent_pairs(g: BipartiteGraph) -> dict[tuple[int, int], int]:
-    """Independent pairs (no edge contained) per (|R'|, |T'|)."""
+    """Independent pairs (no edge contained) per (|R'|, |T'|), by a fold
+    over the subsets S of the smaller side alone.  The pairs with S on that
+    side are S with any subset of the other side's vertices outside N(S),
+    the neighbours of S, so a histogram of the subsets by (|S|, |N(S)|)
+    expands into the pair counts through binomial coefficients.  The pair
+    cap bounds the smaller side."""
+    flip = len(g.right) < len(g.left)  # ties enumerate the left side
+    small, other = (g.right, g.left) if flip else (g.left, g.right)
+    _check_pair_cap(len(small), None)
+    bit = {v: 1 << k for k, v in enumerate(other)}
+    adjacent = dict.fromkeys(small, 0)
+    for edge in g.edges:
+        v, w = edge[::-1] if flip else edge
+        adjacent[v] |= bit[w]
+    masks = list(adjacent.values())
+    # N(S) = N(S & low) | N(S & high): one OR per subset, and lists of
+    # 2**(len(small) / 2) entries rather than 2**len(small)
+    half = len(masks) // 2
+    low_neighbours, low_sizes = _subset_neighbours(masks[:half])
+    histogram: Counter[tuple[int, int]] = Counter()
+    for neighbours, size in zip(*_subset_neighbours(masks[half:])):
+        blocked = [(n | neighbours).bit_count() for n in low_neighbours]
+        histogram.update(zip([s + size for s in low_sizes], blocked))
     counts: dict[tuple[int, int], int] = {}
-    for (i, j, contained, _d, _dp), count in x_table(g).items():
-        if contained == 0:
-            counts[(i, j)] = counts.get((i, j), 0) + count
+    for (size, blocked), count in histogram.items():
+        outside = len(other) - blocked
+        for k in range(outside + 1):
+            key = (k, size) if flip else (size, k)
+            counts[key] = counts.get(key, 0) + count * comb(outside, k)
     return counts
+
+
+def _subset_neighbours(masks: list[int]) -> tuple[list[int], list[int]]:
+    """For every subset S of the vertices with neighbour ``masks``, N(S) as
+    a mask and |S|: S with a vertex v added has N(S) | N(v)."""
+    neighbours, sizes = [0], [0]
+    for mask in masks:
+        neighbours += [n | mask for n in neighbours]
+        sizes += [s + 1 for s in sizes]
+    return neighbours, sizes
 
 
 def _scale(g: BipartiteGraph, r: Fraction, t: Fraction) -> Fraction:
@@ -125,47 +187,47 @@ def run_reduction_pqe(
     t: Fraction,
     oracle: str = "brute",
 ) -> PqeReductionRun:
-    """End-to-end: all violation probabilities, the nested Vandermonde solve,
-    and the recovered independent-set-pair count."""
+    """End-to-end: every violation probability or its residue, the
+    Kronecker-Vandermonde solve in residues, and the recovered
+    independent-set-pair count."""
     r, t = Fraction(r), Fraction(t)
     n_left, n_right = len(g.left), len(g.right)
     system = kron_system(n_left, n_right, r, t)
-    scale = _scale(g, r, t)
+    exact = system.factors()
+    shape = (n_left + 1, n_right + 1)
+    cells = [divmod(k, shape[1]) for k in range(shape[0] * shape[1])]
+    head_shape = [min(2, n) for n in shape]  # the exactly checked cells: c, d < 2
 
-    lefts, rights = range(n_left + 1), range(n_right + 1)
-    # rhs[c][d] = pi(c, d) / scale = sum_{i,j} Z_ij * x_i**c * y_j**d,
-    # Z_ij = a**i * b**j * X_ij
-    if oracle == "formula":  # one pair enumeration serves every cell
+    # rhs(c, d) = pi(c, d) / scale = sum_{i,j} a**i * b**j * X_ij * x_i**c * y_j**d
+    oracle_pi = None
+    if oracle == "formula":  # one fold serves every cell
         independent = _independent_pairs(g)
-        by_c = [  # by_c[j][c] = sum_i Z_ij * x_i**c
-            power_sums(
-                [independent.get((i, j), 0) * system.a**i * system.b**j for i in lefts],
-                system.nodes_left,
-                n_left + 1,
-            )
-            for j in rights
-        ]
-        rhs = [
-            power_sums([by_c[j][c] for j in rights], system.nodes_right, n_right + 1)
-            for c in lefts
-        ]
-        pi = {(c, d): scale * rhs[c][d] for c in lefts for d in rights}
+        counts = [independent.get(cell, 0) for cell in cells]
+        head = kron_power_sums(counts, exact, head_shape)
     else:
-        pi = {(c, d): pi_value(g, c, d, r, t, oracle=oracle) for c in lefts for d in rights}
-        rhs = [[pi[(c, d)] / scale for d in rights] for c in lefts]
+        oracle_pi = {(c, d): pi_value(g, c, d, r, t, oracle=oracle) for c, d in cells}
+        scale = _scale(g, r, t)
+        rhs = [oracle_pi[cell] / scale for cell in cells]
+        head = [value for (c, d), value in zip(cells, rhs) if c < 2 and d < 2]
 
-    # The same two sums undone: first solve in y along d for every fixed c,
-    # then in x along c for every fixed j.
-    inner = [solve_vandermonde(system.nodes_right, rhs[c]) for c in lefts]
-    z = [solve_vandermonde(system.nodes_left, [inner[c][j] for c in lefts]) for j in rights]
+    def residues(prime: int) -> tuple[list[Factor], list[int]]:
+        if any(v % prime == 0 for f in (r, t, 1 - r, 1 - t) for v in (f.numerator, f.denominator)):
+            raise ValueError(f"{prime} divides r, t, 1 - r or 1 - t")
+        factors = [
+            ([_residue(x, prime) for x in nodes], [_residue(w, prime) for w in weights])
+            for nodes, weights in exact
+        ]
+        if oracle == "formula":
+            return factors, kron_power_sums(counts, factors, shape, prime)
+        return factors, [_residue(value, prime) for value in rhs]
 
-    x: dict[tuple[int, int], int] = {}
-    for i in lefts:
-        for j in rights:
-            value = z[j][i] / (system.a**i * system.b**j)
-            if value.denominator != 1 or value < 0:
-                raise QReliabError(
-                    f"recovered X[{i},{j}] = {value} is not a non-negative integer"
-                )
-            x[(i, j)] = value.numerator
-    return PqeReductionRun(r, t, pi, x, sum(x.values()))
+    bounds = [comb(n_left, i) * comb(n_right, j) + 1 for i, j in cells]
+    width = head_shape[1]
+    nested = [head[c * width : (c + 1) * width] for c in range(head_shape[0])]
+    solution = recover_counts(residues, exact, nested, bounds)
+    return PqeReductionRun(r, t, g, oracle_pi, dict(zip(cells, solution)), sum(solution))
+
+
+def _residue(value: Fraction, prime: int) -> int:
+    """A rational modulo ``prime``, which must not divide its denominator."""
+    return value.numerator * pow(value.denominator, -1, prime) % prime

@@ -12,15 +12,14 @@ family) and the power-of-two probability merge.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .bipartite import BipartiteGraph, ProfileKey, ordered_edges, x_table
 from .cq import Query, noncomparable_pair_and_rst
 from .errors import (
-    DuplicateNodeError,
     InvalidProfileError,
     NonIntegralResultError,
     QReliabError,
@@ -28,14 +27,7 @@ from .errors import (
 )
 from .gadgets import GadgetCounts, closed_counts, count_violating, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import power_sums, solve_vandermonde
-
-# Mersenne primes, smallest first.  The system is solved modulo one of them
-# and checked modulo a later one, so the last one only ever checks.
-_MERSENNE_PRIMES = tuple(
-    (1 << e) - 1
-    for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689)
-)
+from .vandermonde import Factor, power_sums, recover_counts
 
 
 @dataclass(frozen=True)
@@ -252,65 +244,17 @@ def np_analytic(
     return total
 
 
-def _recover_counts(
-    residues: Callable[[int], tuple[list[int], list[int]]],
-    node: Callable[[int], Fraction | int],
-    head: Sequence[int],
-    bound: int,
-) -> list[int]:
-    """The solution of sum_k y_k * x_k**p = b_p, p = 0..n-1, whose entries
-    are integers in [0, bound).
+class _Lazy(Sequence):
+    """value(0), ..., value(n - 1), each computed when first read."""
 
-    ``residues(q)`` gives the nodes x_k and the right-hand side b_p modulo
-    the prime q, and raises ValueError if some node is undefined modulo q;
-    ``node(k)`` is x_k exactly and ``head`` is b_0..b_3 exactly.
+    def __init__(self, value: Callable[[int], Fraction], n: int):
+        self._value, self._n = cache(value), n
 
-    Solved modulo the smallest listed prime above ``bound`` at which the
-    nodes are defined and distinct, so every residue is the entry itself.
-    Distinct residues imply distinct nodes, so the system is regular.
-    Checked exactly on the first four equations, and on all of them modulo
-    the next listed prime at which the nodes are defined.
-    """
-    solvers = _defined_residues(residues, [q for q in _MERSENNE_PRIMES[:-1] if q > bound])
-    for prime, nodes, rhs in solvers:
-        try:
-            solution = solve_vandermonde(nodes, rhs, prime)
-        except DuplicateNodeError:
-            continue
-        break
-    else:
-        raise QReliabError("no solver prime exceeds the solution bound with distinct nodes")
-    if any(y >= bound for y in solution):
-        raise QReliabError("recovered value exceeds its combinatorial bound")
-    support = [k for k, y in enumerate(solution) if y]
-    lhs = power_sums([solution[k] for k in support], [node(k) for k in support], len(head))
-    for p, (a, b) in enumerate(zip(lhs, head)):
-        if a != b:
-            raise QReliabError(f"modular solution fails exact equation p={p}")
-    checks = _defined_residues(residues, [q for q in _MERSENNE_PRIMES if q > prime])
-    for check, nodes, rhs in checks:
-        break
-    else:
-        raise QReliabError("no check prime above the solver prime has every node defined")
-    lhs = power_sums(
-        [solution[k] for k in support], [nodes[k] for k in support], len(rhs), check
-    )
-    for p, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
-            raise QReliabError(f"modular solution fails equation p={p} modulo {check}")
-    return solution
+    def __len__(self) -> int:
+        return self._n
 
-
-def _defined_residues(
-    residues: Callable[[int], tuple[list[int], list[int]]], primes: Sequence[int]
-) -> Iterator[tuple[int, list[int], list[int]]]:
-    """(q, nodes, rhs) for each of ``primes`` at which every node is defined."""
-    for prime in primes:
-        try:
-            nodes, rhs = residues(prime)
-        except ValueError:
-            continue
-        yield prime, nodes, rhs
+    def __getitem__(self, k: int) -> Fraction:
+        return self._value(k)
 
 
 def run_reduction(
@@ -349,7 +293,7 @@ def run_reduction(
             if oracle == "brute":
                 oracle_counts.append(count_violating(dp_inst, query))
 
-    node = cache(lambda k: _alpha_cell(cells[k], counts, params))
+    node = _Lazy(lambda k: _alpha_cell(cells[k], counts, params), params.M)
     if oracle == "brute":
         head = oracle_counts[:4]
     else:
@@ -357,20 +301,20 @@ def run_reduction(
         index = {key: k for k, key in enumerate(cells)}
         support = [index[key] for key in weights]
         head = power_sums(
-            list(weights.values()), [node(k) for k in support], min(4, params.M)
+            list(weights.values()), [node[k] for k in support], min(4, params.M)
         )
 
-    def residues(prime: int) -> tuple[list[int], list[int]]:
+    def residues(prime: int) -> tuple[list[Factor], list[int]]:
         nodes = [_alpha_cell(key, counts, params, prime) for key in cells]
         if oracle == "brute":
-            return nodes, [n_p % prime for n_p in oracle_counts]
+            return [(nodes, None)], [n_p % prime for n_p in oracle_counts]
         rhs = power_sums(list(weights.values()), [nodes[k] for k in support], params.M, prime)
-        return nodes, rhs
+        return [(nodes, None)], rhs
 
     # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
     heaviest = _pair_weight(r, t, params.n_left, params.n_right)
-    bound = 2 ** (params.n_left + params.n_right) * heaviest + 1
-    y_vector = dict(zip(cells, _recover_counts(residues, node, head, bound)))
+    bounds = [2 ** (params.n_left + params.n_right) * heaviest + 1] * params.M
+    y_vector = dict(zip(cells, recover_counts(residues, [(node, None)], head, bounds)))
     p_result = 0
     for (i, j, c, d, dp), y in y_vector.items():
         if c != 0:

@@ -1,6 +1,8 @@
-"""The dual Vandermonde system sum_k y_k x_k**p = b_p, p = 0..n-1, exactly or
-modulo a prime: ``power_sums`` maps y to b and ``solve_vandermonde`` maps b
-back to y.
+"""The dual Vandermonde system sum_k y_k x_k**p = b_p, p = 0..n-1, and the
+recovery of its integer solutions: ``power_sums`` maps y to b, exactly or
+modulo a prime, ``solve_vandermonde`` maps b back to y modulo a prime, and
+``recover_counts`` finds the integer solution of a Kronecker product of such
+systems from its residues.
 
 The solve is the transposed multipoint evaluation of Kaltofen & Lakshman
 (ISSAC 1988) and Bostan, Lecerf & Schost (ISSAC 2003).  With
@@ -10,22 +12,30 @@ sum_k y_k prod_{j != k} (1 - x_j z), and its reversal N~ satisfies
 N~(x_k) = y_k Q'(x_k).  Q comes from a subproduct tree over blocks of
 ``_BLOCK`` nodes, N~ and Q' are evaluated at every node by one remainder
 tree (dividing by Newton inversion) down to the blocks and by Horner's rule
-inside them.  Modulo a prime, polynomials are multiplied by Kronecker
-substitution, one multiply of packed Python ints; over the rationals by the
-schoolbook product.  Besides the product, the two paths differ only in
-reducing each value modulo the prime.
+inside them.  Polynomials are multiplied by Kronecker substitution, one
+multiply of packed Python ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DuplicateNodeError, QReliabError
 
 # Nodes per leaf of the subproduct tree: the recursion's base case, where
 # quadratic loops beat packing small polynomials.
 _BLOCK = 32
+
+# Mersenne primes, smallest first.  A system is solved modulo one of them
+# and checked modulo a later one, so the last one only ever checks.
+_MERSENNE_PRIMES = tuple(
+    (1 << e) - 1
+    for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689)
+)
+
+# One factor of a Kronecker product of dual systems: its nodes x_k and the
+# weights w_k of its columns, w_k * x_k**p (None if every weight is 1).
+Factor = tuple[Sequence, Sequence | None]
 
 
 def power_sums(terms: Sequence, nodes: Sequence, n: int, prime: int | None = None) -> list:
@@ -45,26 +55,45 @@ def power_sums(terms: Sequence, nodes: Sequence, n: int, prime: int | None = Non
     return sums
 
 
-def solve_vandermonde(nodes: Sequence, rhs: Sequence, prime: int | None = None) -> list:
-    """The solution y of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1: exact
-    ``Fraction``s, or residues modulo ``prime`` if one is given.
+def kron_power_sums(
+    terms: Sequence, factors: Sequence[Factor], lengths: Sequence[int], prime: int | None = None
+) -> list:
+    """The forward map of a Kronecker product of dual systems, exactly or
+    modulo ``prime``: b_p = sum_k terms_k * prod_a w_a[k_a] * x_a[k_a]**p_a,
+    with one index k_a < len(x_a) and one power p_a < lengths[a] per factor
+    a.  ``terms`` and b are flat, in row-major order of their indices.
 
-    Nodes must be pairwise distinct (modulo ``prime``).
+    One ``power_sums`` per row along each factor, over the row's non-zero
+    entries only: a factor's nodes and weights are read only where some
+    term with that index is non-zero.
+    """
+
+    def along(axis: int, row: list) -> list:
+        nodes, weights = factors[axis]
+        support = [k for k, v in enumerate(row) if v]
+        scaled = [row[k] if weights is None else row[k] * weights[k] for k in support]
+        return power_sums(scaled, [nodes[k] for k in support], lengths[axis], prime)
+
+    return _along_axes(along, [len(nodes) for nodes, _ in factors], terms)
+
+
+def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int], prime: int) -> list[int]:
+    """The solution y of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, as
+    residues modulo ``prime``.
+
+    Nodes must be pairwise distinct modulo ``prime``.
     """
     n = len(nodes)
     if len(rhs) != n:
         raise QReliabError("nodes and right-hand side differ in length")
-    if prime is not None:
-        nodes = [x % prime for x in nodes]
-        rhs = [b % prime for b in rhs]
+    nodes = [x % prime for x in nodes]
+    rhs = [b % prime for b in rhs]
     if len(set(nodes)) != n:
-        where = "" if prime is None else f" modulo {prime}"
-        raise DuplicateNodeError(f"nodes are not pairwise distinct{where}")
+        raise DuplicateNodeError(f"nodes are not pairwise distinct modulo {prime}")
     if not n:
         return []
-    reduce = (lambda v: v) if prime is None else (lambda v: v % prime)
     blocks = [nodes[k : k + _BLOCK] for k in range(0, n, _BLOCK)]
-    tree = [[_from_roots(block, reduce) for block in blocks]]
+    tree = [[_from_roots(block, prime) for block in blocks]]
     while len(tree[-1]) > 1:
         below = tree[-1]
         level = [
@@ -73,36 +102,132 @@ def solve_vandermonde(nodes: Sequence, rhs: Sequence, prime: int | None = None) 
         tree.append(level + below[2 * len(level) :])  # an odd last node moves up as it is
     [master] = tree[-1]  # Q, monic of degree n, coefficients low to high
     numer = _product(rhs, master[::-1], n, prime)[::-1]  # N~
-    deriv = [reduce(p * q) for p, q in enumerate(master)][1:]  # Q'
+    deriv = [p * q % prime for p, q in enumerate(master)][1:]  # Q'
     remainders = [(numer, deriv)]  # both modulo each node of the current level
     for level in reversed(tree[:-1]):
         remainders = [
             below
             for k, pair in enumerate(remainders)
-            for below in _split(pair, level[2 * k : 2 * k + 2], prime, reduce)
+            for below in _split(pair, level[2 * k : 2 * k + 2], prime)
         ]
     solution = []
     for block, pair in zip(blocks, remainders):
-        for numer_k, deriv_k in zip(*(_horner(poly, block, reduce) for poly in pair)):
-            if prime is None:
-                solution.append(Fraction(numer_k, deriv_k))
-            else:
-                solution.append(numer_k * pow(deriv_k, -1, prime) % prime)
+        for numer_k, deriv_k in zip(*(_horner(poly, block, prime) for poly in pair)):
+            solution.append(numer_k * pow(deriv_k, -1, prime) % prime)
     return solution
 
 
-def _from_roots(roots: Sequence, reduce) -> list:
-    """prod (z - x) over ``roots``, coefficients low to high, by one linear
-    update per root."""
+def recover_counts(
+    residues: Callable[[int], tuple[list[Factor], list[int]]],
+    exact: Sequence[Factor],
+    head: Sequence,
+    bounds: Sequence[int],
+) -> list[int]:
+    """The solution y of the Kronecker product of dual systems
+    sum_k y_k * prod_a w_a[k_a] * x_a[k_a]**p_a = b_p (see
+    ``kron_power_sums``), whose entries y_k are integers in [0, bounds_k).
+    y and ``bounds`` are flat, in row-major order of k.
+
+    ``residues(q)`` gives the factors and the flat b modulo the prime q,
+    and raises ValueError if some node or weight is undefined, or some
+    weight is not invertible, modulo q.  ``exact`` gives the factors
+    exactly, and is read only where y is non-zero; ``head`` is b exactly on
+    the leading equations, as nested lists, one level per factor.
+
+    Solved modulo the smallest listed prime above every bound at which the
+    factors are defined and each one's nodes distinct, so every residue is
+    the entry itself.  Distinct residues imply distinct nodes, so the
+    system is regular.  Checked exactly on the ``head`` equations, and on
+    all of them modulo the next listed prime at which the factors are
+    defined.
+    """
+    top = max(bounds)
+    solvers = _defined_residues(residues, [q for q in _MERSENNE_PRIMES[:-1] if q > top])
+    for prime, factors, rhs in solvers:
+        try:
+            solution = _kron_solve(factors, rhs, prime)
+        except DuplicateNodeError:
+            continue
+        break
+    else:
+        raise QReliabError("no solver prime exceeds the solution bound with distinct nodes")
+    if any(y >= bound for y, bound in zip(solution, bounds)):
+        raise QReliabError("recovered value exceeds its combinatorial bound")
+    lengths, flat = [], [head]
+    for _ in exact:  # head's shape, and head flattened in row-major order
+        lengths.append(len(flat[0]))
+        flat = [b for row in flat for b in row]
+    lhs = kron_power_sums(solution, exact, lengths)
+    for p, (a, b) in enumerate(zip(lhs, flat)):
+        if a != b:
+            raise QReliabError(f"modular solution fails exact equation p={p}")
+    checks = _defined_residues(residues, [q for q in _MERSENNE_PRIMES if q > prime])
+    for check, factors, rhs in checks:
+        break
+    else:
+        raise QReliabError("no check prime above the solver prime has every node defined")
+    lhs = kron_power_sums(solution, factors, [len(nodes) for nodes, _ in factors], check)
+    for p, (a, b) in enumerate(zip(lhs, rhs)):
+        if a != b:
+            raise QReliabError(f"modular solution fails equation p={p} modulo {check}")
+    return solution
+
+
+def _defined_residues(
+    residues: Callable[[int], tuple[list[Factor], list[int]]], primes: Sequence[int]
+) -> Iterator[tuple[int, list[Factor], list[int]]]:
+    """(q, factors, rhs) for each of ``primes`` at which every node and
+    weight is defined."""
+    for prime in primes:
+        try:
+            factors, rhs = residues(prime)
+        except ValueError:
+            continue
+        yield prime, factors, rhs
+
+
+def _kron_solve(factors: Sequence[Factor], rhs: list[int], prime: int) -> list[int]:
+    """The inverse of ``kron_power_sums`` modulo ``prime``, for square
+    factors: one ``solve_vandermonde`` per row along each factor, divided by
+    the factor's weights."""
+    inverses = [
+        None if weights is None else [pow(w, -1, prime) for w in weights]
+        for _nodes, weights in factors
+    ]
+
+    def along(axis: int, row: list) -> list:
+        solution = solve_vandermonde(factors[axis][0], row, prime)
+        if inverses[axis] is None:
+            return solution
+        return [y * inverse % prime for y, inverse in zip(solution, inverses[axis])]
+
+    return _along_axes(along, [len(nodes) for nodes, _ in factors], rhs)
+
+
+def _along_axes(along: Callable[[int, list], list], shape: Sequence[int], values: list) -> list:
+    """``along(axis, row)`` applied to every row of the flat row-major array
+    ``values`` of ``shape`` along each axis in turn, last axis first.  Each
+    pass moves the axis it transformed to the front, so after the last pass
+    the axes are back in order."""
+    for axis in reversed(range(len(shape))):
+        n = shape[axis]
+        rows = [along(axis, values[s : s + n]) for s in range(0, len(values), n)]
+        values = [row[k] for k in range(len(rows[0])) for row in rows]
+    return values
+
+
+def _from_roots(roots: Sequence[int], prime: int) -> list[int]:
+    """prod (z - x) over ``roots`` modulo ``prime``, coefficients low to
+    high, by one linear update per root."""
     poly = [1]
     for x in roots:
         poly = [0] + poly
         for p in range(len(poly) - 1):
-            poly[p] = reduce(poly[p] - x * poly[p + 1])
+            poly[p] = (poly[p] - x * poly[p + 1]) % prime
     return poly
 
 
-def _split(pair: tuple, children: list, prime: int | None, reduce) -> list:
+def _split(pair: tuple, children: list, prime: int) -> list:
     """The remainders of both polynomials of ``pair`` modulo each of the
     (one or two) ``children`` of their tree node.  Each child's inverse is
     computed once, to the precision its sibling's degree asks for."""
@@ -110,12 +235,12 @@ def _split(pair: tuple, children: list, prime: int | None, reduce) -> list:
         return [pair]
     out = []
     for child, sibling in (children, children[::-1]):
-        inverse = _inverse(child[::-1], len(sibling) - 1, prime, reduce)
-        out.append(tuple(_remainder(poly, child, inverse, prime, reduce) for poly in pair))
+        inverse = _inverse(child[::-1], len(sibling) - 1, prime)
+        out.append(tuple(_remainder(poly, child, inverse, prime) for poly in pair))
     return out
 
 
-def _inverse(poly: list, precision: int, prime: int | None, reduce) -> list:
+def _inverse(poly: list[int], precision: int, prime: int) -> list[int]:
     """1 / poly modulo z**precision, for poly with constant term 1, by Newton
     iteration: each step doubles the number of correct coefficients."""
     inverse, known = [1], 1
@@ -124,11 +249,11 @@ def _inverse(poly: list, precision: int, prime: int | None, reduce) -> list:
         error = _product(poly[:known], inverse, known, prime)
         error[0] -= 1
         correction = _product(inverse, error, known, prime)
-        inverse = [reduce(a - b) for a, b in zip(inverse + [0] * known, correction)]
+        inverse = [(a - b) % prime for a, b in zip(inverse + [0] * known, correction)]
     return inverse
 
 
-def _remainder(poly: list, divisor: list, inverse: list, prime: int | None, reduce) -> list:
+def _remainder(poly: list[int], divisor: list[int], inverse: list[int], prime: int) -> list[int]:
     """poly modulo the monic ``divisor``, given 1 / rev(divisor) to at least
     the quotient's length: the quotient is the head of rev(poly) * inverse."""
     degree = len(divisor) - 1
@@ -137,30 +262,24 @@ def _remainder(poly: list, divisor: list, inverse: list, prime: int | None, redu
         return poly
     quotient = _product(poly[: degree - 1 : -1], inverse, length, prime)[::-1]
     low = _product(quotient, divisor, degree, prime)
-    return [reduce(a - b) for a, b in zip(poly[:degree], low)]
+    return [(a - b) % prime for a, b in zip(poly[:degree], low)]
 
 
-def _horner(poly: list, xs: Sequence, reduce) -> list:
+def _horner(poly: list[int], xs: Sequence[int], prime: int) -> list[int]:
     """poly at each of ``xs``, by Horner's rule run on all of them at once."""
     values = [0] * len(xs)
     for c in reversed(poly):
-        values = [reduce(v * x + c) for v, x in zip(values, xs)]
+        values = [(v * x + c) % prime for v, x in zip(values, xs)]
     return values
 
 
-def _product(a: list, b: list, length: int, prime: int | None) -> list:
+def _product(a: list[int], b: list[int], length: int, prime: int) -> list[int]:
     """The first ``length`` coefficients of the product of two polynomials
-    (coefficients low to high, ``length`` at most the product's size): by
-    the schoolbook rule over the rationals, or modulo ``prime`` by Kronecker
-    substitution.  There each reduced coefficient fills one fixed-width slot
-    of a packed int, wide enough that no slot of the product carries into
-    the next, so one int multiply does the whole product."""
-    if prime is None:
-        out = [0] * length
-        for i, u in enumerate(a[:length]):
-            for j, v in enumerate(b[: length - i]):
-                out[i + j] += u * v
-        return out
+    (coefficients low to high, ``length`` at most the product's size)
+    modulo ``prime``, by Kronecker substitution: each reduced coefficient
+    fills one fixed-width slot of a packed int, wide enough that no slot of
+    the product carries into the next, so one int multiply does the whole
+    product."""
     width = (2 * prime.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
     a_int, b_int = [
         int.from_bytes(b"".join([c.to_bytes(width, "little") for c in poly]), "little")

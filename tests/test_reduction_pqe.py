@@ -1,13 +1,15 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreliab import bipartite
-from qreliab.bipartite import BipartiteGraph, independent_pair_count
-from qreliab.errors import ProbabilityError, QReliabError
+from qreliab import bipartite, reduction_pqe, vandermonde
+from qreliab.bipartite import BipartiteGraph, independent_pair_count, x_table
+from qreliab.errors import CapExceededError, ProbabilityError, QReliabError
 from qreliab.instances import Fact, parse_instance
 from qreliab.reduction_pqe import (
     build_Icd,
@@ -18,6 +20,7 @@ from qreliab.reduction_pqe import (
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 HALF = Fraction(1, 2)
+SOLVER_PRIME = (1 << 61) - 1  # the smallest listed prime
 
 
 def test_build_Icd_base_encoding():
@@ -128,21 +131,88 @@ def test_run_reduction_pqe_empty_graph():
     assert run_reduction_pqe(g, HALF, HALF).p_result == 1
 
 
-def test_run_reduction_pqe_formula_enumerates_pairs_once(monkeypatch):
+def test_run_reduction_pqe_formula_folds_pairs_once(monkeypatch):
     calls = []
-    iter_pairs = bipartite.iter_pairs
+    fold = reduction_pqe._independent_pairs
 
-    def counted(g, cap=None):
+    def counted(g):
         calls.append(g)
-        return iter_pairs(g, cap)
+        return fold(g)
 
-    monkeypatch.setattr(bipartite, "iter_pairs", counted)
+    monkeypatch.setattr(reduction_pqe, "_independent_pairs", counted)
     g = BipartiteGraph.build(
         ["u1", "u2", "u3"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w1"), ("u3", "w3")]
     )
     run = run_reduction_pqe(g, HALF, Fraction(1, 3), oracle="formula")
-    assert len(calls) == 1
+    assert calls == [g]
     assert run.p_result == independent_pair_count(g)
+
+
+def test_fold_checks_the_pair_cap_on_the_smaller_side():
+    # 25 > 24 vertices on each side: refused before any subset is formed
+    wide = BipartiteGraph.build([f"u{k}" for k in range(25)], [f"w{k}" for k in range(25)], [])
+    with pytest.raises(CapExceededError):
+        run_reduction_pqe(wide, HALF, HALF, oracle="formula")
+    # 2 + 30 = 32 vertices: over the cap for every pair, not for the fold
+    lopsided = BipartiteGraph.build(["u0", "u1"], [f"w{k}" for k in range(30)], [])
+    with pytest.raises(CapExceededError):
+        next(bipartite.iter_pairs(lopsided))
+    run = run_reduction_pqe(lopsided, HALF, Fraction(1, 3), oracle="formula")
+    assert run.x == {(i, j): comb(2, i) * comb(30, j) for i in range(3) for j in range(31)}
+    assert run.p_result == 2**32
+
+
+def test_fold_obeys_the_cap_setting(monkeypatch):
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "2")
+    g = BipartiteGraph.build(["u0", "u1", "u2"], ["w0", "w1", "w2", "w3"], [("u0", "w0")])
+    with pytest.raises(CapExceededError):
+        run_reduction_pqe(g, HALF, HALF, oracle="formula")
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "3")
+    assert run_reduction_pqe(g, HALF, HALF, oracle="formula").p_result == 2**7 - 2**5
+
+
+def test_formula_on_16_plus_16_is_symmetric_under_transposition():
+    # each run folds over its own left side: the transposed graph's run
+    # enumerates the other side of the same graph
+    rng = random.Random(16)
+    left, right = [f"u{k}" for k in range(16)], [f"w{k}" for k in range(16)]
+    edges = [(u, w) for u in left for w in right if rng.random() < 0.2]
+    g = BipartiteGraph.build(left, right, edges)
+    flipped = BipartiteGraph.build(right, left, [(w, u) for u, w in edges])
+    r, t = Fraction(1, 3), Fraction(3, 4)
+    run = run_reduction_pqe(g, r, t, oracle="formula")
+    other = run_reduction_pqe(flipped, t, r, oracle="formula")
+    assert run.x == {(i, j): count for (j, i), count in other.x.items()}
+    assert run.p_result == other.p_result > 2**16
+
+
+def test_solver_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    primes = []
+    solve = vandermonde.solve_vandermonde
+
+    def spy(nodes, rhs, prime):
+        primes.append(prime)
+        return solve(nodes, rhs, prime)
+
+    monkeypatch.setattr(vandermonde, "solve_vandermonde", spy)
+    g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w3")])
+    run = run_reduction_pqe(g, Fraction(1, SOLVER_PRIME), HALF, oracle="formula")
+    assert run.x == _sizes_of_independent_pairs(g)
+    assert primes and SOLVER_PRIME not in primes
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (1, 1), (2, 1)])
+def test_tampered_brute_pi_is_rejected(monkeypatch, cell):
+    pi_value = reduction_pqe.pi_value
+
+    def tampered(g, c, d, r, t, oracle="brute"):
+        value = pi_value(g, c, d, r, t, oracle)
+        return value + Fraction(1, 1000) if (c, d) == cell else value
+
+    monkeypatch.setattr(reduction_pqe, "pi_value", tampered)
+    g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1")])
+    with pytest.raises(QReliabError):
+        run_reduction_pqe(g, HALF, Fraction(1, 3), oracle="brute")
 
 
 @st.composite
@@ -152,6 +222,19 @@ def graphs(draw, max_side=4):
     possible = [(u, w) for u in left for w in right]
     edges = draw(st.lists(st.sampled_from(possible), unique=True) if possible else st.just([]))
     return BipartiteGraph.build(left, right, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_fold_matches_plain_pair_enumeration(g):
+    # graphs up to 4+4, lopsided both ways, so the fold runs over either side
+    plain = Counter()
+    for (i, j, contained, _d, _dp), count in x_table(g).items():
+        if contained == 0:
+            plain[(i, j)] += count
+    fold = reduction_pqe._independent_pairs(g)
+    assert fold == plain
+    assert sum(fold.values()) == independent_pair_count(g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,17 +263,18 @@ def test_run_reduction_pqe_forward_map_matches_pi_value(g, r, t):
 def test_run_reduction_pqe_formula_matches_pair_count(g, r, t):
     run = run_reduction_pqe(g, r, t, oracle="formula")
     assert run.p_result == independent_pair_count(g)
+    assert run.x == _sizes_of_independent_pairs(g)
+
+
+def _sizes_of_independent_pairs(g):
+    """X[i, j] for every i, j, by enumerating named subsets."""
     sizes = Counter(
         (len(r_sub), len(t_sub))
         for r_sub in _subsets(g.left)
         for t_sub in _subsets(g.right)
         if not any((u, w) in g.edges for u in r_sub for w in t_sub)
     )
-    assert run.x == {
-        (i, j): sizes[(i, j)]
-        for i in range(len(g.left) + 1)
-        for j in range(len(g.right) + 1)
-    }
+    return {(i, j): sizes[(i, j)] for i in range(len(g.left) + 1) for j in range(len(g.right) + 1)}
 
 
 def _subsets(vertices):

@@ -18,7 +18,6 @@ from qreliab.evaluate import pqe_brute, ur_brute
 from qreliab.gadgets import closed_counts, q1_query, qrst_query
 from qreliab.instances import Fact, Instance, ProbAssignment, parse_instance
 from qreliab.reduction_ur import (
-    _recover_counts,
     alpha_coefficient,
     build_Dp,
     lemma_binary_transform,
@@ -30,7 +29,7 @@ from qreliab.reduction_ur import (
     run_reduction,
     weighted_profiles,
 )
-from qreliab.vandermonde import solve_vandermonde
+from qreliab.vandermonde import recover_counts, solve_vandermonde
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 
@@ -108,7 +107,7 @@ def test_solve_vandermonde_roundtrip():
     nodes = [2, 3, 5, 7]
     y = [4, 0, 1, 9]
     rhs = [sum(yk * n**p for yk, n in zip(y, nodes)) for p in range(4)]
-    assert solve_vandermonde(nodes, rhs) == y
+    assert solve_vandermonde(nodes, rhs, SOLVER_PRIME) == y
 
 
 @settings(max_examples=50, deadline=None)
@@ -122,12 +121,13 @@ def test_solve_vandermonde_random(nodes, data):
         for _ in nodes
     ]
     rhs = [sum(yk * n**p for yk, n in zip(y, nodes)) for p in range(len(nodes))]
-    assert solve_vandermonde(nodes, rhs) == y
+    solution = solve_vandermonde(nodes, [residue(b, SOLVER_PRIME) for b in rhs], SOLVER_PRIME)
+    assert solution == [residue(v, SOLVER_PRIME) for v in y]
 
 
 def test_solve_vandermonde_rejects_duplicates():
     with pytest.raises(DuplicateNodeError):
-        solve_vandermonde([1, 1], [0, 0])
+        solve_vandermonde([1, 1], [0, 0], SOLVER_PRIME)
 
 
 def test_run_reduction_single_edge_satisfies_every_equation():
@@ -151,12 +151,13 @@ def residue(x, prime):
 
 
 def recover(nodes, rhs, bound):
-    """_recover_counts on a system given by exact nodes and right-hand side."""
+    """recover_counts on a one-factor system given by exact nodes and
+    right-hand side."""
 
     def residues(prime):
-        return [residue(x, prime) for x in nodes], [residue(b, prime) for b in rhs]
+        return [([residue(x, prime) for x in nodes], None)], [residue(b, prime) for b in rhs]
 
-    return _recover_counts(residues, nodes.__getitem__, rhs[:4], bound)
+    return recover_counts(residues, [(nodes, None)], rhs[:4], [bound] * len(nodes))
 
 
 def test_recover_counts_returns_planted_solution():
@@ -333,11 +334,17 @@ def solver_system(monkeypatch, g, rst):
     (run, residues, node, head)."""
     systems = []
 
-    def spy(residues, node, head, bound):
-        systems.append((residues, node, head))
-        return _recover_counts(residues, node, head, bound)
+    def spy(residues, exact, head, bounds):
+        [(node, _weights)] = exact
 
-    monkeypatch.setattr(reduction_ur, "_recover_counts", spy)
+        def nodes_and_rhs(prime):
+            [(nodes, _weights)], rhs = residues(prime)
+            return nodes, rhs
+
+        systems.append((nodes_and_rhs, node, head))
+        return recover_counts(residues, exact, head, bounds)
+
+    monkeypatch.setattr(reduction_ur, "recover_counts", spy)
     run = run_reduction(g, *rst)
     [system] = systems
     return (run, *system)
@@ -364,7 +371,7 @@ def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
             assert any(run.alpha[key].denominator % prime == 0 for key in run.cells)
             continue
         assert nodes == [residue(run.alpha[key], prime) for key in run.cells]
-    assert [node(k) for k in range(run.params.M)] == [run.alpha[key] for key in run.cells]
+    assert [node[k] for k in range(run.params.M)] == [run.alpha[key] for key in run.cells]
 
 
 @pytest.mark.parametrize("g, rst", [(EDGE, (1, 1, 1)), (EDGE, (2, 1, 3)), (ONE_OF_TWO, (1, 1, 2))])

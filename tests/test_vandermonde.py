@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -5,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qreliab.errors import DuplicateNodeError, QReliabError
-from qreliab.vandermonde import power_sums, solve_vandermonde
+from qreliab.vandermonde import kron_power_sums, power_sums, recover_counts, solve_vandermonde
 
 PRIME = (1 << 61) - 1
 MODULI = [PRIME, (1 << 521) - 1, 10007]
 
 
-def quadratic_dual_solve(nodes, rhs, prime=None):
+def quadratic_dual_solve(nodes, rhs, prime):
     """The reference solve in O(n^2) operations (Bjorck & Pereyra, Math.
     Comp. 24, 1970).  With P(x) = prod_k (x - x_k) and the synthetic
     quotients Q_k = P / (x - x_k), Q_k vanishes at every node but x_k, hence
@@ -19,32 +21,26 @@ def quadratic_dual_solve(nodes, rhs, prime=None):
     n = len(nodes)
     if len(rhs) != n:
         raise QReliabError("nodes and right-hand side differ in length")
-    if prime is not None:
-        nodes = [x % prime for x in nodes]
-        rhs = [b % prime for b in rhs]
-    reduce = (lambda v: v) if prime is None else (lambda v: v % prime)
+    nodes = [x % prime for x in nodes]
+    rhs = [b % prime for b in rhs]
     if len(set(nodes)) != n:
-        where = "" if prime is None else f" modulo {prime}"
-        raise DuplicateNodeError(f"nodes are not pairwise distinct{where}")
+        raise DuplicateNodeError(f"nodes are not pairwise distinct modulo {prime}")
     master = [1]  # coefficients of P, low to high
     for x in nodes:
         master = [0] + master
         for p in range(len(master) - 1):
-            master[p] = reduce(master[p] - x * master[p + 1])
+            master[p] = (master[p] - x * master[p + 1]) % prime
     solution = []
     for x in nodes:
         quotient = [0] * n  # coefficients of Q_k, low to high
         quotient[n - 1] = master[n]
         for p in range(n - 1, 0, -1):
-            quotient[p - 1] = reduce(master[p] + x * quotient[p])
+            quotient[p - 1] = (master[p] + x * quotient[p]) % prime
         value = 0  # Q_k(x_k)
         for q in reversed(quotient):
-            value = reduce(value * x + q)
+            value = (value * x + q) % prime
         numer = sum(q * b for q, b in zip(quotient, rhs))
-        if prime is None:
-            solution.append(Fraction(numer, value))
-        else:
-            solution.append(numer % prime * pow(value, -1, prime) % prime)
+        solution.append(numer % prime * pow(value, -1, prime) % prime)
     return solution
 
 
@@ -80,14 +76,24 @@ def test_solve_matches_quadratic_solve(prime, n, zero, seed):
     assert solve_vandermonde(nodes, rhs, prime) == quadratic_dual_solve(nodes, rhs, prime)
 
 
+def residue(x, prime=PRIME):
+    """A rational modulo a prime: its numerator times the inverse of its
+    denominator."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, prime) % prime
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.integers(33, 40), st.integers(0, 1 << 32))
 def test_solve_over_fractions_past_one_block(n, seed):
-    # the remainder tree and its Newton inverses over the rationals
+    # the remainder tree and its Newton inverses on the residues of a
+    # rational system, whose exact right-hand side comes from power_sums
     rnd = random.Random(seed)
     nodes = distinct(lambda r: Fraction(r.randint(-50, 50), r.randint(1, 4)), n, rnd)
     y = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in nodes]
-    assert solve_vandermonde(nodes, power_sums(y, nodes, n)) == y
+    rhs = power_sums(y, nodes, n)
+    solution = solve_vandermonde([residue(x) for x in nodes], [residue(b) for b in rhs], PRIME)
+    assert solution == [residue(v) for v in y]
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,7 +105,6 @@ def test_solve_over_fractions_past_one_block(n, seed):
 def test_modular_dual_solve_matches_exact(nodes, bound, data):
     y = [data.draw(st.integers(0, bound - 1)) for _ in nodes]
     rhs = dual_rhs(nodes, y)
-    assert solve_vandermonde(nodes, rhs) == y
     assert solve_vandermonde(nodes, rhs, PRIME) == y
     # power_sums is the forward map of the solve, exactly and modulo PRIME
     n = len(nodes)
@@ -131,22 +136,23 @@ def test_power_sums_roundtrip_over_fractions(system):
     nodes, y = system
     rhs = power_sums(y, nodes, len(nodes))
     assert rhs == dual_rhs(nodes, y)
-    assert solve_vandermonde(nodes, rhs) == y
+    solution = solve_vandermonde([residue(x) for x in nodes], [residue(b) for b in rhs], PRIME)
+    assert solution == [residue(v) for v in y]
 
 
 def test_empty_systems():
-    assert solve_vandermonde([], []) == []
-    assert solve_vandermonde([], [], PRIME) == []
+    for prime in MODULI:
+        assert solve_vandermonde([], [], prime) == []
 
 
 def test_modular_solve_rejects_nodes_colliding_modulo_the_prime():
-    solve_vandermonde([1, 1 + 7], [0, 0])  # distinct over the integers
+    solve_vandermonde([1, 1 + 7], [0, 0], PRIME)  # distinct modulo PRIME
     with pytest.raises(DuplicateNodeError):
         solve_vandermonde([1, 1 + 7], [0, 0], 7)
     with pytest.raises(DuplicateNodeError):
-        solve_vandermonde([1, 1], [0, 0])
+        solve_vandermonde([1, 1], [0, 0], PRIME)
     with pytest.raises(DuplicateNodeError):
-        solve_vandermonde([Fraction(1, 2), Fraction(2, 4)], [0, 0])
+        solve_vandermonde([residue(Fraction(1, 2)), residue(Fraction(2, 4))], [0, 0], PRIME)
     # first and last node, in different leaf blocks: only the check before
     # any polynomial work tells this from a division by zero in the tree
     nodes = list(range(2, 102))
@@ -157,6 +163,61 @@ def test_modular_solve_rejects_nodes_colliding_modulo_the_prime():
 
 def test_length_mismatch():
     with pytest.raises(QReliabError):
-        solve_vandermonde([1, 2], [0])
+        solve_vandermonde([1, 2], [0], PRIME)
     with pytest.raises(QReliabError):
-        solve_vandermonde([1, 2], [0, 1, 2])
+        solve_vandermonde([1, 2], [0, 1, 2], PRIME)
+
+
+@st.composite
+def kron_systems(draw):
+    """Two or three factors of distinct integer nodes, each with positive
+    rational column weights or none, and non-negative integer counts."""
+    factors = []
+    for _ in range(draw(st.integers(2, 3))):
+        nodes = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True))
+        weights = draw(st.one_of(
+            st.none(),
+            st.lists(st.fractions(min_value=1, max_value=5, max_denominator=4),
+                     min_size=len(nodes), max_size=len(nodes)).filter(all),
+        ))
+        factors.append((nodes, weights))
+    size = 1
+    for nodes, _ in factors:
+        size *= len(nodes)
+    counts = draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
+    return factors, counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(kron_systems())
+def test_kron_power_sums_and_recover_counts(system):
+    # the forward map against the sum it stands for, and recover_counts
+    # undoing it over two and three factors, weighted and not
+    factors, counts = system
+    shape = [len(nodes) for nodes, _ in factors]
+    indices = list(itertools.product(*map(range, shape)))
+    rhs = [
+        sum(
+            count * math.prod(
+                (1 if weights is None else weights[k]) * nodes[k] ** p
+                for (nodes, weights), k, p in zip(factors, index, powers)
+            )
+            for count, index in zip(counts, indices)
+        )
+        for powers in indices
+    ]
+
+    def residues(prime):
+        reduced = [
+            ([x % prime for x in nodes], weights and [residue(w, prime) for w in weights])
+            for nodes, weights in factors
+        ]
+        return reduced, [residue(b, prime) for b in rhs]
+
+    assert kron_power_sums(counts, factors, shape) == rhs
+    assert kron_power_sums(counts, residues(PRIME)[0], shape, PRIME) == residues(PRIME)[1]
+
+    head = [rhs[0]]
+    for _ in factors[1:]:
+        head = [head]
+    assert recover_counts(residues, factors, head, [21] * len(counts)) == counts
