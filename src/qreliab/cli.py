@@ -9,6 +9,7 @@ computation errors (caps, format mismatches) with 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -162,7 +163,10 @@ def _cmd_reduce_pqe(args) -> None:
     print(f"P={run.p_result}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it depends on no
+    argument, and each ``parse_args`` call returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="qreliab",
         description="Exact uniform reliability, probabilistic query "

@@ -20,12 +20,31 @@ from .errors import ArityError, InstanceFormatError, ProbabilityError, QReliabEr
 _CONSTANT_RE = re.compile(r"[A-Za-z0-9_.@]+")
 # Reads any line that has a fact's shape, to word the error of a bad one.
 _FACT_RE = re.compile(rf"({_RELATION_RE.pattern})\((.*)\)\s*$")
-# A well-formed fact, whole, and a well-formed per-fact probability line: the
-# relation, the argument list without its outer whitespace, the probability.
-_WELL_FORMED = rf"({_RELATION_RE.pattern})\(\s*({_CONSTANT_RE.pattern}(?:\s*,\s*{_CONSTANT_RE.pattern})*)\s*\)"
-_FACT_LINE_RE = re.compile(_WELL_FORMED)
-_PROB_LINE_RE = re.compile(rf"{_WELL_FORMED}\s+(\S+)")
-_ARG_SEP_RE = re.compile(r"\s*,\s*")
+# Whitespace within one line of a file whose lines are joined by newlines.
+_WS = r"[^\S\n]"
+# The relation, then a well-formed parenthesised argument list; the second
+# group is the list without its outer whitespace.
+_RELATION = rf"({_RELATION_RE.pattern})"
+_ARGS = rf"\({_WS}*({_CONSTANT_RE.pattern}(?:{_WS}*,{_WS}*{_CONSTANT_RE.pattern})*){_WS}*\)"
+
+
+def _lines_re(accepted: str) -> re.Pattern:
+    """A pattern with one match per line of a file's lines joined by
+    newlines.  A well-formed line, ``accepted`` between optional blanks,
+    fills the groups of ``accepted``; a blank or comment line leaves every
+    group empty; any other line fills only the last group, with its first
+    non-blank character.  Every repeat stops where a character class
+    disjoint from its own begins, and the rejected branch takes one
+    character, so matching takes time linear in the line's length."""
+    return re.compile(rf"^{_WS}*(?:{accepted}{_WS}*$|#|$|([^\n]))", re.M)
+
+
+# (relation, arguments, rejected) per line of a fact file.
+_FACT_LINES_RE = _lines_re(_RELATION + _ARGS)
+# (relation, arguments, probability, rejected) per line of a probability
+# file; the arguments are empty on a per-relation line.  (An empty branch
+# matches faster than an optional group.)
+_PROB_LINES_RE = _lines_re(rf"{_RELATION}(?:{_ARGS}|){_WS}+(\S+)")
 
 
 class Fact(NamedTuple):
@@ -39,15 +58,16 @@ class Fact(NamedTuple):
 
 
 class Instance:
-    """A finite set of facts (set semantics), with a per-relation index."""
+    """A finite set of facts (set semantics), with a per-relation index.
+
+    Iteration and ``serialize`` give the facts sorted by (relation, args);
+    the index keeps no order."""
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self._facts = frozenset(facts)
         index: dict[str, list[Fact]] = {}
         for f in self._facts:
             index.setdefault(f.relation, []).append(f)
-        for fs in index.values():
-            fs.sort()
         self._by_relation = index
         for relation, fs in index.items():
             arities = {len(f.args) for f in fs}
@@ -59,6 +79,8 @@ class Instance:
         return self._facts
 
     def facts_of(self, relation: str) -> list[Fact]:
+        """The facts of one relation, in no fixed order; callers do not
+        modify the list."""
         return self._by_relation.get(relation, [])
 
     def arity_of(self, relation: str) -> int | None:
@@ -108,28 +130,18 @@ def _fact_of(text: str, lineno: int, error: type[QReliabError]) -> Fact:
     return Fact(m.group(1), _fact_args(m.group(2), lineno, error))
 
 
-def parse_instance(text: str, schema: Mapping[str, int] | None = None) -> Instance:
-    """Parse a fact file; validate relations and arities against schema."""
+def parse_instance(text: str) -> Instance:
+    """Parse a fact file.  One pattern reads every line; a line it rejects is
+    read again by ``_fact_of``, which raises the error that names its fault."""
+    lines = text.splitlines()
     facts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        m = _FACT_LINE_RE.fullmatch(line)
-        if m:
-            fact = Fact(m[1], tuple(_ARG_SEP_RE.split(m[2])))
-        else:
-            fact = _fact_of(line, lineno, InstanceFormatError)
-        if schema is not None:
-            relation, args = fact
-            if relation not in schema:
-                raise InstanceFormatError(f"line {lineno}: unknown relation {relation!r}")
-            if len(args) != schema[relation]:
-                raise ArityError(
-                    f"line {lineno}: {relation!r} expects arity "
-                    f"{schema[relation]}, got {len(args)}"
-                )
-        facts.append(fact)
+    for lineno, (relation, args, rejected) in enumerate(
+        _FACT_LINES_RE.findall("\n".join(lines)), start=1
+    ):
+        if relation:
+            facts.append(Fact(relation, tuple(map(str.strip, args.split(",")))))
+        elif rejected:
+            facts.append(_fact_of(lines[lineno - 1].strip(), lineno, InstanceFormatError))
     return Instance(facts)
 
 
@@ -196,26 +208,27 @@ def parse_prob_map(text: str, mode: str) -> ProbAssignment:
     if mode not in ("per-fact", "per-relation"):
         raise ProbabilityError(f"unknown mode {mode!r}")
     per_fact = mode == "per-fact"
+    lines = text.splitlines()
     probs: dict = {}  # Fact or relation name -> probability
     first_line: dict = {}
     parsed: dict[str, Fraction] = {}  # probability token -> its value
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        m = _PROB_LINE_RE.fullmatch(line) if per_fact else None
-        if m:
-            value = m[3]
-        else:
+    for lineno, (relation, args, value, rejected) in enumerate(
+        _PROB_LINES_RE.findall("\n".join(lines)), start=1
+    ):
+        if value and bool(args) == per_fact:
+            target = None
+        elif value or rejected:  # a line of the other mode, or malformed
             try:
-                target, value = line.rsplit(None, 1)
+                target, value = lines[lineno - 1].strip().rsplit(None, 1)
             except ValueError:
                 raise ProbabilityError(f"line {lineno}: expected '<target> p/q'") from None
+        else:
+            continue
         prob = parsed.get(value)
         if prob is None:
             prob = parsed[value] = _parse_rational(value)
-        if m:
-            key = Fact(m[1], tuple(_ARG_SEP_RE.split(m[2])))
+        if target is None:
+            key = Fact(relation, tuple(map(str.strip, args.split(",")))) if per_fact else relation
         elif per_fact:
             key = _fact_of(target, lineno, ProbabilityError)
         elif _RELATION_RE.fullmatch(target):

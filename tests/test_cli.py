@@ -1,9 +1,14 @@
+import os
+import random
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
-from qreliab.cli import main
+import qreliab
+from qreliab.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -178,6 +183,56 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_built_once_reads_each_call_as_a_fresh_process(capsys, monkeypatch, five_facts):
+    # The usage text wraps at the terminal width, which both sides read from
+    # COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(qreliab.__file__).resolve().parent.parent))
+    both = ["pqe", "R(x), S(x,y)", five_facts, "--probs", five_facts, "--uniform", "1/2"]
+    calls = [
+        both,
+        ["ur", "R(x), S(x,y), T(y)", five_facts],
+        ["pqe", "R(x), S(x,y), T(y)", five_facts, "--uniform", "1/2"],
+        ["classify", "R(x), S(x,y), T(y)"],
+        both,
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qreliab.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 2 and "not allowed with argument" in captured.err
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("query", ["R(x), S(x,y)", "R(x), S(x,y), T(y)"])
+def test_output_ignores_the_order_of_fact_lines(capsys, tmp_path, query, seed):
+    rng = random.Random(seed)
+    xs, ys = [f"a{i}" for i in range(4)], [f"b{i}" for i in range(4)]
+    facts = [f"R({x})" for x in xs if rng.random() < 0.7]
+    facts += [f"S({x},{y})" for x in xs for y in ys if rng.random() < 0.4]
+    facts += [f"T({y})" for y in ys if rng.random() < 0.7]
+    rng.shuffle(facts)
+    forward, backward = tmp_path / "forward.facts", tmp_path / "backward.facts"
+    forward.write_text("".join(f"{f}\n" for f in facts))
+    backward.write_text("".join(f"{f}\n" for f in reversed(facts)))
+    per_fact = tmp_path / "fact.probs"
+    per_fact.write_text("".join(f"{f} {rng.randint(1, 9)}/{rng.choice([9, 10])}\n" for f in facts))
+    per_relation = tmp_path / "relation.probs"
+    per_relation.write_text("R 1/3\nS 5/7\nT 1/2\n")
+    tails = [[], ["--probs", str(per_fact)], ["--probs", str(per_relation)]]
+    for command, tail in zip(["ur", "pqe", "pqe"], tails):
+        outputs = [run(capsys, command, query, str(path), *tail) for path in (forward, backward)]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("value", ["abc", "-3"])

@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,13 +27,6 @@ def test_parse_rejects_garbage():
         parse_instance("not a fact\n")
     with pytest.raises(InstanceFormatError):
         parse_instance("R(a b)\n")
-
-
-def test_parse_schema_validation():
-    with pytest.raises(InstanceFormatError):
-        parse_instance("R(a)\n", schema={"S": 1})
-    with pytest.raises(ArityError):
-        parse_instance("R(a,b)\n", schema={"R": 1})
 
 
 def test_mixed_arity_rejected():
@@ -244,6 +238,17 @@ _tail = st.sampled_from([""] * 8 + [" ", "\t", "x", " x", ")", "(", ",", " # not
 _probability = st.sampled_from(["1/2", "3/8", "3/8", "1", "2/4", "0", "3/2", "1/0", "x", "-1/2", ""])
 
 
+# Every line break that str.splitlines knows; "\x1f" and the other blanks of
+# _space are whitespace but break no line.
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_line_break = st.sampled_from(["\n"] * len(_LINE_BREAKS) + _LINE_BREAKS)
+
+
+def _join(draw, lines):
+    """The lines, each break drawn on its own from every kind of line break."""
+    return "".join(line + draw(_line_break) for line in lines[:-1]) + lines[-1]
+
+
 @st.composite
 def _fact_lines(draw):
     lines = draw(st.lists(
@@ -254,12 +259,14 @@ def _fact_lines(draw):
         min_size=1,
         max_size=5,
     ))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return _join(draw, lines) + draw(st.sampled_from(["", "\n", "\r\n", "\u2028"]))
 
 
 @st.composite
 def _prob_lines(draw, mode):
-    target = _fact_text() if mode == "per-fact" else _relation
+    # Mostly the mode's own targets, sometimes the other mode's.
+    own, other = (_fact_text(), _relation) if mode == "per-fact" else (_relation, _fact_text())
+    target = st.one_of(own, own, own, other)
     lines = draw(st.lists(
         st.one_of(
             st.tuples(_space, target, st.sampled_from([" ", "\t", "  ", ""]), _probability, _tail).map("".join),
@@ -268,7 +275,7 @@ def _prob_lines(draw, mode):
         min_size=1,
         max_size=5,
     ))
-    return "\n".join(lines)
+    return _join(draw, lines)
 
 
 @settings(max_examples=400)
@@ -295,6 +302,54 @@ def test_parse_prob_map_agrees_with_plain_parser(data, mode):
 def test_parse_instance_lines_agree_with_plain_parser(line):
     text = f"S(z)\n{line}\n"
     assert _outcome(parse_instance, text) == _outcome(oracle_parse_instance, text)
+
+
+_UNICODE_BLANK_LINES = {
+    "blanks-around-comma": "R(a\u00a0,\u2003b)",
+    "blanks-around-arguments": "R(\u3000a ,\x1fb\u1680)",
+    "blanks-around-fact": "\u00a0R(a,\u202fb)\u3000",
+    "unit-separator-before-paren": "R(a\x1f)",
+    "blank-only": "\x1f\u00a0\u3000",
+    "blank-inside-constant": "R(a\u00a0b)",
+    "zero-width-space-is-no-blank": "R(a,\u200bb)",
+}
+
+
+@pytest.mark.parametrize("line", _UNICODE_BLANK_LINES.values(), ids=_UNICODE_BLANK_LINES.keys())
+def test_lines_with_unicode_blanks_agree_with_plain_parser(line):
+    text = f"S(z)\n{line}\nS(y)\n"
+    assert _outcome(parse_instance, text) == _outcome(oracle_parse_instance, text)
+    for mode, target in (("per-fact", line), ("per-relation", "R")):
+        text = f"S(z) 1/2\n{target}\u3000\u00a01/3\u2003\n"
+        assert _outcome(parse_prob_map, text, mode) == _outcome(oracle_parse_prob_map, text, mode)
+
+
+# Rejected lines of about n characters, mostly blanks or separators.
+_LONG_REJECTED_LINES = {
+    "word-blanks-word": lambda n: "x" + " " * n + "y",
+    "open-fact-blanks": lambda n: "R(a" + " " * n + "y",
+    "fact-blanks-probability-blanks": lambda n: "R(a)" + " " * (n // 2) + "1/2" + " " * (n // 2) + "x",
+    "unclosed-arguments": lambda n: "R(" + "a ," * (n // 3),
+    "relation-blanks-probability": lambda n: "R" + " " * n + "1/2 x",
+}
+
+
+@pytest.mark.parametrize("line_of", _LONG_REJECTED_LINES.values(), ids=_LONG_REJECTED_LINES.keys())
+def test_long_rejected_line_is_read_in_linear_time(line_of):
+    # A pattern quadratic in the line's length takes seconds at 20,000
+    # characters, so it fails there before the 200,000-character line.
+    for n in (20_000, 200_000):
+        text = f"{line_of(n)}\n"
+        for parse, oracle, args in (
+            (parse_instance, oracle_parse_instance, ()),
+            (parse_prob_map, oracle_parse_prob_map, ("per-fact",)),
+            (parse_prob_map, oracle_parse_prob_map, ("per-relation",)),
+        ):
+            start = time.perf_counter()
+            got = _outcome(parse, text, *args)
+            elapsed = time.perf_counter() - start
+            assert isinstance(got, tuple) and got == _outcome(oracle, text, *args)
+            assert elapsed < 1.0, (n, parse.__name__, args)
 
 
 def test_repeated_probability_token_is_one_value():
