@@ -57,15 +57,33 @@ def fact_weights(instance: Instance, prob: ProbAssignment) -> Weights:
     probability num/den: its weight in the worlds where it is present, and
     in those where it is absent.
 
-    Every fact's probability is resolved, so a missing one is reported
-    whichever facts the evaluation visits.
+    A per-relation assignment is resolved once per relation.  Anything else
+    with a ``prob_of`` is resolved fact by fact, and each distinct
+    probability object gives one pair.  Either way every fact's probability
+    is resolved, so a missing one is reported whichever facts the evaluation
+    visits.
     """
+    if getattr(prob, "mode", None) == "per-relation":
+        weights = {}
+        for relation in instance.relations:
+            facts = instance.facts_of(relation)
+            weights.update(dict.fromkeys(facts, _weight_pair(prob.prob_of(facts[0]))))
+        return weights
+    facts = instance.facts
+    probs = list(map(prob.prob_of, facts))  # keeps alive each object whose id keys `pairs`
+    pairs: dict[int, tuple[int, int]] = {}
     weights = {}
-    for f in instance.facts:
-        p = prob.prob_of(f)
-        num = p.numerator
-        weights[f] = (num, p.denominator - num)
+    for f, p in zip(facts, probs):
+        pair = pairs.get(id(p))
+        if pair is None:
+            pair = pairs[id(p)] = _weight_pair(p)
+        weights[f] = pair
     return weights
+
+
+def _weight_pair(p: Fraction) -> tuple[int, int]:
+    num = p.numerator
+    return num, p.denominator - num
 
 
 def _brute_counts(

@@ -9,6 +9,7 @@ verified independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .cq import Atom, Query, Term, parse_query
@@ -19,8 +20,12 @@ from .instances import Fact, Instance
 GADGET_KINDS = ("ab", "abcd", "abcd_trimmed")
 
 
+@cache
 def qrst_query(r: int, s: int, t: int) -> Query:
-    """The canonical non-hierarchical family R1(x),...,S1(x,y),...,T1(y),..."""
+    """The canonical non-hierarchical family R1(x),...,S1(x,y),...,T1(y),...
+
+    Built once per (r, s, t): a query is immutable, and its join plan is
+    computed on first use and kept with it."""
     if r < 1 or s < 1 or t < 1:
         raise QReliabError("r, s, t must all be positive")
     atoms = [Atom(f"R{k}", (Term("variable", "x"),)) for k in range(1, r + 1)]
@@ -32,7 +37,9 @@ def qrst_query(r: int, s: int, t: int) -> Query:
     return Query(tuple(atoms))
 
 
+@cache
 def q1_query() -> Query:
+    """R(x), S(x,y), T(y), built once (see ``qrst_query``)."""
     return parse_query("R(x), S(x,y), T(y)")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .cq import _RELATION_RE
@@ -41,6 +42,8 @@ def _lines_re(accepted: str) -> re.Pattern:
 
 # (relation, arguments, rejected) per line of a fact file.
 _FACT_LINES_RE = _lines_re(_RELATION + _ARGS)
+_REJECTED = itemgetter(2)
+_BLANK_RE = re.compile(_WS)
 # (relation, arguments, probability, rejected) per line of a probability
 # file; the arguments are empty on a per-relation line.  (An empty branch
 # matches faster than an optional group.)
@@ -77,6 +80,11 @@ class Instance:
     @property
     def facts(self) -> frozenset[Fact]:
         return self._facts
+
+    @property
+    def relations(self) -> Iterable[str]:
+        """The relations that have at least one fact, in no fixed order."""
+        return self._by_relation.keys()
 
     def facts_of(self, relation: str) -> list[Fact]:
         """The facts of one relation, in no fixed order; callers do not
@@ -132,17 +140,18 @@ def _fact_of(text: str, lineno: int, error: type[QReliabError]) -> Fact:
 
 def parse_instance(text: str) -> Instance:
     """Parse a fact file.  One pattern reads every line; a line it rejects is
-    read again by ``_fact_of``, which raises the error that names its fault."""
+    read again by ``_fact_of``, which raises the error that names its fault
+    (the two read the same grammar, so it raises on every such line)."""
     lines = text.splitlines()
-    facts = []
-    for lineno, (relation, args, rejected) in enumerate(
-        _FACT_LINES_RE.findall("\n".join(lines)), start=1
-    ):
-        if relation:
-            facts.append(Fact(relation, tuple(map(str.strip, args.split(",")))))
-        elif rejected:
-            facts.append(_fact_of(lines[lineno - 1].strip(), lineno, InstanceFormatError))
-    return Instance(facts)
+    joined = "\n".join(lines)
+    rows = _FACT_LINES_RE.findall(joined)
+    if any(map(_REJECTED, rows)):
+        for lineno, (_, _, rejected) in enumerate(rows, start=1):
+            if rejected:
+                _fact_of(lines[lineno - 1].strip(), lineno, InstanceFormatError)
+    if _BLANK_RE.search(joined):  # blanks may stand around an argument
+        return Instance([Fact(r, tuple(map(str.strip, a.split(",")))) for r, a, _ in rows if r])
+    return Instance([Fact(r, tuple(a.split(","))) for r, a, _ in rows if r])
 
 
 def _parse_rational(token: str) -> Fraction:

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -196,3 +197,65 @@ def _query_and_instance(draw):
 def test_enumerate_matches_matches_nested_loop(case):
     q, instance = case
     assert enumerate_matches(q, instance) == nested_loop_matches(q, instance)
+
+
+# Chains, a triangle, constants, repeated variables, atoms sharing two
+# variables, and a query with no shared variable.
+_SHAPES = [
+    "R0(x, y), R1(y, z)",
+    "R0(x), R1(x, y), R2(y, z), R3(z)",
+    "R0(x, y), R1(y, z), R2(z, x)",
+    "R0(x, y), R1(y, z), R2(z, x), R3(x)",
+    "R0(x, 'a'), R1(x, y), R2(y, y)",
+    "R0(x, y), R1(x, y), R2(y)",
+    "R0(x, y, x), R1(y, 'b', z), R2(z)",
+    "R0(x), R1(y)",
+]
+
+
+def _ground(atom, values):
+    """The fact the atom becomes under ``values`` for its variables."""
+    args = tuple(values[t.name] if t.is_variable else t.name for t in atom.args)
+    return Fact(atom.relation, args)
+
+
+@st.composite
+def _dangling_case(draw):
+    """A query, from the shapes above or random, and an instance of planted
+    matches plus dangling facts: facts whose values partly come from a pool
+    that only their own relation draws from, so no other atom can join them."""
+    if draw(st.booleans()):
+        q = parse_query(draw(st.sampled_from(_SHAPES)))
+    else:
+        q, _ = draw(_query_and_instance())
+    variables = q.variables
+    facts = set()
+    for _ in range(draw(st.integers(0, 3))):
+        values = {v: draw(st.sampled_from(_CONSTANTS)) for v in variables}
+        facts |= {_ground(atom, values) for atom in q.atoms}
+    for atom in q.atoms:
+        own = [f"{atom.relation.lower()}{k}" for k in range(3)]
+        for _ in range(draw(st.integers(0, 6))):
+            values = {v: draw(st.sampled_from([*_CONSTANTS, *own])) for v in variables}
+            facts.add(_ground(atom, values))
+    return q, Instance(facts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dangling_case())
+def test_enumerate_matches_drops_dangling_facts_like_nested_loop(case):
+    q, instance = case
+    assert enumerate_matches(q, instance) == nested_loop_matches(q, instance)
+
+
+def test_dangling_facts_leave_before_the_join_builds_partial_matches():
+    # Joined on x first, R and S would make 2,000 x 2,000 partial matches
+    # that T then rejects; no S fact reaches a T fact, so none is built.
+    q = parse_query("R(x, z), S(x, y), T(y)")
+    facts = [Fact("R", ("a", f"z{i}")) for i in range(2000)]
+    facts += [Fact("S", ("a", f"y{j}")) for j in range(2000)]
+    facts.append(Fact("T", ("b",)))
+    instance = Instance(facts)
+    start = time.perf_counter()
+    assert enumerate_matches(q, instance) == []
+    assert time.perf_counter() - start < 1.0

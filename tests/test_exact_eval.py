@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreliab.cq import Atom, Query, Term, classify_hierarchical, parse_query
-from qreliab.errors import CapExceededError, NonHierarchicalQueryError, UsageError
+from qreliab.errors import (
+    CapExceededError,
+    NonHierarchicalQueryError,
+    ProbabilityError,
+    UsageError,
+)
 from qreliab.evaluate import (
+    fact_weights,
     pqe_brute,
     pqe_safe,
     rewrite_prob1,
@@ -293,3 +299,74 @@ def test_ur_safe_three_levels_closed_form():
     instance = Instance(facts)
     assert len(instance) == len(facts)
     assert ur_safe(q, instance) == (1 << len(facts)) - false_worlds
+
+
+def _weights_fact_by_fact(instance, prob):
+    """The plain weighting rule: each fact's probability resolved on its own."""
+    weights = {}
+    for f in instance.facts:
+        p = prob.prob_of(f)
+        weights[f] = (p.numerator, p.denominator - p.numerator)
+    return weights
+
+
+class _ProbTable:
+    """An object with ``prob_of`` only, as a caller may pass; unlike
+    ProbAssignment it allows probability 0 and plain integers."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def prob_of(self, fact):
+        return self.probs[fact]
+
+
+# Equal probabilities as one shared object and as distinct objects.
+_PROBS = [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1)]
+
+
+@st.composite
+def _weighting_case(draw):
+    """An instance over R, S, T and a probability source in one of the
+    modes: per fact, per relation, uniform, with or without a default, or a
+    plain table."""
+    candidates = [Fact(rel, args) for rel in "RS" for args in product("abc", repeat=2)]
+    candidates += [Fact("T", (c,)) for c in "abc"]
+    instance = Instance(draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)))
+    prob = st.sampled_from(_PROBS)
+    kind = draw(st.sampled_from(["per-fact", "per-relation", "uniform", "table"]))
+    if kind == "uniform":
+        return instance, ProbAssignment.uniform(draw(prob))
+    if kind == "table":
+        values = st.one_of(prob, st.sampled_from([0, 1, Fraction(0)]))
+        return instance, _ProbTable({f: draw(values) for f in instance.facts})
+    default = draw(st.one_of(st.none(), prob))
+    if kind == "per-relation":
+        probs = {rel: draw(prob) for rel in "RST" if draw(st.booleans()) or default is None}
+        return instance, ProbAssignment(mode=kind, per_relation=probs, default=default)
+    probs = {f: draw(prob) for f in instance.facts if draw(st.booleans()) or default is None}
+    return instance, ProbAssignment(mode=kind, per_fact=probs, default=default)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighting_case())
+def test_fact_weights_match_the_fact_by_fact_rule(case):
+    instance, prob = case
+    assert fact_weights(instance, prob) == _weights_fact_by_fact(instance, prob)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        ProbAssignment.for_relations({"R": Fraction(1, 2), "S": Fraction(1, 3)}),
+        ProbAssignment.for_facts({Fact("R", ("a",)): Fraction(1, 2), Fact("S", ("a", "b")): 1}),
+    ],
+    ids=["relation", "fact"],
+)
+def test_fact_weights_report_a_missing_probability(prob):
+    # T(b) takes part in no match, so only a full resolution reports it.
+    instance = parse_instance("R(a)\nS(a,b)\nT(b)\n")
+    with pytest.raises(ProbabilityError, match="no probability assigned to T"):
+        fact_weights(instance, prob)
+    with pytest.raises(ProbabilityError):
+        pqe_brute(parse_query("R(x), S(x,y)"), instance, prob)
