@@ -71,10 +71,6 @@ class InvalidProfileError(QReliabError):
     pass
 
 
-class NonIntegralResultError(QReliabError):
-    """An exact computation gave a non-integer where an integer is required."""
-
-
 class DuplicateNodeError(QReliabError):
     """Two Vandermonde nodes coincide (modulo the prime, for a modular
     solve).  The main reduction then moves on to its next listed prime.

@@ -202,13 +202,12 @@ class ProbAssignment:
 
     def prob_of(self, fact: Fact) -> Fraction:
         if self.mode == "per-fact":
-            if fact in self.per_fact:
-                return self.per_fact[fact]
-        elif fact.relation in self.per_relation:
-            return self.per_relation[fact.relation]
-        if self.default is not None:
-            return self.default
-        raise ProbabilityError(f"no probability assigned to {fact}")
+            p = self.per_fact.get(fact, self.default)
+        else:
+            p = self.per_relation.get(fact.relation, self.default)
+        if p is None:
+            raise ProbabilityError(f"no probability assigned to {fact}")
+        return p
 
 
 def parse_prob_map(text: str, mode: str) -> ProbAssignment:

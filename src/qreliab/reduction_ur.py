@@ -7,10 +7,18 @@ prime above the solution's combinatorial bound, solves it there, and
 recovers the independent-set-pair count.  Also provides the
 query-generalization transform (arbitrary non-hierarchical query <- R*/S*/T*
 family) and the power-of-two probability merge.
+
+The system has one unknown per realizable profile cell (i, j, c, d, d'),
+c + d + d' <= m, so M' = (n_left+1)(n_right+1)(m+1)(m+2)(m+3)/6 equations
+p = 0..M'-1.  The paper indexes it by the whole grid, (n_left+1)(n_right+1)
+(m+1)^3 cells, but a cell with c + d + d' > m has no realizing pair and its
+unknown is zero.  Only the number of oracle calls changes: the
+multiplicities M1, M2, M3 and every D_p are the paper's.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -19,12 +27,7 @@ from functools import cache, cached_property
 
 from .bipartite import BipartiteGraph, ProfileKey, ordered_edges, x_table
 from .cq import Query, noncomparable_pair_and_rst
-from .errors import (
-    InvalidProfileError,
-    NonIntegralResultError,
-    QReliabError,
-    SchemaMismatchError,
-)
+from .errors import InvalidProfileError, QReliabError, SchemaMismatchError
 from .gadgets import GadgetCounts, closed_counts, count_violating, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
 from .vandermonde import Factor, power_sums, recover_counts
@@ -55,9 +58,9 @@ class ReductionRun:
     p_result: int
 
     @cached_property
-    def alpha(self) -> dict[ProfileKey, Fraction]:
+    def alpha(self) -> dict[ProfileKey, int]:
         """Each cell's exact coefficient, computed on first access."""
-        return {key: _alpha_cell(key, self.counts, self.params) for key in self.cells}
+        return {key: alpha_coefficient(key, self.counts, self.params) for key in self.cells}
 
     @cached_property
     def n_vector(self) -> list[int]:
@@ -78,7 +81,7 @@ def reduction_params(g: BipartiteGraph, r: int, s: int, t: int) -> ReductionPara
     m1 = 4 * m * s + 1
     m2 = m1 + 2 * m * (t + s) * m1 + 1
     m3 = m1 + m2 + n_left * (t + s) * m2 + 1
-    big_m = (n_left + 1) * (n_right + 1) * (m + 1) ** 3
+    big_m = (n_left + 1) * (n_right + 1) * (m + 1) * (m + 2) * (m + 3) // 6
     return ReductionParams(r, s, t, m, n_left, n_right, m1, m2, m3, big_m)
 
 
@@ -152,32 +155,38 @@ def weighted_profiles(g: BipartiteGraph, r: int, t: int) -> dict[ProfileKey, int
 
 
 def profile_cells(params: ReductionParams) -> tuple[ProfileKey, ...]:
-    """All (i, j, c, d, d') index cells in lexicographic order."""
+    """The realizable (i, j, c, d, d') cells, c + d + d' <= m, in
+    lexicographic order: one per unknown of the system."""
     m = params.m
     return tuple(
         (i, j, c, d, dp)
         for i in range(params.n_left + 1)
         for j in range(params.n_right + 1)
         for c in range(m + 1)
-        for d in range(m + 1)
-        for dp in range(m + 1)
+        for d in range(m + 1 - c)
+        for dp in range(m + 1 - c - d)
     )
 
 
-def _alpha_factors(
-    key: ProfileKey, counts: GadgetCounts, params: ReductionParams
-) -> tuple[tuple[int, int], ...]:
-    """The (gadget count, exponent) pairs whose product is the per-pair
-    world-count coefficient of a cell, extended to the full index grid.
-
-    Cells with c + d + d' > m have no realizing pair (their count variable is
-    identically zero) and get a negative excluded-edge exponent; the product
-    is then a non-integer rational, which is fine since only its distinctness
-    matters for the system matrix.
-    """
-    i, j, c, d, dp = key
+def alpha_coefficient(
+    profile_key: ProfileKey,
+    counts: GadgetCounts,
+    params: ReductionParams,
+    prime: int | None = None,
+) -> int:
+    """The per-pair world-count coefficient of a realizable profile
+    (c + d + d' <= m), a product of gadget counts raised to multiplicity
+    exponents, exactly or modulo ``prime``."""
+    i, j, c, d, dp = profile_key
+    if min(i, j, c, d, dp) < 0 or c + d + dp > params.m:
+        raise InvalidProfileError(f"profile {profile_key} is not realizable")
+    if i > params.n_left or j > params.n_right:
+        raise InvalidProfileError(f"profile {profile_key} is out of range")
+    # The exponent layering that makes coefficients distinct needs no check:
+    # realizability gives d + d' + 2e <= 2m, so s * (d + d' + 2e) < 4ms + 1,
+    # which is M1 unless override_params replaced it.
     e = params.m - c - d - dp
-    return (
+    factors = (
         (counts.gamma, c),
         (counts.delta_r, d),
         (counts.delta_t, dp),
@@ -187,43 +196,8 @@ def _alpha_factors(
         (counts.lam_rbar, params.M1 * (dp + e) + params.M2 * (params.n_left - i)),
         (counts.lam_tbar, params.M3 * (params.n_right - j)),
     )
-
-
-def _alpha_cell(
-    key: ProfileKey, counts: GadgetCounts, params: ReductionParams, prime: int | None = None
-) -> Fraction | int:
-    """The coefficient of a cell: the exact ``Fraction``, or its residue
-    modulo ``prime`` if one is given, a numerator times the inverse of its
-    denominator.  Raises ValueError if a denominator is a multiple of
-    ``prime``: a negative exponent on a gadget count that ``prime`` divides.
-    """
-    value = Fraction(1) if prime is None else 1
-    for base, exponent in _alpha_factors(key, counts, params):
-        if prime is None:
-            value *= Fraction(base) ** exponent
-        else:
-            value = value * pow(base, exponent, prime) % prime
-    return value
-
-
-def alpha_coefficient(
-    profile_key: ProfileKey,
-    counts: GadgetCounts,
-    params: ReductionParams,
-) -> int:
-    """The coefficient for a realizable profile (c + d + d' <= m)."""
-    i, j, c, d, dp = profile_key
-    if min(i, j, c, d, dp) < 0 or c + d + dp > params.m:
-        raise InvalidProfileError(f"profile {profile_key} is not realizable")
-    if i > params.n_left or j > params.n_right:
-        raise InvalidProfileError(f"profile {profile_key} is out of range")
-    # The exponent layering that makes coefficients distinct needs no check:
-    # realizability gives d + d' + 2e <= 2m, so s * (d + d' + 2e) < 4ms + 1,
-    # which is M1 unless override_params replaced it.
-    value = _alpha_cell(profile_key, counts, params)
-    if value.denominator != 1:
-        raise NonIntegralResultError(f"coefficient of profile {profile_key} is {value}")
-    return value.numerator
+    value = math.prod(pow(base, exponent, prime) for base, exponent in factors)
+    return value if prime is None else value % prime
 
 
 def np_analytic(
@@ -247,13 +221,13 @@ def np_analytic(
 class _Lazy(Sequence):
     """value(0), ..., value(n - 1), each computed when first read."""
 
-    def __init__(self, value: Callable[[int], Fraction], n: int):
+    def __init__(self, value: Callable[[int], int], n: int):
         self._value, self._n = cache(value), n
 
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int:
         return self._value(k)
 
 
@@ -272,7 +246,9 @@ def run_reduction(
     and check primes: node residues by modular powers of the gadget counts,
     and with the analytic oracle N_p = sum_k Y_k * alpha_k**p, Y the weighted
     pair-profile histogram, by one modular multiply per (cell of Y, p).  Exact
-    coefficients are computed only for the exact check of N_0..N_3.
+    coefficients are computed only for the exact check of N_0..N_3.  The M'
+    nodes, one per realizable cell, are distinct integers, so the system of
+    the first M' equations is square and regular.
     """
     if oracle not in ("analytic", "brute"):
         raise QReliabError(f"unknown oracle {oracle!r}")
@@ -293,7 +269,7 @@ def run_reduction(
             if oracle == "brute":
                 oracle_counts.append(count_violating(dp_inst, query))
 
-    node = _Lazy(lambda k: _alpha_cell(cells[k], counts, params), params.M)
+    node = _Lazy(lambda k: alpha_coefficient(cells[k], counts, params), params.M)
     if oracle == "brute":
         head = oracle_counts[:4]
     else:
@@ -305,7 +281,7 @@ def run_reduction(
         )
 
     def residues(prime: int) -> tuple[list[Factor], list[int]]:
-        nodes = [_alpha_cell(key, counts, params, prime) for key in cells]
+        nodes = [alpha_coefficient(key, counts, params, prime) for key in cells]
         if oracle == "brute":
             return [(nodes, None)], [n_p % prime for n_p in oracle_counts]
         rhs = power_sums(list(weights.values()), [nodes[k] for k in support], params.M, prime)

@@ -9,6 +9,7 @@ import pytest
 
 import qreliab
 from qreliab.cli import build_parser, main
+from qreliab.instances import parse_instance
 
 
 @pytest.fixture()
@@ -170,6 +171,19 @@ def test_reduce_ur(capsys, edge_graph):
         capsys, "reduce-ur", edge_graph, "--rst", "1,1,1", "--oracle", "analytic"
     )
     assert (code, out) == (0, "P=3\n")
+
+
+def test_reduce_ur_emit_instances(capsys, edge_graph, tmp_path):
+    out_dir = tmp_path / "emitted"
+    code, out, _ = run(
+        capsys, "reduce-ur", edge_graph, "--rst", "1,1,1", "--emit-instances", str(out_dir)
+    )
+    assert (code, out) == (0, "P=3\n")
+    names = [f"D_{p}.facts" for p in range(16)]
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted(names)
+    for name in names:
+        text = (out_dir / name).read_text()
+        assert parse_instance(text).serialize() == text
 
 
 def test_reduce_pqe(capsys, edge_graph):

@@ -36,14 +36,14 @@ EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 
 def test_reduction_params_single_edge():
     p = reduction_params(EDGE, 1, 1, 1)
-    assert (p.M1, p.M2, p.M3, p.M) == (5, 26, 84, 32)
+    assert (p.M1, p.M2, p.M3, p.M) == (5, 26, 84, 16)
 
 
 def test_reduction_params_larger():
     g = BipartiteGraph.build(["u1", "u2"], ["w"], [("u1", "w"), ("u2", "w")])
     p = reduction_params(g, 1, 1, 1)
     assert (p.M1, p.M2, p.M3) == (9, 82, 420)
-    assert p.M == 3 * 2 * 27
+    assert p.M == 3 * 2 * 10
 
 
 def test_build_Dp_p0_is_base_encoding():
@@ -221,13 +221,25 @@ def test_recover_counts_checks_every_equation():
 
 def test_run_reduction_brute_oracle_downscaled_graph():
     # The default width cap refuses every D_p with p >= 1 of a one-edge graph
-    # (each is one lineage component of hundreds of facts); on an edgeless
-    # graph every D_p stays tiny.
+    # (each is one lineage component of hundreds of facts), so this run takes
+    # an edgeless graph, whose D_p stay tiny; the one-edge graph's full run
+    # is test_run_reduction_brute_oracle_full_multiplicity.
     g = BipartiteGraph.build(["u"], [], [])
     run = run_reduction(g, 1, 1, 1, oracle="brute")
     assert run.p_result == independent_pair_count(g) == 2
     # D_0 = {R1(u)} never satisfies the query, so both of its worlds violate
     assert run.n_vector[0] == 2
+
+
+def test_run_reduction_brute_oracle_full_multiplicity(monkeypatch):
+    # The counter's width cap lifted, so every D_p of the one-edge graph is
+    # counted: the brute oracle agrees with the per-pair formula on each of
+    # the M' = 16 equations at the paper's multiplicities.
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "100000")
+    run = run_reduction(EDGE, 1, 1, 1, oracle="brute")
+    assert run.p_result == 3
+    assert run.params.M == len(run.n_vector) == 16
+    assert run.n_vector == [np_analytic(EDGE, 1, 1, 1, p) for p in range(run.params.M)]
 
 
 def test_weighted_profiles():
@@ -307,7 +319,7 @@ def matching(n):
 def test_run_reduction_three_edge_matching():
     g = matching(3)
     run = run_reduction(g, 1, 1, 1)
-    assert run.params.M == 1024
+    assert run.params.M == 320
     assert run.p_result == 27
     assert_recovers_weighted_histogram(run, g)
 
@@ -315,14 +327,15 @@ def test_run_reduction_three_edge_matching():
 def test_run_reduction_four_edge_matching():
     g = matching(4)
     run = run_reduction(g, 1, 1, 1)
-    assert run.params.M == 3125
+    assert run.params.M == 875
     assert run.p_result == 81 == independent_pair_count(g)
     assert_recovers_weighted_histogram(run, g)
 
 
 def test_run_reduction_skips_a_prime_dividing_a_gadget_count():
-    # 61 divides r + s + t, so 2**61 - 1 divides delta_bot, whose exponent
-    # is negative on the unrealizable cells
+    # 61 divides r + s + t, so 2**61 - 1 divides delta_bot: modulo that
+    # prime the node of every cell with e >= 1 vanishes, the nodes collide,
+    # and the solve moves on to the next prime
     assert closed_counts(30, 1, 30).delta_bot % SOLVER_PRIME == 0
     run = run_reduction(EDGE, 30, 1, 30)
     assert run.p_result == 3
@@ -364,13 +377,10 @@ ONE_OF_TWO = BipartiteGraph.build(["u"], ["w1", "w2"], [("u", "w2")])
 )
 def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
     run, residues, node, _head = solver_system(monkeypatch, g, rst)
+    assert all(type(value) is int for value in run.alpha.values())
     for prime in SYSTEM_PRIMES:
-        try:
-            nodes, _rhs = residues(prime)
-        except ValueError:
-            assert any(run.alpha[key].denominator % prime == 0 for key in run.cells)
-            continue
-        assert nodes == [residue(run.alpha[key], prime) for key in run.cells]
+        nodes, _rhs = residues(prime)
+        assert nodes == [run.alpha[key] % prime for key in run.cells]
     assert [node[k] for k in range(run.params.M)] == [run.alpha[key] for key in run.cells]
 
 
@@ -379,7 +389,7 @@ def test_rhs_residues_match_exact_counts(monkeypatch, g, rst):
     # np_analytic powers each coefficient directly, apart from the power
     # sums that build head, every right-hand side and n_vector
     run, residues, _node, head = solver_system(monkeypatch, g, rst)
-    assert run.params.M in (32, 48)
+    assert run.params.M in (16, 24)
     exact = [np_analytic(g, *rst, p) for p in range(run.params.M)]
     assert head == exact[:4]
     assert run.n_vector == exact
