@@ -12,7 +12,8 @@ the uniform-reliability reduction's system is, by
 ``vandermonde.recover_counts``: in residues modulo a Mersenne prime above
 every bound C(|R|, i) * C(|T|, j) + 1 on X_ij, checked exactly on the cells
 c, d < 2 and modulo a second prime on every cell.  The formula oracle
-gets X from a fold over the subsets of the graph's smaller side.
+gets X from a fold over the subsets of the graph's smaller side, and hands
+it over as the expected solution, so that a correct check reads no node.
 """
 
 from __future__ import annotations
@@ -196,19 +197,19 @@ def run_reduction_pqe(
     exact = system.factors()
     shape = (n_left + 1, n_right + 1)
     cells = [divmod(k, shape[1]) for k in range(shape[0] * shape[1])]
-    head_shape = [min(2, n) for n in shape]  # the exactly checked cells: c, d < 2
+    rows, columns = [range(min(2, n)) for n in shape]  # the exactly checked cells: c, d < 2
 
     # rhs(c, d) = pi(c, d) / scale = sum_{i,j} a**i * b**j * X_ij * x_i**c * y_j**d
-    oracle_pi = None
-    if oracle == "formula":  # one fold serves every cell
+    oracle_pi = counts = None
+    if oracle == "formula":  # one fold serves every cell; X is the expected solution
         independent = _independent_pairs(g)
         counts = [independent.get(cell, 0) for cell in cells]
-        head = kron_power_sums(counts, exact, head_shape)
+        head = [[0] * len(columns) for _ in rows]
     else:
         oracle_pi = {(c, d): pi_value(g, c, d, r, t, oracle=oracle) for c, d in cells}
         scale = _scale(g, r, t)
         rhs = [oracle_pi[cell] / scale for cell in cells]
-        head = [value for (c, d), value in zip(cells, rhs) if c < 2 and d < 2]
+        head = [[rhs[c * shape[1] + d] for d in columns] for c in rows]
 
     def residues(prime: int) -> tuple[list[Factor], list[int]]:
         if any(v % prime == 0 for f in (r, t, 1 - r, 1 - t) for v in (f.numerator, f.denominator)):
@@ -222,9 +223,7 @@ def run_reduction_pqe(
         return factors, [_residue(value, prime) for value in rhs]
 
     bounds = [comb(n_left, i) * comb(n_right, j) + 1 for i, j in cells]
-    width = head_shape[1]
-    nested = [head[c * width : (c + 1) * width] for c in range(head_shape[0])]
-    solution = recover_counts(residues, exact, nested, bounds)
+    solution = recover_counts(residues, exact, head, bounds, counts)
     return PqeReductionRun(r, t, g, oracle_pi, dict(zip(cells, solution)), sum(solution))
 
 

@@ -26,11 +26,11 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .bipartite import BipartiteGraph, ProfileKey, ordered_edges, x_table
-from .cq import Query, noncomparable_pair_and_rst
+from .cq import Query, Term, noncomparable_pair_and_rst
 from .errors import InvalidProfileError, QReliabError, SchemaMismatchError
 from .gadgets import GadgetCounts, closed_counts, count_violating, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import Factor, power_sums, recover_counts
+from .vandermonde import Factor, kron_power_sums, power_sums, recover_counts
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,10 @@ def run_reduction(
     The system sum_k y_k * alpha_k**p = N_p is built only modulo the solver
     and check primes: node residues by modular powers of the gadget counts,
     and with the analytic oracle N_p = sum_k Y_k * alpha_k**p, Y the weighted
-    pair-profile histogram, by one modular multiply per (cell of Y, p).  Exact
-    coefficients are computed only for the exact check of N_0..N_3.  The M'
-    nodes, one per realizable cell, are distinct integers, so the system of
-    the first M' equations is square and regular.
+    pair-profile histogram, by one modular multiply per (cell of Y, p).  The
+    exact check of N_0..N_3 reads exact coefficients only where y differs
+    from Y (from 0 with the brute oracle).  The M' nodes, one per cell, are
+    distinct integers, so the first M' equations form a regular system.
     """
     if oracle not in ("analytic", "brute"):
         raise QReliabError(f"unknown oracle {oracle!r}")
@@ -258,39 +258,34 @@ def run_reduction(
 
     query = qrst_query(r, s, t)
     oracle_counts: list[int] = []
+    if emit_dir is not None:
+        os.makedirs(emit_dir, exist_ok=True)
     if oracle == "brute" or emit_dir is not None:
         for p in range(params.M):
             dp_inst = build_Dp(g, r, s, t, p, params)
             if emit_dir is not None:
-                os.makedirs(emit_dir, exist_ok=True)
                 path = os.path.join(emit_dir, f"D_{p}.facts")
                 with open(path, "w") as fh:
                     fh.write(dp_inst.serialize())
             if oracle == "brute":
                 oracle_counts.append(count_violating(dp_inst, query))
 
-    node = _Lazy(lambda k: alpha_coefficient(cells[k], counts, params), params.M)
-    if oracle == "brute":
-        head = oracle_counts[:4]
-    else:
+    terms, head = None, oracle_counts[:4]
+    if oracle == "analytic":  # Y is the expected solution: the exact check reads y - Y
         weights = weighted_profiles(g, r, t)
-        index = {key: k for k, key in enumerate(cells)}
-        support = [index[key] for key in weights]
-        head = power_sums(
-            list(weights.values()), [node[k] for k in support], min(4, params.M)
-        )
+        terms, head = [weights.get(key, 0) for key in cells], [0] * min(4, params.M)
 
     def residues(prime: int) -> tuple[list[Factor], list[int]]:
-        nodes = [alpha_coefficient(key, counts, params, prime) for key in cells]
+        factors = [([alpha_coefficient(key, counts, params, prime) for key in cells], None)]
         if oracle == "brute":
-            return [(nodes, None)], [n_p % prime for n_p in oracle_counts]
-        rhs = power_sums(list(weights.values()), [nodes[k] for k in support], params.M, prime)
-        return [(nodes, None)], rhs
+            return factors, [n_p % prime for n_p in oracle_counts]
+        return factors, kron_power_sums(terms, factors, [params.M], prime)
 
     # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
     heaviest = _pair_weight(r, t, params.n_left, params.n_right)
     bounds = [2 ** (params.n_left + params.n_right) * heaviest + 1] * params.M
-    y_vector = dict(zip(cells, recover_counts(residues, [(node, None)], head, bounds)))
+    node = _Lazy(lambda k: alpha_coefficient(cells[k], counts, params), params.M)
+    y_vector = dict(zip(cells, recover_counts(residues, [(node, None)], head, bounds, terms)))
     p_result = 0
     for (i, j, c, d, dp), y in y_vector.items():
         if c != 0:
@@ -365,9 +360,11 @@ def merge_power2(q_rst: Query, i_prime: Instance) -> tuple[Instance, ProbAssignm
     """Merge each complete R*/S*/T* bundle into one fact with a power-of-two
     probability, after discarding facts from incomplete bundles (which can
     never join a query match)."""
-    _x, _y, x_only, shared, y_only, _rest = _qrst_role_relations(q_rst)
+    x, y, x_only, shared, y_only, rest = _qrst_role_relations(q_rst)
     r, s, t = len(x_only), len(shared), len(y_only)
-    if _rest or any(len(q_rst.atoms[i].args) != 1 for i in x_only + y_only):
+    x, y = Term("variable", x), Term("variable", y)
+    shapes = [(x,)] * r + [(x, y)] * s + [(y,)] * t  # R_k(x), S_k(x, y), T_k(y)
+    if rest or [q_rst.atoms[i].args for i in x_only + shared + y_only] != shapes:
         raise SchemaMismatchError("query is not of the R*/S*/T* family shape")
 
     r_names = [q_rst.atoms[i].relation for i in x_only]

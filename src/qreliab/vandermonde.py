@@ -122,6 +122,7 @@ def recover_counts(
     exact: Sequence[Factor],
     head: Sequence,
     bounds: Sequence[int],
+    terms: Sequence[int] | None = None,
 ) -> list[int]:
     """The solution y of the Kronecker product of dual systems
     sum_k y_k * prod_a w_a[k_a] * x_a[k_a]**p_a = b_p (see
@@ -130,9 +131,10 @@ def recover_counts(
 
     ``residues(q)`` gives the factors and the flat b modulo the prime q,
     and raises ValueError if some node or weight is undefined, or some
-    weight is not invertible, modulo q.  ``exact`` gives the factors
-    exactly, and is read only where y is non-zero; ``head`` is b exactly on
-    the leading equations, as nested lists, one level per factor.
+    weight is not invertible, modulo q.  ``head`` is b less the forward map
+    of ``terms`` (0 if None), the solution a caller expects, exactly on the
+    leading equations, as nested lists, one level per factor.  ``exact``
+    gives the factors exactly, read only where y differs from ``terms``.
 
     Solved modulo the smallest listed prime above every bound at which the
     factors are defined and each one's nodes distinct, so every residue is
@@ -157,7 +159,8 @@ def recover_counts(
     for _ in exact:  # head's shape, and head flattened in row-major order
         lengths.append(len(flat[0]))
         flat = [b for row in flat for b in row]
-    lhs = kron_power_sums(solution, exact, lengths)
+    excess = solution if terms is None else [y - t for y, t in zip(solution, terms)]
+    lhs = kron_power_sums(excess, exact, lengths)
     for p, (a, b) in enumerate(zip(lhs, flat)):
         if a != b:
             raise QReliabError(f"modular solution fails exact equation p={p}")

@@ -173,6 +173,10 @@ def test_reduce_ur(capsys, edge_graph):
     assert (code, out) == (0, "P=3\n")
 
 
+def test_reduce_ur_large_multiplicities(capsys, edge_graph):
+    assert run(capsys, "reduce-ur", edge_graph, "--rst", "20,21,20")[:2] == (0, "P=3\n")
+
+
 def test_reduce_ur_emit_instances(capsys, edge_graph, tmp_path):
     out_dir = tmp_path / "emitted"
     code, out, _ = run(

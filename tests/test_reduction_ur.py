@@ -29,7 +29,7 @@ from qreliab.reduction_ur import (
     run_reduction,
     weighted_profiles,
 )
-from qreliab.vandermonde import recover_counts, solve_vandermonde
+from qreliab.vandermonde import power_sums, recover_counts, solve_vandermonde
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 
@@ -342,20 +342,30 @@ def test_run_reduction_skips_a_prime_dividing_a_gadget_count():
     assert_recovers_weighted_histogram(run, EDGE)
 
 
+@pytest.mark.parametrize("rst", [(14, 15, 14), (20, 21, 20)])
+def test_run_reduction_single_edge_at_large_multiplicities(rst):
+    # M3 = 296,438 at (20, 21, 20): an exact node has millions of bits, and
+    # the run reads none
+    run = run_reduction(EDGE, *rst)
+    assert run.p_result == 3
+    nonzero = {key: y for key, y in run.y_vector.items() if y}
+    assert nonzero == weighted_profiles(EDGE, rst[0], rst[2])
+
+
 def solver_system(monkeypatch, g, rst):
     """run_reduction(g, *rst) and the system it hands to the solver:
-    (run, residues, node, head)."""
+    (run, residues, node, head, terms)."""
     systems = []
 
-    def spy(residues, exact, head, bounds):
+    def spy(residues, exact, head, bounds, terms=None):
         [(node, _weights)] = exact
 
         def nodes_and_rhs(prime):
             [(nodes, _weights)], rhs = residues(prime)
             return nodes, rhs
 
-        systems.append((nodes_and_rhs, node, head))
-        return recover_counts(residues, exact, head, bounds)
+        systems.append((nodes_and_rhs, node, head, terms))
+        return recover_counts(residues, exact, head, bounds, terms)
 
     monkeypatch.setattr(reduction_ur, "recover_counts", spy)
     run = run_reduction(g, *rst)
@@ -376,7 +386,7 @@ ONE_OF_TWO = BipartiteGraph.build(["u"], ["w1", "w2"], [("u", "w2")])
     ],
 )
 def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
-    run, residues, node, _head = solver_system(monkeypatch, g, rst)
+    run, residues, node, _head, _terms = solver_system(monkeypatch, g, rst)
     assert all(type(value) is int for value in run.alpha.values())
     for prime in SYSTEM_PRIMES:
         nodes, _rhs = residues(prime)
@@ -387,11 +397,13 @@ def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
 @pytest.mark.parametrize("g, rst", [(EDGE, (1, 1, 1)), (EDGE, (2, 1, 3)), (ONE_OF_TWO, (1, 1, 2))])
 def test_rhs_residues_match_exact_counts(monkeypatch, g, rst):
     # np_analytic powers each coefficient directly, apart from the power
-    # sums that build head, every right-hand side and n_vector
-    run, residues, _node, head = solver_system(monkeypatch, g, rst)
+    # sums that build every right-hand side and n_vector; the exactly
+    # checked equations are head plus the forward map of the terms
+    run, residues, node, head, terms = solver_system(monkeypatch, g, rst)
     assert run.params.M in (16, 24)
     exact = [np_analytic(g, *rst, p) for p in range(run.params.M)]
-    assert head == exact[:4]
+    assert head == [0] * 4
+    assert power_sums(terms, node, 4) == exact[:4]
     assert run.n_vector == exact
     for prime in SYSTEM_PRIMES:
         _nodes, rhs = residues(prime)
@@ -457,6 +469,17 @@ def test_merge_power2_example():
     assert merged == parse_instance("R(a)\nS(a,b)\nT(b)\n")
     assert phi.prob_of(Fact("R", ("a",))) == Fraction(1, 4)
     assert phi.prob_of(Fact("S", ("a", "b"))) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "query", ["R(x), S1(x,y), S2(y,x), T(y)", "R(x), S1(x,y,z), T(y)", "R(x), S1(x,y,'c'), T(y)"]
+)
+def test_merge_power2_rejects_shared_atoms_other_than_x_y(query):
+    # with S2(y,x), S1(a,b) and S2(b,a) form the one match of the query
+    # (ur_brute gives 1), but no merged S fact could stand for the pair
+    i = parse_instance("R(a)\nS1(a,b)\nS2(b,a)\nT(b)\n")
+    with pytest.raises(SchemaMismatchError):
+        merge_power2(parse_query(query), i)
 
 
 def test_merge_power2_identity():

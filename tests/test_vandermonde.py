@@ -6,7 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qreliab import reduction_pqe, reduction_ur, vandermonde
+from qreliab.bipartite import BipartiteGraph
 from qreliab.errors import DuplicateNodeError, QReliabError
+from qreliab.reduction_pqe import run_reduction_pqe
+from qreliab.reduction_ur import run_reduction
 from qreliab.vandermonde import kron_power_sums, power_sums, recover_counts, solve_vandermonde
 
 PRIME = (1 << 61) - 1
@@ -217,7 +221,90 @@ def test_kron_power_sums_and_recover_counts(system):
     assert kron_power_sums(counts, factors, shape) == rhs
     assert kron_power_sums(counts, residues(PRIME)[0], shape, PRIME) == residues(PRIME)[1]
 
-    head = [rhs[0]]
+    # checked exactly on b_0, given as is or less the forward map of the
+    # expected counts
+    head, zero = [rhs[0]], [0]
     for _ in factors[1:]:
-        head = [head]
-    assert recover_counts(residues, factors, head, [21] * len(counts)) == counts
+        head, zero = [head], [zero]
+    bounds = [21] * len(counts)
+    assert recover_counts(residues, factors, head, bounds) == counts
+    assert recover_counts(residues, factors, zero, bounds, counts) == counts
+
+
+
+# Both reductions with their formula oracles, which hand recover_counts the
+# solution they expect, so that its exact check reads y - expected.
+EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
+FORMULA_RUNS = {
+    "ur": lambda: run_reduction(EDGE, 1, 2, 1),  # every pair weighs 1: P takes any y
+    "pqe": lambda: run_reduction_pqe(EDGE, Fraction(1, 3), Fraction(3, 4), oracle="formula"),
+}
+
+
+@pytest.fixture()
+def exact_reads(monkeypatch):
+    """The cells whose exact UR coefficient is computed, and the lengths of
+    the exact power sums taken over any node, in call order."""
+    reads = []
+    alpha = reduction_ur.alpha_coefficient
+    sums = vandermonde.power_sums
+
+    def alpha_spy(key, counts, params, prime=None):
+        if prime is None:
+            reads.append(key)
+        return alpha(key, counts, params, prime)
+
+    def sums_spy(terms, nodes, n, prime=None):
+        if prime is None and terms:
+            reads.append(len(terms))
+        return sums(terms, nodes, n, prime)
+
+    monkeypatch.setattr(reduction_ur, "alpha_coefficient", alpha_spy)
+    for module in (vandermonde, reduction_ur):
+        monkeypatch.setattr(module, "power_sums", sums_spy)
+    return reads
+
+
+def test_formula_runs_build_no_exact_node(exact_reads):
+    # a correct run's exact check cancels every term
+    for run in FORMULA_RUNS.values():
+        assert run().p_result == 3
+    assert exact_reads == []
+
+
+@pytest.mark.parametrize("name", FORMULA_RUNS)
+def test_exact_check_rejects_a_planted_error(monkeypatch, exact_reads, name):
+    # the first cell, X_00 = 1 and the (0,0,0,0,0) cell of Y, one too small:
+    # within its bound, so only the checks can see it
+    solve = vandermonde._kron_solve
+
+    def off_by_one(factors, rhs, prime):
+        solution = solve(factors, rhs, prime)
+        solution[0] -= 1
+        return solution
+
+    monkeypatch.setattr(vandermonde, "_kron_solve", off_by_one)
+    with pytest.raises(QReliabError, match="fails exact equation"):
+        FORMULA_RUNS[name]()
+    # the failed check read the exact nodes of the wrong cell alone
+    if name == "ur":
+        assert exact_reads == [(0, 0, 0, 0, 0), 1]
+
+
+@pytest.mark.parametrize("run", FORMULA_RUNS.values(), ids=FORMULA_RUNS)
+def test_exact_check_rejects_an_error_every_prime_agrees_with(monkeypatch, run):
+    # every right-hand side residue, at the solver and the check prime alike,
+    # is that of the same first cell one too small: the modular solve and
+    # the check modulo a second prime both agree with the wrong solution
+    defined = vandermonde._defined_residues
+
+    def planted(residues, primes):
+        for prime, factors, rhs in defined(residues, primes):
+            shape = [len(nodes) for nodes, _ in factors]
+            unit = [1] + [0] * (math.prod(shape) - 1)
+            shift = kron_power_sums(unit, factors, shape, prime)
+            yield prime, factors, [(b - d) % prime for b, d in zip(rhs, shift)]
+
+    monkeypatch.setattr(vandermonde, "_defined_residues", planted)
+    with pytest.raises(QReliabError, match="fails exact equation"):
+        run()
