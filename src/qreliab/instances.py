@@ -181,8 +181,10 @@ class ProbAssignment:
         if self.mode not in ("per-fact", "per-relation"):
             raise ProbabilityError(f"unknown mode {self.mode!r}")
         # A Fraction's denominator is positive, so integer comparisons check
-        # 0 < p <= 1 without building a Fraction per fact.
-        for p in (*self.per_fact.values(), *self.per_relation.values()):
+        # 0 < p <= 1 without building a Fraction.  A parsed file shares one
+        # object per distinct value, so each object is checked once.
+        stored = (self.per_fact, self.per_relation)
+        for p in {id(p): p for probs in stored for p in probs.values()}.values():
             if not 0 < p.numerator <= p.denominator:
                 raise ProbabilityError(f"probability {p} is outside (0, 1]")
         if self.default is not None and not 0 < self.default <= 1:

@@ -109,6 +109,16 @@ def test_prob_map_rejects_out_of_range():
         parse_prob_map("R 3/2\n", "per-relation")
 
 
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(3, 2), Fraction(-1, 2)])
+def test_assignment_built_outside_the_parser_rejects_out_of_range(p):
+    # One object shared by many facts is checked once, and still rejected.
+    facts = {Fact("R", (f"a{i}",)): p for i in range(3)}
+    with pytest.raises(ProbabilityError, match="outside"):
+        ProbAssignment.for_facts({**facts, Fact("S", ("a", "b")): Fraction(1, 2)})
+    with pytest.raises(ProbabilityError, match="outside"):
+        ProbAssignment.for_relations({"R": Fraction(1, 3), "S": p})
+
+
 def test_uniform_assignment():
     phi = ProbAssignment.uniform(Fraction(1, 2))
     assert phi.prob_of(Fact("Anything", ("a",))) == Fraction(1, 2)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,25 @@ def naive_avoiding(masks, weights):
             weight *= w_in if world >> i & 1 else w_out
         total += weight
     return total
+
+
+def reference_minimize_masks(masks):
+    """Reference: superset removal testing each mask against every kept one."""
+    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    kept = []
+    for m in unique:
+        if not any(m & k == k for k in kept):
+            kept.append(m)
+    return kept
+
+
+def reference_widest(masks):
+    """Reference: variables in the widest connected group of the minimal masks."""
+    groups = []
+    for m in reference_minimize_masks(masks):
+        joined = functools.reduce(operator.or_, (g for g in groups if g & m), m)
+        groups = [g for g in groups if not g & m] + [joined]
+    return max((g.bit_count() for g in groups), default=0)
 
 
 def naive_containing_any(nbits, masks):
@@ -106,6 +127,19 @@ def test_brute_count_splits_its_lineage_once(monkeypatch):
 def test_minimize_masks_drops_supersets():
     assert set(minimize_masks([0b011, 0b001, 0b111])) == {0b001}
     assert minimize_masks([]) == []
+    assert minimize_masks([0b11, 0, 0b100, 0]) == [0]
+
+
+@given(
+    st.lists(st.integers(0, 255), max_size=24),
+    st.sampled_from([0, 0b1, 0b1000_0000]),
+    st.booleans(),
+)
+def test_minimize_masks_matches_reference(masks, hub, zero):
+    # ``hub`` is held by every mask, as D_p's hub fact is; some masks repeat.
+    masks = [m | hub for m in masks]
+    masks += masks[: len(masks) // 2] + [0] * zero
+    assert minimize_masks(masks) == reference_minimize_masks(masks)
 
 
 @given(st.integers(0, 10), st.lists(st.integers(0, 1023), max_size=5))
@@ -154,6 +188,44 @@ def test_count_avoiding_two_hop_lineage_matches_naive(data):
         )
     )
     assert count_avoiding(masks, weights) == naive_avoiding(masks, weights)
+
+
+@st.composite
+def _hub_lineages(draw):
+    """Lineages shaped like a D_p's: variable 0 is in every mask, the others
+    fall into groups that are separate components once it is gone, and some
+    masks have a redundant superset.  At most 10 variables, with weights."""
+    masks, start = [], 1
+    for size in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        group = range(start, start + size)
+        start += size
+        for _ in range(draw(st.integers(1, 3))):
+            part = draw(st.sets(st.sampled_from(group), min_size=1))
+            masks.append(1 | sum(1 << v for v in part))
+    nvars = draw(st.integers(start, 10))
+    extra = st.tuples(st.sampled_from(masks), st.integers(1, nvars - 1))
+    masks += [m | 1 << v for m, v in draw(st.lists(extra, max_size=4))]
+    pair = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    weights = draw(st.lists(pair, min_size=nvars, max_size=nvars))
+    return draw(st.permutations(masks)), weights
+
+
+@settings(deadline=None)
+@given(_hub_lineages())
+def test_count_avoiding_hub_lineage_matches_naive(lineage):
+    masks, weights = lineage
+    assert count_avoiding(masks, weights) == naive_avoiding(masks, weights)
+
+
+@settings(deadline=None)
+@given(_hub_lineages())
+def test_count_avoiding_hub_lineage_cap_reports_the_reference_width(lineage):
+    masks, weights = lineage
+    width = reference_widest(masks)
+    with pytest.raises(CapExceededError) as info:
+        count_avoiding(masks, weights, cap=width - 1)
+    assert (info.value.required, info.value.cap) == (width, width - 1)
+    assert count_avoiding(masks, weights, cap=width) == naive_avoiding(masks, weights)
 
 
 # Random instances of R(x), S(x,y), T(y) over a three-constant domain.
