@@ -5,9 +5,16 @@ match supports (the oracle used by the verification suites); a polynomial
 safe-plan evaluator for hierarchical queries; and the certain-T rewrite that
 makes the (r, s, 1) per-relation setting tractable.
 
-Both exact routes take each fact's integer weights (w_in, w_out) and return
-(miss, total, covered).  UR weighs every fact (1, 1), which makes |Mod(Q, I)|
-= 2**|I| * P(Q) at p = 1/2; PQE weighs by ``fact_weights``.
+Both exact routes take each fact's integer weights (w_in, w_out) and give
+miss and total, the weight of the worlds with no match and of all worlds,
+over the facts they cover.  UR weighs every fact (1, 1), which makes
+|Mod(Q, I)| = 2**|I| * P(Q) at p = 1/2; PQE weighs by ``fact_weights``.
+
+The brute route is the ``lineage`` (the match supports, as masks) and its
+weighted count, ``lineage_counts``, which conditions it on the weights: a
+certain fact (1, 0) leaves every mask, and an impossible one (0, 1) takes
+every support that holds it out.  So a sub-instance's lineage is the full
+one with the missing facts impossible, and one lineage serves them all.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import kernels
 from .cq import AtomPattern, Query, check_arities, classify_hierarchical
@@ -86,31 +94,50 @@ def _weight_pair(p: Fraction) -> tuple[int, int]:
     return num, p.denominator - num
 
 
-def _brute_counts(
-    q: Query, instance: Instance, weights: Weights, cap: int | None
-) -> tuple[int, int, int]:
-    """The brute twin of ``_safe_counts``, by exact model counting over the
-    match supports.  A fact with w_out = 0 is certain: it is fixed present
-    and leaves the lineage.  The counter raises CapExceededError when the
-    lineage's widest independent component exceeds the resolved cap.
-    """
+class Lineage(NamedTuple):
+    """The match supports of a query on an instance: bit i of a mask
+    stands for ``facts[i]``, and every fact lies in some support."""
+
+    facts: list[Fact]
+    masks: list[int]
+
+
+def lineage(q: Query, instance: Instance) -> Lineage:
+    """One mask per distinct match support of q on the instance."""
     supports = set(enumerate_matches(q, instance))
-    covered = set().union(*supports)
-    certain = {f for f in covered if weights[f][1] == 0}
-    facts = sorted(covered - certain)
+    facts = sorted(set().union(*supports))
     index = {f: 1 << i for i, f in enumerate(facts)}
-    masks = [sum(index.get(f, 0) for f in sup) for sup in supports]
-    miss = kernels.count_avoiding(masks, [weights[f] for f in facts], resolve_cap(cap))
-    miss *= math.prod(weights[f][0] for f in certain)
-    return miss, math.prod(sum(weights[f]) for f in covered), len(covered)
+    return Lineage(facts, [sum(map(index.__getitem__, sup)) for sup in supports])
+
+
+def lineage_counts(lin: Lineage, weights: Weights, cap: int | None) -> tuple[int, int]:
+    """(miss, total) over the lineage's facts, each weighing ``weights[f]``:
+    the weight of the worlds that hold no support, and of all worlds.
+
+    A certain fact (w_out = 0) leaves every mask; a support that holds an
+    impossible fact (w_in = 0) leaves the lineage.  The counter raises
+    CapExceededError when the conditioned lineage's widest independent
+    component exceeds the resolved cap.
+    """
+    pairs = [weights[f] for f in lin.facts]
+    certain = impossible = 0
+    for i, (w_in, w_out) in enumerate(pairs):
+        if not w_out:
+            certain |= 1 << i
+        elif not w_in:
+            impossible |= 1 << i
+    masks = [m & ~certain for m in lin.masks if not m & impossible]
+    miss = kernels.count_avoiding(masks, pairs, resolve_cap(cap))
+    return miss, math.prod(map(sum, pairs))
 
 
 def ur_brute(q: Query, instance: Instance, cap: int | None = None) -> int:
     """|Mod(Q, I)| by exact model counting over the support facts, every
     fact weighing 1 present and 1 absent; each fact outside every match
     support doubles the count."""
-    miss, total, covered = _brute_counts(q, instance, dict.fromkeys(instance.facts, (1, 1)), cap)
-    return (total - miss) << (len(instance) - covered)
+    lin = lineage(q, instance)
+    miss, total = lineage_counts(lin, dict.fromkeys(lin.facts, (1, 1)), cap)
+    return (total - miss) << (len(instance) - len(lin.facts))
 
 
 def pqe_brute(
@@ -119,13 +146,14 @@ def pqe_brute(
     prob: ProbAssignment,
     cap: int | None = None,
 ) -> Fraction:
-    """Exact query probability by weighted model counting over the uncertain
-    support facts, weighted as ``fact_weights`` says.
+    """Exact query probability by weighted model counting over the support
+    facts, weighted as ``fact_weights`` says.
 
-    Certain facts (probability 1) are fixed present; facts outside every match
-    support contribute a factor of 1 either way.
+    Certain facts (probability 1) are fixed present, and impossible ones
+    (probability 0) fixed absent; facts outside every match support
+    contribute a factor of 1 either way.
     """
-    miss, total, _ = _brute_counts(q, instance, fact_weights(instance, prob), cap)
+    miss, total = lineage_counts(lineage(q, instance), fact_weights(instance, prob), cap)
     return Fraction(total - miss, total)
 
 

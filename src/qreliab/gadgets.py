@@ -3,7 +3,8 @@
 Each count (lambda's for the two-element gadget, gamma/delta's for the
 four-element chain) is available both in closed form and by brute-force
 enumeration with the matching boundary conditions, so the closed forms can be
-verified independently.
+verified independently.  The brute counts take each gadget's lineage once
+and count it under one weighting per boundary condition.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .cq import Atom, Query, Term, parse_query
 from .errors import CapExceededError, QReliabError
-from .evaluate import _brute_counts
+from .evaluate import Lineage, lineage, lineage_counts
 from .instances import Fact, Instance
 
 GADGET_KINDS = ("ab", "abcd", "abcd_trimmed")
@@ -140,38 +141,44 @@ def count_violating(
     """Worlds of the instance violating the query, under presence constraints.
 
     Worlds range over subsets of the facts that are neither forced present nor
-    forced absent; a forced-absent fact is removed before matching, and a
-    forced-present one weighs (1, 0), so it is in every world.
+    forced absent.  The lineage is counted with a forced-present fact
+    weighing (1, 0), in every world, and a forced-absent one (0, 1), in
+    none; a fact forced both ways is absent.
     """
-    present = set(forced_present)
-    reduced = Instance(instance.facts - set(forced_absent))
-    weights = {f: (1, 0) if f in present else (1, 1) for f in reduced.facts}
-    miss, total, _ = _brute_counts(query, reduced, weights, cap)
-    # total = 2**k for the k free support facts; each other free fact doubles the count.
-    return miss << (len(reduced.facts - present) - (total.bit_length() - 1))
+    return _violating(instance, lineage(query, instance), forced_present, forced_absent, cap)
+
+
+def _violating(instance: Instance, lin: Lineage, forced_present, forced_absent, cap=None) -> int:
+    """``count_violating`` on the instance's lineage ``lin``."""
+    absent = set(forced_absent)
+    present = set(forced_present) - absent
+    weights = {f: (0, 1) if f in absent else (1, 0) if f in present else (1, 1) for f in lin.facts}
+    miss, total = lineage_counts(lin, weights, cap)
+    # total = 2**k for the k free lineage facts; each other free fact doubles the count.
+    return miss << (len(instance.facts - absent - present) - (total.bit_length() - 1))
 
 
 def brute_counts(r: int, s: int, t: int) -> GadgetCounts:
-    """All eight counts by enumerating gadget worlds with boundary masks."""
+    """All eight counts from two lineages, the (a,b)-gadget's and the
+    chain's, each counted under one weighting per boundary condition."""
     query = qrst_query(r, s, t)
-    ab = build_gadget("ab", r, s, t, ["@g.a", "@g.b"])
-    chain = build_gadget("abcd", r, s, t, ["@g.a", "@g.b", "@g.c", "@g.d"])
+    gadgets = [
+        build_gadget("ab", r, s, t, ["@g.a", "@g.b"]),
+        build_gadget("abcd", r, s, t, ["@g.a", "@g.b", "@g.c", "@g.d"]),
+    ]
+    ab, chain = [(gadget, lineage(query, gadget)) for gadget in gadgets]
     r_on_a = _r_facts(r, "@g.a")
     t_on_b = _t_facts(t, "@g.b")
     t_on_d = _t_facts(t, "@g.d")
 
-    lam_r = count_violating(ab, query, forced_present=r_on_a)
-    lam_rbar = count_violating(ab, query, forced_absent=r_on_a)
-    lam_t = count_violating(ab, query, forced_present=t_on_b)
-    lam_tbar = count_violating(ab, query, forced_absent=t_on_b)
-    gamma = count_violating(chain, query, forced_present=r_on_a + t_on_d)
-    delta_r = count_violating(
-        chain, query, forced_present=r_on_a, forced_absent=t_on_d
-    )
-    delta_t = count_violating(
-        chain, query, forced_present=t_on_d, forced_absent=r_on_a
-    )
-    delta_bot = count_violating(chain, query, forced_absent=r_on_a + t_on_d)
+    lam_r = _violating(*ab, r_on_a, ())
+    lam_rbar = _violating(*ab, (), r_on_a)
+    lam_t = _violating(*ab, t_on_b, ())
+    lam_tbar = _violating(*ab, (), t_on_b)
+    gamma = _violating(*chain, r_on_a + t_on_d, ())
+    delta_r = _violating(*chain, r_on_a, t_on_d)
+    delta_t = _violating(*chain, t_on_d, r_on_a)
+    delta_bot = _violating(*chain, (), r_on_a + t_on_d)
     return GadgetCounts(
         r=r,
         s=s,

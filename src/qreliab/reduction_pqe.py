@@ -14,6 +14,8 @@ every bound C(|R|, i) * C(|T|, j) + 1 on X_ij, checked exactly on the cells
 c, d < 2 and modulo a second prime on every cell.  The formula oracle
 gets X from a fold over the subsets of the graph's smaller side, and hands
 it over as the expected solution, so that a correct check reads no node.
+The brute oracle enumerates the matches of the largest padded instance
+once and conditions that lineage on each cell's padding (``_brute_pi``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Mapping
 
 from .bipartite import BipartiteGraph, _check_pair_cap
 from .errors import ProbabilityError, QReliabError
-from .evaluate import pqe_brute
+from .evaluate import fact_weights, lineage, lineage_counts, pqe_brute
 from .gadgets import q1_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
 from .vandermonde import Factor, kron_power_sums, recover_counts
@@ -84,18 +86,51 @@ def build_Icd(
     facts = [Fact("R", (u,)) for u in g.left]
     facts += [Fact("T", (w,)) for w in g.right]
     facts += [Fact("S", (u, w)) for u, w in g.edges]
-    for u in g.left:
-        for k in range(1, c + 1):
-            fresh = fresh_constant(f"w.{u}", [k])
-            facts += [Fact("T", (fresh,)), Fact("S", (u, fresh))]
-    for w in g.right:
-        for k in range(1, d + 1):
-            fresh = fresh_constant(f"u.{w}", [k])
-            facts += [Fact("R", (fresh,)), Fact("S", (fresh, w))]
+    for k in range(1, c + 1):
+        facts += _pendants(g, k)[0]
+    for k in range(1, d + 1):
+        facts += _pendants(g, k)[1]
     phi = ProbAssignment.for_relations(
         {"R": Fraction(r), "S": Fraction(1), "T": Fraction(t)}
     )
     return Instance(facts), phi
+
+
+def _pendants(g: BipartiteGraph, k: int) -> tuple[list[Fact], list[Fact]]:
+    """The k-th pendants: T(w') and S(u, w') for a fresh neighbor w' of
+    each left vertex u, and R(u') and S(u', w) for a fresh neighbor u' of
+    each right vertex w."""
+    left, right = [], []
+    for u in g.left:
+        fresh = fresh_constant(f"w.{u}", [k])
+        left += [Fact("T", (fresh,)), Fact("S", (u, fresh))]
+    for w in g.right:
+        fresh = fresh_constant(f"u.{w}", [k])
+        right += [Fact("R", (fresh,)), Fact("S", (fresh, w))]
+    return left, right
+
+
+def _brute_pi(
+    g: BipartiteGraph, r: Fraction, t: Fraction, cells: list[tuple[int, int]]
+) -> dict[tuple[int, int], Fraction]:
+    """pi(c, d) on the cells, in order, from the one lineage of the
+    largest padded instance.  ``build_Icd`` numbers each vertex's pendants
+    from 1, so the instance padded by (c, d) is the largest one without
+    the pendants numbered above c or d; its lineage is the largest one with
+    those pendants weighing (0, 1), impossible, and the width cap is
+    checked on it."""
+    n_left, n_right = len(g.left), len(g.right)
+    instance, phi = build_Icd(g, n_left, n_right, r, t)
+    lin = lineage(q1_query(), instance)
+    weights = fact_weights(instance, phi)
+    pendants = [_pendants(g, k) for k in range(1, max(n_left, n_right) + 1)]
+    pi = {}
+    for c, d in cells:
+        impossible = [f for left, _ in pendants[c:n_left] for f in left]
+        impossible += [f for _, right in pendants[d:n_right] for f in right]
+        miss, total = lineage_counts(lin, weights | dict.fromkeys(impossible, (0, 1)), None)
+        pi[(c, d)] = Fraction(miss, total)
+    return pi
 
 
 def _independent_pairs(g: BipartiteGraph) -> dict[tuple[int, int], int]:
@@ -154,7 +189,10 @@ def pi_value(
     t: Fraction,
     oracle: str = "brute",
 ) -> Fraction:
-    """Probability that a sampled world of the padded encoding has no match."""
+    """Probability that a sampled world of the padded encoding has no match.
+
+    The per-cell reference: the brute oracle builds the padded instance
+    and counts it alone, the formula oracle evaluates the closed form."""
     r, t = Fraction(r), Fraction(t)
     if oracle == "brute":
         instance, phi = build_Icd(g, c, d, r, t)
@@ -205,11 +243,13 @@ def run_reduction_pqe(
         independent = _independent_pairs(g)
         counts = [independent.get(cell, 0) for cell in cells]
         head = [[0] * len(columns) for _ in rows]
-    else:
-        oracle_pi = {(c, d): pi_value(g, c, d, r, t, oracle=oracle) for c, d in cells}
+    elif oracle == "brute":
+        oracle_pi = _brute_pi(g, r, t, cells)
         scale = _scale(g, r, t)
         rhs = [oracle_pi[cell] / scale for cell in cells]
         head = [[rhs[c * shape[1] + d] for d in columns] for c in rows]
+    else:
+        raise QReliabError(f"unknown oracle {oracle!r}")
 
     def residues(prime: int) -> tuple[list[Factor], list[int]]:
         if any(v % prime == 0 for f in (r, t, 1 - r, 1 - t) for v in (f.numerator, f.denominator)):

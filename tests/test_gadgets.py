@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qreliab import evaluate
 from qreliab.cq import enumerate_matches
 from qreliab.errors import QReliabError
 from qreliab.evaluate import ur_brute
@@ -85,8 +86,21 @@ def test_closed_counts_symmetry():
 
 
 def test_brute_matches_closed_small():
-    for rst in [(1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 2, 2)]:
+    for rst in itertools.product((1, 2, 3), repeat=3):
         assert brute_counts(*rst) == closed_counts(*rst)
+
+
+def test_brute_counts_enumerate_each_gadget_once(monkeypatch):
+    calls = []
+    enumerate_matches = evaluate.enumerate_matches
+
+    def counted(q, instance):
+        calls.append(len(instance))
+        return enumerate_matches(q, instance)
+
+    monkeypatch.setattr(evaluate, "enumerate_matches", counted)
+    assert brute_counts(2, 3, 2) == closed_counts(2, 3, 2)
+    assert calls == [2 + 3 + 2, 3 + 2 + 3 + 2 + 3 + 2 + 2]  # the (a,b)-gadget, the chain
 
 
 def test_count_violating_whole_gadget():

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreliab import bipartite, reduction_pqe, vandermonde
+from qreliab import bipartite, evaluate, reduction_pqe, vandermonde
 from qreliab.bipartite import BipartiteGraph, independent_pair_count, x_table
 from qreliab.errors import CapExceededError, ProbabilityError, QReliabError
 from qreliab.instances import Fact, parse_instance
@@ -203,13 +203,14 @@ def test_solver_prime_dividing_a_denominator_is_skipped(monkeypatch):
 
 @pytest.mark.parametrize("cell", [(0, 0), (1, 1), (2, 1)])
 def test_tampered_brute_pi_is_rejected(monkeypatch, cell):
-    pi_value = reduction_pqe.pi_value
+    brute_pi = reduction_pqe._brute_pi
 
-    def tampered(g, c, d, r, t, oracle="brute"):
-        value = pi_value(g, c, d, r, t, oracle)
-        return value + Fraction(1, 1000) if (c, d) == cell else value
+    def tampered(g, r, t, cells):
+        values = brute_pi(g, r, t, cells)
+        values[cell] += Fraction(1, 1000)
+        return values
 
-    monkeypatch.setattr(reduction_pqe, "pi_value", tampered)
+    monkeypatch.setattr(reduction_pqe, "_brute_pi", tampered)
     g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1")])
     with pytest.raises(QReliabError):
         run_reduction_pqe(g, HALF, Fraction(1, 3), oracle="brute")
@@ -245,13 +246,49 @@ def test_fold_matches_plain_pair_enumeration(g):
 )
 def test_run_reduction_pqe_forward_map_matches_pi_value(g, r, t):
     # the formula oracle's pi, built by two nested power sums, against the
-    # closed form cell by cell, and against the brute oracle up to 2+2
+    # closed form cell by cell; the brute oracle's, from one lineage under
+    # one conditioning per cell, against a fresh instance per cell
     pi = run_reduction_pqe(g, r, t, oracle="formula").pi
-    small = len(g.left) <= 2 and len(g.right) <= 2
+    brute = run_reduction_pqe(g, r, t, oracle="brute").pi
+    assert brute.keys() == pi.keys()
     for (c, d), value in pi.items():
         assert value == pi_value(g, c, d, r, t, oracle="formula")
-        if small:
-            assert value == pi_value(g, c, d, r, t, oracle="brute")
+        assert brute[(c, d)] == pi_value(g, c, d, r, t, oracle="brute") == value
+
+
+def test_brute_oracle_enumerates_matches_once(monkeypatch):
+    calls = []
+    enumerate_matches = evaluate.enumerate_matches
+
+    def counted(q, instance):
+        calls.append(len(instance))
+        return enumerate_matches(q, instance)
+
+    monkeypatch.setattr(evaluate, "enumerate_matches", counted)
+    g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w3")])
+    run = run_reduction_pqe(g, HALF, Fraction(1, 3), oracle="brute")
+    assert run.p_result == independent_pair_count(g)
+    # the largest padded instance: 5 vertices, 2 edges, 2 * (2*2 + 3*3) pendant facts
+    assert calls == [33]
+
+
+def test_brute_oracle_cap_matches_the_first_failing_cell(monkeypatch):
+    # a lineage widens with the padding, so a lowered cap first fails
+    # inside the grid; the run must fail there, not on the widest cell
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "5")
+    g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1"), ("u2", "w1"), ("u2", "w2")])
+    r, t = Fraction(1, 3), HALF
+    required = []  # per failing cell, in the run's cell order
+    for c in range(3):
+        for d in range(3):
+            try:
+                pi_value(g, c, d, r, t, oracle="brute")
+            except CapExceededError as err:
+                required.append(err.required)
+    assert required[0] < required[-1]
+    with pytest.raises(CapExceededError) as info:
+        run_reduction_pqe(g, r, t, oracle="brute")
+    assert info.value.required == required[0]
 
 
 @settings(max_examples=100, deadline=None)
