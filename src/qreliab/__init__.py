@@ -5,6 +5,7 @@ reductions from bipartite independent-set-pair counting."""
 from .bipartite import (
     BipartiteGraph,
     independent_pair_count,
+    independent_pairs,
     parse_graph,
     profile_stats,
     x_table,
@@ -94,6 +95,7 @@ __all__ = [
     "enumerate_matches",
     "fresh_constant",
     "independent_pair_count",
+    "independent_pairs",
     "kron_system",
     "lemma_binary_transform",
     "merge_power2",

@@ -8,19 +8,22 @@ of generated constants.
 The profile key (i, j, c, d, d') of a vertex-subset pair (R', T') records
 the sizes of R' and T' and how the edges fall with respect to them: c
 contained in R' x T', d dangling from R' only, d' dangling from T' only;
-the rest are excluded.  These are the quantities the reduction's linear
-system is indexed by.  This module is a verification oracle: everything is
-computed by plain enumeration.
+the rest are excluded: the UR reduction's system is indexed by them.
+``independent_pairs``, a fold over the smaller side's subsets, is the one
+fast pair count (``qreliab isets``, the PQE formula oracle); ``iter_pairs``,
+``independent_pair_count`` and ``x_table`` enumerate every pair, as oracles.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from .errors import CapExceededError, GraphFormatError
 from .evaluate import resolve_cap
-from .instances import _CONSTANT_RE
+from .instances import CONSTANT_RE
 
 DEFAULT_PAIR_CAP = 24
 
@@ -75,7 +78,7 @@ def parse_graph(text: str) -> BipartiteGraph:
         parts = line.split()
         if parts[0] in ("left", "right") and len(parts) == 2:
             # Vertex names become constants of the emitted instances.
-            if not _CONSTANT_RE.fullmatch(parts[1]) or parts[1].startswith("@"):
+            if not CONSTANT_RE.fullmatch(parts[1]) or parts[1].startswith("@"):
                 raise GraphFormatError(f"line {lineno}: bad vertex name {parts[1]!r}")
         if parts[0] == "left" and len(parts) == 2:
             if parts[1] in left or parts[1] in right:
@@ -116,8 +119,7 @@ def _edge_masks(g: BipartiteGraph) -> list[tuple[int, int]]:
 
 
 def _check_pair_cap(vertices: int, cap: int | None) -> None:
-    """Raise CapExceededError if enumerating every subset of ``vertices``
-    vertices passes the pair cap."""
+    """Raise CapExceededError if the subsets of ``vertices`` vertices pass the pair cap."""
     limit = resolve_cap(cap, DEFAULT_PAIR_CAP)
     if vertices > limit:
         raise CapExceededError(vertices, limit)
@@ -139,6 +141,49 @@ def independent_pair_count(g: BipartiteGraph, cap: int | None = None) -> int:
         if all(not (r_mask & ub and t_mask & wb) for ub, wb in edge_bits):
             count += 1
     return count
+
+
+def independent_pairs(g: BipartiteGraph) -> dict[tuple[int, int], int]:
+    """Independent pairs (no edge contained) per (|R'|, |T'|), by a fold
+    over the subsets S of the smaller side alone.  The pairs with S on that
+    side are S with any subset of the other side's vertices outside N(S),
+    the neighbours of S, so a histogram of the subsets by (|S|, |N(S)|)
+    expands into the pair counts through binomial coefficients.  The pair
+    cap bounds the smaller side."""
+    flip = len(g.right) < len(g.left)  # ties enumerate the left side
+    small, other = (g.right, g.left) if flip else (g.left, g.right)
+    _check_pair_cap(len(small), None)
+    bit = {v: 1 << k for k, v in enumerate(other)}
+    adjacent = dict.fromkeys(small, 0)
+    for edge in g.edges:
+        v, w = edge[::-1] if flip else edge
+        adjacent[v] |= bit[w]
+    masks = list(adjacent.values())
+    # N(S) = N(S & low) | N(S & high): one OR per subset, and lists of
+    # 2**(len(small) / 2) entries rather than 2**len(small)
+    half = len(masks) // 2
+    low_neighbours, low_sizes = _subset_neighbours(masks[:half])
+    histogram: Counter[tuple[int, int]] = Counter()
+    for neighbours, size in zip(*_subset_neighbours(masks[half:])):
+        blocked = [(n | neighbours).bit_count() for n in low_neighbours]
+        histogram.update(zip([s + size for s in low_sizes], blocked))
+    counts: dict[tuple[int, int], int] = {}
+    for (size, blocked), count in histogram.items():
+        outside = len(other) - blocked
+        for k in range(outside + 1):
+            key = (k, size) if flip else (size, k)
+            counts[key] = counts.get(key, 0) + count * comb(outside, k)
+    return counts
+
+
+def _subset_neighbours(masks: list[int]) -> tuple[list[int], list[int]]:
+    """For every subset S of the vertices with neighbour ``masks``, N(S) as
+    a mask and |S|: S with a vertex v added has N(S) | N(v)."""
+    neighbours, sizes = [0], [0]
+    for mask in masks:
+        neighbours += [n | mask for n in neighbours]
+        sizes += [s + 1 for s in sizes]
+    return neighbours, sizes
 
 
 def _profile(edge_bits: list[tuple[int, int]], r_mask: int, t_mask: int) -> ProfileKey:

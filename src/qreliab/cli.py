@@ -13,7 +13,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .bipartite import independent_pair_count, parse_graph
+from .bipartite import independent_pairs, parse_graph
 from .cq import classify_hierarchical, parse_query
 from .errors import QReliabError, UsageError
 from .evaluate import brute_cap_override, pqe_brute, pqe_safe, ur_brute, ur_safe
@@ -147,7 +147,7 @@ def _cmd_lemmas(args) -> None:
 
 def _cmd_isets(args) -> None:
     g = parse_graph(_read(args.graph))
-    print(independent_pair_count(g))
+    print(sum(independent_pairs(g).values()))
 
 
 def _cmd_reduce_ur(args) -> None:

@@ -22,7 +22,7 @@ from .errors import (
     UnknownVariableError,
 )
 
-_RELATION_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
+RELATION_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 _VARIABLE_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 _BARE_CONST_RE = re.compile(r"[0-9][A-Za-z0-9_.@]*")
 _QUOTED_CONST_RE = re.compile(r"'([A-Za-z0-9_.@]+)'")
@@ -137,7 +137,7 @@ def parse_query(text: str) -> Query:
             if atoms:
                 raise QuerySyntaxError("expected an atom after ','", pos)
             raise QuerySyntaxError("empty query", pos)
-        m = _RELATION_RE.match(text, pos)
+        m = RELATION_RE.match(text, pos)
         if not m:
             raise QuerySyntaxError("expected a relation name", pos)
         relation = m.group(0)

@@ -15,18 +15,18 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .cq import _RELATION_RE
+from .cq import RELATION_RE
 from .errors import ArityError, InstanceFormatError, ProbabilityError, QReliabError
 
-_CONSTANT_RE = re.compile(r"[A-Za-z0-9_.@]+")
+CONSTANT_RE = re.compile(r"[A-Za-z0-9_.@]+")
 # Reads any line that has a fact's shape, to word the error of a bad one.
-_FACT_RE = re.compile(rf"({_RELATION_RE.pattern})\((.*)\)\s*$")
+_FACT_RE = re.compile(rf"({RELATION_RE.pattern})\((.*)\)\s*$")
 # Whitespace within one line of a file whose lines are joined by newlines.
 _WS = r"[^\S\n]"
 # The relation, then a well-formed parenthesised argument list; the second
 # group is the list without its outer whitespace.
-_RELATION = rf"({_RELATION_RE.pattern})"
-_ARGS = rf"\({_WS}*({_CONSTANT_RE.pattern}(?:{_WS}*,{_WS}*{_CONSTANT_RE.pattern})*){_WS}*\)"
+_RELATION = rf"({RELATION_RE.pattern})"
+_ARGS = rf"\({_WS}*({CONSTANT_RE.pattern}(?:{_WS}*,{_WS}*{CONSTANT_RE.pattern})*){_WS}*\)"
 
 
 def _lines_re(accepted: str) -> re.Pattern:
@@ -95,9 +95,6 @@ class Instance:
         fs = self._by_relation.get(relation)
         return len(fs[0].args) if fs else None
 
-    def union(self, other: "Instance") -> "Instance":
-        return Instance(self._facts | other._facts)
-
     def __len__(self) -> int:
         return len(self._facts)
 
@@ -124,7 +121,7 @@ def _fact_args(body: str, lineno: int, error: type[QReliabError]) -> tuple[str, 
     """The constants of a fact's argument list; a malformed one raises error."""
     args = tuple(a.strip() for a in body.split(","))
     for a in args:
-        if not _CONSTANT_RE.fullmatch(a):
+        if not CONSTANT_RE.fullmatch(a):
             raise error(f"line {lineno}: bad constant {a!r}")
     return args
 
@@ -241,7 +238,7 @@ def parse_prob_map(text: str, mode: str) -> ProbAssignment:
             key = Fact(relation, tuple(map(str.strip, args.split(",")))) if per_fact else relation
         elif per_fact:
             key = _fact_of(target, lineno, ProbabilityError)
-        elif _RELATION_RE.fullmatch(target):
+        elif RELATION_RE.fullmatch(target):
             key = target
         else:
             raise ProbabilityError(f"line {lineno}: bad relation name {target!r}")

@@ -12,22 +12,21 @@ the uniform-reliability reduction's system is, by
 ``vandermonde.recover_counts``: in residues modulo a Mersenne prime above
 every bound C(|R|, i) * C(|T|, j) + 1 on X_ij, checked exactly on the cells
 c, d < 2 and modulo a second prime on every cell.  The formula oracle
-gets X from a fold over the subsets of the graph's smaller side, and hands
-it over as the expected solution, so that a correct check reads no node.
-The brute oracle enumerates the matches of the largest padded instance
-once and conditions that lineage on each cell's padding (``_brute_pi``).
+gets X from the fold ``bipartite.independent_pairs`` and hands it over as
+the expected solution, so that a correct check reads no node.  The brute
+oracle enumerates the matches of the largest padded instance once and
+conditions that lineage on each cell's padding (``_brute_pi``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
 from typing import Mapping
 
-from .bipartite import BipartiteGraph, _check_pair_cap
+from .bipartite import BipartiteGraph, independent_pairs
 from .errors import ProbabilityError, QReliabError
 from .evaluate import fact_weights, lineage, lineage_counts, pqe_brute
 from .gadgets import q1_query
@@ -133,49 +132,6 @@ def _brute_pi(
     return pi
 
 
-def _independent_pairs(g: BipartiteGraph) -> dict[tuple[int, int], int]:
-    """Independent pairs (no edge contained) per (|R'|, |T'|), by a fold
-    over the subsets S of the smaller side alone.  The pairs with S on that
-    side are S with any subset of the other side's vertices outside N(S),
-    the neighbours of S, so a histogram of the subsets by (|S|, |N(S)|)
-    expands into the pair counts through binomial coefficients.  The pair
-    cap bounds the smaller side."""
-    flip = len(g.right) < len(g.left)  # ties enumerate the left side
-    small, other = (g.right, g.left) if flip else (g.left, g.right)
-    _check_pair_cap(len(small), None)
-    bit = {v: 1 << k for k, v in enumerate(other)}
-    adjacent = dict.fromkeys(small, 0)
-    for edge in g.edges:
-        v, w = edge[::-1] if flip else edge
-        adjacent[v] |= bit[w]
-    masks = list(adjacent.values())
-    # N(S) = N(S & low) | N(S & high): one OR per subset, and lists of
-    # 2**(len(small) / 2) entries rather than 2**len(small)
-    half = len(masks) // 2
-    low_neighbours, low_sizes = _subset_neighbours(masks[:half])
-    histogram: Counter[tuple[int, int]] = Counter()
-    for neighbours, size in zip(*_subset_neighbours(masks[half:])):
-        blocked = [(n | neighbours).bit_count() for n in low_neighbours]
-        histogram.update(zip([s + size for s in low_sizes], blocked))
-    counts: dict[tuple[int, int], int] = {}
-    for (size, blocked), count in histogram.items():
-        outside = len(other) - blocked
-        for k in range(outside + 1):
-            key = (k, size) if flip else (size, k)
-            counts[key] = counts.get(key, 0) + count * comb(outside, k)
-    return counts
-
-
-def _subset_neighbours(masks: list[int]) -> tuple[list[int], list[int]]:
-    """For every subset S of the vertices with neighbour ``masks``, N(S) as
-    a mask and |S|: S with a vertex v added has N(S) | N(v)."""
-    neighbours, sizes = [0], [0]
-    for mask in masks:
-        neighbours += [n | mask for n in neighbours]
-        sizes += [s + 1 for s in sizes]
-    return neighbours, sizes
-
-
 def _scale(g: BipartiteGraph, r: Fraction, t: Fraction) -> Fraction:
     """(1 - r)**|L| * (1 - t)**|R|, the factor that every cell shares."""
     return (1 - r) ** len(g.left) * (1 - t) ** len(g.right)
@@ -203,7 +159,7 @@ def pi_value(
         system = kron_system(0, 0, r, t)  # checks r and t
         alpha, beta = system.a * (1 - t) ** c, system.b * (1 - r) ** d
         total = sum(
-            count * alpha**i * beta**j for (i, j), count in _independent_pairs(g).items()
+            count * alpha**i * beta**j for (i, j), count in independent_pairs(g).items()
         )
         return _scale(g, r, t) * total
     raise QReliabError(f"unknown oracle {oracle!r}")
@@ -240,7 +196,7 @@ def run_reduction_pqe(
     # rhs(c, d) = pi(c, d) / scale = sum_{i,j} a**i * b**j * X_ij * x_i**c * y_j**d
     oracle_pi = counts = None
     if oracle == "formula":  # one fold serves every cell; X is the expected solution
-        independent = _independent_pairs(g)
+        independent = independent_pairs(g)
         counts = [independent.get(cell, 0) for cell in cells]
         head = [[0] * len(columns) for _ in rows]
     elif oracle == "brute":

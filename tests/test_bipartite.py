@@ -12,6 +12,7 @@ import qreliab
 from qreliab.bipartite import (
     BipartiteGraph,
     independent_pair_count,
+    independent_pairs,
     parse_graph,
     profile_stats,
     x_table,
@@ -121,9 +122,9 @@ def test_x_table_single_edge():
 
 
 @st.composite
-def graphs(draw):
-    left = [f"u{k}" for k in range(draw(st.integers(0, 3)))]
-    right = [f"w{k}" for k in range(draw(st.integers(0, 3)))]
+def graphs(draw, max_side=3):
+    left = [f"u{k}" for k in range(draw(st.integers(0, max_side)))]
+    right = [f"w{k}" for k in range(draw(st.integers(0, max_side)))]
     possible = [(u, w) for u in left for w in right]
     edges = draw(st.lists(st.sampled_from(possible), unique=True) if possible else st.just([]))
     return BipartiteGraph.build(left, right, edges)
@@ -153,6 +154,19 @@ def test_x_table_matches_named_subset_histogram(g):
     assert sum(x.values()) == 2 ** (len(g.left) + len(g.right))
     independent = sum(count for (_i, _j, c, _d, _dp), count in x.items() if c == 0)
     assert independent == independent_pair_count(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(4))
+def test_fold_matches_plain_pair_enumeration(g):
+    # graphs up to 4+4, lopsided both ways, so the fold runs over either side
+    plain = Counter()
+    for (i, j, contained, _d, _dp), count in x_table(g).items():
+        if contained == 0:
+            plain[(i, j)] += count
+    fold = independent_pairs(g)
+    assert fold == plain
+    assert sum(fold.values()) == independent_pair_count(g)
 
 
 def test_pair_cap():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qreliab
+from qreliab import bipartite
 from qreliab.cli import build_parser, main
 from qreliab.instances import parse_instance
 
@@ -164,6 +165,37 @@ def test_lemmas(capsys):
 
 def test_isets(capsys, edge_graph):
     assert run(capsys, "isets", edge_graph)[:2] == (0, "3\n")
+
+
+def _graph_file(tmp_path, n_left, n_right, edges):
+    lines = [f"left u{k}" for k in range(n_left)] + [f"right w{k}" for k in range(n_right)]
+    lines += [f"edge u{a} w{b}" for a, b in edges]
+    path = tmp_path / "g.bg"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return str(path)
+
+
+def test_isets_folds_without_enumerating_pairs(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("isets enumerated every pair")
+
+    monkeypatch.setattr(bipartite, "iter_pairs", refuse)
+    matching = _graph_file(tmp_path, 12, 12, [(k, k) for k in range(12)])
+    assert run(capsys, "isets", matching)[:2] == (0, f"{3**12}\n")
+    complete = _graph_file(tmp_path, 12, 12, [(a, b) for a in range(12) for b in range(12)])
+    assert run(capsys, "isets", complete)[:2] == (0, f"{2**13 - 1}\n")
+
+
+def test_isets_caps_the_smaller_side(capsys, monkeypatch, tmp_path):
+    # 2 + 30 = 32 vertices is over the pair cap of 24, but the fold runs
+    # over the 2-vertex side only
+    assert run(capsys, "isets", _graph_file(tmp_path, 2, 30, []))[:2] == (0, f"{2**32}\n")
+    code, out, err = run(capsys, "isets", _graph_file(tmp_path, 25, 25, []))
+    assert (code, out) == (1, "")
+    assert "enumeration width 25 exceeds cap 24" in err
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "3")
+    code, _, err = run(capsys, "isets", _graph_file(tmp_path, 4, 4, [(0, 0)]))
+    assert code == 1 and "enumeration width 4 exceeds cap 3" in err
 
 
 def test_reduce_ur(capsys, edge_graph):

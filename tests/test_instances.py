@@ -40,11 +40,9 @@ def test_instance_set_semantics():
     assert Fact("R", ("a",)) in i
 
 
-def test_facts_of_and_union():
+def test_facts_of_and_arity_of():
     i = parse_instance("R(a)\nS(a,b)\n")
-    j = parse_instance("R(b)\n")
     assert [f.args for f in i.facts_of("R")] == [("a",)]
-    assert len(i.union(j)) == 3
     assert i.arity_of("S") == 2
     assert i.arity_of("Z") is None
 

@@ -43,3 +43,18 @@ def test_package_imports_only_the_standard_library():
                 if top != "qreliab" and top not in sys.stdlib_module_names:
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_no_private_names_imported_across_modules():
+    # An underscore-prefixed name is private to the module that defines it;
+    # a name another module needs is made public there.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qreliab")):
+                found += [
+                    f"{path.name}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []
