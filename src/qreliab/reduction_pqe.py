@@ -13,7 +13,10 @@ the uniform-reliability reduction's system is, by
 every bound C(|R|, i) * C(|T|, j) + 1 on X_ij, checked exactly on the cells
 c, d < 2 and modulo a second prime on every cell.  The formula oracle
 gets X from the fold ``bipartite.independent_pairs`` and hands it over as
-the expected solution, so that a correct check reads no node.  The brute
+the expected solution: the right-hand side is its forward map, computed
+at the solver prime only, and a correct check reads no node and computes
+nothing at the second prime.  Rationals are reduced a list at a time, by
+one modular inverse of their denominators (``mod_inverses``).  The brute
 oracle enumerates the matches of the largest padded instance once and
 conditions that lineage on each cell's padding (``_brute_pi``).
 """
@@ -24,14 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .bipartite import BipartiteGraph, independent_pairs
 from .errors import ProbabilityError, QReliabError
 from .evaluate import fact_weights, lineage, lineage_counts, pqe_brute
 from .gadgets import q1_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import Factor, kron_power_sums, recover_counts
+from .vandermonde import Factor, kron_power_sums, mod_inverses, recover_counts
 
 
 @dataclass(frozen=True)
@@ -182,9 +185,11 @@ def run_reduction_pqe(
     t: Fraction,
     oracle: str = "brute",
 ) -> PqeReductionRun:
-    """End-to-end: every violation probability or its residue, the
-    Kronecker-Vandermonde solve in residues, and the recovered
-    independent-set-pair count."""
+    """End-to-end: every violation probability (brute oracle) or the
+    independent-pair counts X (formula oracle), the Kronecker-Vandermonde
+    solve in residues, and the recovered independent-set-pair count.  With
+    the formula oracle, ``residues`` gives the factors only: the right-hand
+    side is the forward map of X, which ``recover_counts`` computes."""
     r, t = Fraction(r), Fraction(t)
     n_left, n_right = len(g.left), len(g.right)
     system = kron_system(n_left, n_right, r, t)
@@ -207,22 +212,21 @@ def run_reduction_pqe(
     else:
         raise QReliabError(f"unknown oracle {oracle!r}")
 
-    def residues(prime: int) -> tuple[list[Factor], list[int]]:
+    def residues(prime: int) -> tuple[list[Factor], list[int] | None]:
         if any(v % prime == 0 for f in (r, t, 1 - r, 1 - t) for v in (f.numerator, f.denominator)):
             raise ValueError(f"{prime} divides r, t, 1 - r or 1 - t")
-        factors = [
-            ([_residue(x, prime) for x in nodes], [_residue(w, prime) for w in weights])
-            for nodes, weights in exact
-        ]
+        factors = [(_residues(xs, prime), _residues(weights, prime)) for xs, weights in exact]
         if oracle == "formula":
-            return factors, kron_power_sums(counts, factors, shape, prime)
-        return factors, [_residue(value, prime) for value in rhs]
+            return factors, None  # recover_counts maps X forward
+        return factors, _residues(rhs, prime)
 
     bounds = [comb(n_left, i) * comb(n_right, j) + 1 for i, j in cells]
     solution = recover_counts(residues, exact, head, bounds, counts)
     return PqeReductionRun(r, t, g, oracle_pi, dict(zip(cells, solution)), sum(solution))
 
 
-def _residue(value: Fraction, prime: int) -> int:
-    """A rational modulo ``prime``, which must not divide its denominator."""
-    return value.numerator * pow(value.denominator, -1, prime) % prime
+def _residues(values: Sequence[Fraction], prime: int) -> list[int]:
+    """Rationals modulo ``prime``, which must divide none of their
+    denominators, by one modular inverse in all."""
+    inverses = mod_inverses([value.denominator for value in values], prime)
+    return [value.numerator * inverse % prime for value, inverse in zip(values, inverses)]

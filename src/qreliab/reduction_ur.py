@@ -30,7 +30,7 @@ from .cq import Query, Term, noncomparable_pair_and_rst
 from .errors import InvalidProfileError, QReliabError, SchemaMismatchError
 from .gadgets import GadgetCounts, closed_counts, count_violating, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import Factor, kron_power_sums, power_sums, recover_counts
+from .vandermonde import Factor, power_sums, recover_counts
 
 
 @dataclass(frozen=True)
@@ -182,21 +182,52 @@ def alpha_coefficient(
         raise InvalidProfileError(f"profile {profile_key} is not realizable")
     if i > params.n_left or j > params.n_right:
         raise InvalidProfileError(f"profile {profile_key} is out of range")
+    value = (
+        _row_factor(i, counts, params, prime)
+        * _column_factor(j, counts, params, prime)
+        * _cell_factor((c, d, dp), counts, params, prime)
+    )
+    return value if prime is None else value % prime
+
+
+# alpha(i, j, c, d, d') = row(i) * column(j) * cell(c, d, d'), exactly or
+# modulo a prime; the powers of lam_r and lam_rbar split into the M2 parts of
+# the row and the M1 parts of the cell.
+def _row_factor(i: int, counts: GadgetCounts, params: ReductionParams, prime: int | None) -> int:
+    powers = [(counts.lam_r, params.M2 * i), (counts.lam_rbar, params.M2 * (params.n_left - i))]
+    return _power_product(powers, prime)
+
+
+def _column_factor(
+    j: int, counts: GadgetCounts, params: ReductionParams, prime: int | None
+) -> int:
+    powers = [(counts.lam_t, params.M3 * j), (counts.lam_tbar, params.M3 * (params.n_right - j))]
+    return _power_product(powers, prime)
+
+
+def _cell_factor(
+    cell: tuple[int, int, int], counts: GadgetCounts, params: ReductionParams, prime: int | None
+) -> int:
     # The exponent layering that makes coefficients distinct needs no check:
     # realizability gives d + d' + 2e <= 2m, so s * (d + d' + 2e) < 4ms + 1,
     # which is M1 unless override_params replaced it.
+    c, d, dp = cell
     e = params.m - c - d - dp
-    factors = (
+    powers = [
         (counts.gamma, c),
         (counts.delta_r, d),
         (counts.delta_t, dp),
         (counts.delta_bot, e),
-        (counts.lam_r, params.M1 * (c + d) + params.M2 * i),
-        (counts.lam_t, params.M3 * j),
-        (counts.lam_rbar, params.M1 * (dp + e) + params.M2 * (params.n_left - i)),
-        (counts.lam_tbar, params.M3 * (params.n_right - j)),
-    )
-    value = math.prod(pow(base, exponent, prime) for base, exponent in factors)
+        (counts.lam_r, params.M1 * (c + d)),
+        (counts.lam_rbar, params.M1 * (dp + e)),
+    ]
+    return _power_product(powers, prime)
+
+
+def _power_product(powers: list[tuple[int, int]], prime: int | None) -> int:
+    """The product of base**exponent over ``powers``, exactly or modulo
+    ``prime``."""
+    value = math.prod(pow(base, exponent, prime) for base, exponent in powers)
     return value if prime is None else value % prime
 
 
@@ -242,13 +273,17 @@ def run_reduction(
     """End-to-end reduction: oracle counts N_p, Vandermonde solve, recovery
     of the independent-set-pair count.
 
-    The system sum_k y_k * alpha_k**p = N_p is built only modulo the solver
-    and check primes: node residues by modular powers of the gadget counts,
-    and with the analytic oracle N_p = sum_k Y_k * alpha_k**p, Y the weighted
-    pair-profile histogram, by one modular multiply per (cell of Y, p).  The
+    The system sum_k y_k * alpha_k**p = N_p is built only in residues.  A
+    node is the product of its row, column and cell factors, so a prime
+    costs (n_left+1) + (n_right+1) + C(m+3, 3) modular powers of the gadget
+    counts and one product per cell.  With the analytic oracle,
+    N_p = sum_k Y_k * alpha_k**p, Y the weighted pair-profile histogram, is
+    the forward map of Y, which ``recover_counts`` computes at the solver
+    prime alone: a y equal to Y needs no residue at a second prime.  The
     exact check of N_0..N_3 reads exact coefficients only where y differs
-    from Y (from 0 with the brute oracle).  The M' nodes, one per cell, are
-    distinct integers, so the first M' equations form a regular system.
+    from Y (from 0 with the brute oracle, whose counts are checked modulo a
+    second prime as well).  The M' nodes, one per cell, are distinct
+    integers, so the first M' equations form a regular system.
     """
     if oracle not in ("analytic", "brute"):
         raise QReliabError(f"unknown oracle {oracle!r}")
@@ -275,11 +310,15 @@ def run_reduction(
         weights = weighted_profiles(g, r, t)
         terms, head = [weights.get(key, 0) for key in cells], [0] * min(4, params.M)
 
-    def residues(prime: int) -> tuple[list[Factor], list[int]]:
-        factors = [([alpha_coefficient(key, counts, params, prime) for key in cells], None)]
+    def residues(prime: int) -> tuple[list[Factor], list[int] | None]:
+        rows = [_row_factor(i, counts, params, prime) for i in range(params.n_left + 1)]
+        columns = [_column_factor(j, counts, params, prime) for j in range(params.n_right + 1)]
+        corner = [key[2:] for key in cells if key[:2] == (0, 0)]  # every (c, d, d')
+        parts = {part: _cell_factor(part, counts, params, prime) for part in corner}
+        nodes = [rows[key[0]] * columns[key[1]] * parts[key[2:]] % prime for key in cells]
         if oracle == "brute":
-            return factors, [n_p % prime for n_p in oracle_counts]
-        return factors, kron_power_sums(terms, factors, [params.M], prime)
+            return [(nodes, None)], [n_p % prime for n_p in oracle_counts]
+        return [(nodes, None)], None  # recover_counts maps Y forward
 
     # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
     heaviest = _pair_weight(r, t, params.n_left, params.n_right)

@@ -2,7 +2,8 @@
 recovery of its integer solutions: ``power_sums`` maps y to b, exactly or
 modulo a prime, ``solve_vandermonde`` maps b back to y modulo a prime, and
 ``recover_counts`` finds the integer solution of a Kronecker product of such
-systems from its residues.
+systems from its residues.  ``mod_inverses`` inverts a list of residues by
+one modular inverse.
 
 The solve is the transposed multipoint evaluation of Kaltofen & Lakshman
 (ISSAC 1988) and Bostan, Lecerf & Schost (ISSAC 2003).  With
@@ -110,15 +111,31 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int], prime: int) -> l
             for k, pair in enumerate(remainders)
             for below in _split(pair, level[2 * k : 2 * k + 2], prime)
         ]
-    solution = []
-    for block, pair in zip(blocks, remainders):
-        for numer_k, deriv_k in zip(*(_horner(poly, block, prime) for poly in pair)):
-            solution.append(numer_k * pow(deriv_k, -1, prime) % prime)
-    return solution
+    numers, derivs = [], []  # N~(x_k) and Q'(x_k)
+    for block, (numer, deriv) in zip(blocks, remainders):
+        numers += _horner(numer, block, prime)
+        derivs += _horner(deriv, block, prime)
+    return [a * b % prime for a, b in zip(numers, mod_inverses(derivs, prime))]
+
+
+def mod_inverses(values: Sequence[int], prime: int) -> list[int]:
+    """The inverse of each of ``values`` modulo ``prime`` by one modular
+    inverse in all (Montgomery, Math. Comp. 1987): the inverse of the
+    product of them all, then a backward sweep over their prefix products.
+    Raises ValueError if some value is 0 modulo ``prime``."""
+    prefix = [1]  # prefix[k]: the product of values[:k]
+    for value in values:
+        prefix.append(prefix[-1] * value % prime)
+    inverse = pow(prefix[-1], -1, prime)  # 1 / prefix[k + 1] at step k below
+    out = [0] * len(values)
+    for k in reversed(range(len(values))):
+        out[k] = inverse * prefix[k] % prime
+        inverse = inverse * values[k] % prime
+    return out
 
 
 def recover_counts(
-    residues: Callable[[int], tuple[list[Factor], list[int]]],
+    residues: Callable[[int], tuple[list[Factor], list[int] | None]],
     exact: Sequence[Factor],
     head: Sequence,
     bounds: Sequence[int],
@@ -131,21 +148,30 @@ def recover_counts(
 
     ``residues(q)`` gives the factors and the flat b modulo the prime q,
     and raises ValueError if some node or weight is undefined, or some
-    weight is not invertible, modulo q.  ``head`` is b less the forward map
-    of ``terms`` (0 if None), the solution a caller expects, exactly on the
-    leading equations, as nested lists, one level per factor.  ``exact``
-    gives the factors exactly, read only where y differs from ``terms``.
+    weight is not invertible, modulo q.  ``terms``, if given, is the
+    solution a caller expects, and b is defined as its forward map: b is
+    then computed here, once, at the solver prime, and ``residues(q)``
+    gives None in its place.  ``head`` is b less the forward map of
+    ``terms`` (0 if None) on the leading equations, which are checked
+    exactly, as nested lists, one level per factor; all zeros if ``terms``
+    is given.  ``exact`` gives the factors exactly, read only where y
+    differs from ``terms``.
 
     Solved modulo the smallest listed prime above every bound at which the
     factors are defined and each one's nodes distinct, so every residue is
     the entry itself.  Distinct residues imply distinct nodes, so the
-    system is regular.  Checked exactly on the ``head`` equations, and on
-    all of them modulo the next listed prime at which the factors are
-    defined.
+    system is regular.  Checked as the forward map of y less ``terms``,
+    which reads the factors only where y differs from ``terms``: exactly
+    against ``head``, and on every equation modulo the next listed prime
+    at which the factors are defined, against b there (0 given ``terms``,
+    so a y equal to ``terms`` computes nothing at that prime).
     """
     top = max(bounds)
     solvers = _defined_residues(residues, [q for q in _MERSENNE_PRIMES[:-1] if q > top])
     for prime, factors, rhs in solvers:
+        shape = [len(nodes) for nodes, _ in factors]
+        if terms is not None:
+            rhs = kron_power_sums(terms, factors, shape, prime)
         try:
             solution = _kron_solve(factors, rhs, prime)
         except DuplicateNodeError:
@@ -164,12 +190,16 @@ def recover_counts(
     for p, (a, b) in enumerate(zip(lhs, flat)):
         if a != b:
             raise QReliabError(f"modular solution fails exact equation p={p}")
+    if terms is not None and not any(excess):
+        return solution
     checks = _defined_residues(residues, [q for q in _MERSENNE_PRIMES if q > prime])
     for check, factors, rhs in checks:
         break
     else:
         raise QReliabError("no check prime above the solver prime has every node defined")
-    lhs = kron_power_sums(solution, factors, [len(nodes) for nodes, _ in factors], check)
+    lhs = kron_power_sums(excess, factors, shape, check)
+    if terms is not None:
+        rhs = [0] * len(lhs)
     for p, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             raise QReliabError(f"modular solution fails equation p={p} modulo {check}")
@@ -177,8 +207,8 @@ def recover_counts(
 
 
 def _defined_residues(
-    residues: Callable[[int], tuple[list[Factor], list[int]]], primes: Sequence[int]
-) -> Iterator[tuple[int, list[Factor], list[int]]]:
+    residues: Callable[[int], tuple[list[Factor], list[int] | None]], primes: Sequence[int]
+) -> Iterator[tuple[int, list[Factor], list[int] | None]]:
     """(q, factors, rhs) for each of ``primes`` at which every node and
     weight is defined."""
     for prime in primes:
@@ -194,8 +224,7 @@ def _kron_solve(factors: Sequence[Factor], rhs: list[int], prime: int) -> list[i
     factors: one ``solve_vandermonde`` per row along each factor, divided by
     the factor's weights."""
     inverses = [
-        None if weights is None else [pow(w, -1, prime) for w in weights]
-        for _nodes, weights in factors
+        None if weights is None else mod_inverses(weights, prime) for _nodes, weights in factors
     ]
 
     def along(axis: int, row: list) -> list:

@@ -29,7 +29,7 @@ from qreliab.reduction_ur import (
     run_reduction,
     weighted_profiles,
 )
-from qreliab.vandermonde import power_sums, recover_counts, solve_vandermonde
+from qreliab.vandermonde import kron_power_sums, power_sums, recover_counts, solve_vandermonde
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 
@@ -354,7 +354,9 @@ def test_run_reduction_single_edge_at_large_multiplicities(rst):
 
 def solver_system(monkeypatch, g, rst):
     """run_reduction(g, *rst) and the system it hands to the solver:
-    (run, residues, node, head, terms)."""
+    (run, residues, node, head, terms), where residues(q) gives the node
+    residues and the right-hand side's, None if it is the forward map of
+    terms."""
     systems = []
 
     def spy(residues, exact, head, bounds, terms=None):
@@ -397,8 +399,9 @@ def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
 @pytest.mark.parametrize("g, rst", [(EDGE, (1, 1, 1)), (EDGE, (2, 1, 3)), (ONE_OF_TWO, (1, 1, 2))])
 def test_rhs_residues_match_exact_counts(monkeypatch, g, rst):
     # np_analytic powers each coefficient directly, apart from the power
-    # sums that build every right-hand side and n_vector; the exactly
-    # checked equations are head plus the forward map of the terms
+    # sums that build every right-hand side and n_vector; the right-hand
+    # side is the forward map of the terms, which recover_counts computes
+    # in residues, and the exactly checked equations are head plus it
     run, residues, node, head, terms = solver_system(monkeypatch, g, rst)
     assert run.params.M in (16, 24)
     exact = [np_analytic(g, *rst, p) for p in range(run.params.M)]
@@ -406,7 +409,9 @@ def test_rhs_residues_match_exact_counts(monkeypatch, g, rst):
     assert power_sums(terms, node, 4) == exact[:4]
     assert run.n_vector == exact
     for prime in SYSTEM_PRIMES:
-        _nodes, rhs = residues(prime)
+        nodes, rhs = residues(prime)
+        assert rhs is None
+        rhs = kron_power_sums(terms, [(nodes, None)], [run.params.M], prime)
         assert rhs == [n_p % prime for n_p in exact]
 
 

@@ -58,3 +58,36 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def test_modular_inverses_only_in_the_batch_helper():
+    # Residues are inverted a list at a time, by one pow(v, -1, q) in
+    # vandermonde.mod_inverses: a pow(v, -1, q) anywhere else is one more
+    # modular inverse per value.
+    def is_inverse(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            return False
+        if node.func.id != "pow" or len(node.args) != 3:
+            return False
+        try:
+            return ast.literal_eval(node.args[1]) == -1
+        except ValueError:
+            return False
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(call)
+            for node in ast.walk(tree)
+            if path.name == "vandermonde.py"
+            and isinstance(node, ast.FunctionDef)
+            and node.name == "mod_inverses"
+            for call in ast.walk(node)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if is_inverse(node) and id(node) not in allowed
+        ]
+    assert found == []

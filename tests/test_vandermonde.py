@@ -11,7 +11,13 @@ from qreliab.bipartite import BipartiteGraph
 from qreliab.errors import DuplicateNodeError, QReliabError
 from qreliab.reduction_pqe import run_reduction_pqe
 from qreliab.reduction_ur import run_reduction
-from qreliab.vandermonde import kron_power_sums, power_sums, recover_counts, solve_vandermonde
+from qreliab.vandermonde import (
+    kron_power_sums,
+    mod_inverses,
+    power_sums,
+    recover_counts,
+    solve_vandermonde,
+)
 
 PRIME = (1 << 61) - 1
 MODULI = [PRIME, (1 << 521) - 1, 10007]
@@ -144,6 +150,23 @@ def test_power_sums_roundtrip_over_fractions(system):
     assert solution == [residue(v) for v in y]
 
 
+MOD_INVERSE_PRIMES = [(1 << e) - 1 for e in (61, 89, 521)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MOD_INVERSE_PRIMES), st.lists(st.integers(min_value=0), max_size=40))
+@example(MOD_INVERSE_PRIMES[0], [])
+@example(MOD_INVERSE_PRIMES[1], [3, MOD_INVERSE_PRIMES[1] * 5, 7])
+def test_mod_inverses_match_pow(prime, values):
+    # one inverse per list, value by value the same as pow's; a value that
+    # is 0 modulo the prime raises ValueError, as pow does
+    if any(v % prime == 0 for v in values):
+        with pytest.raises(ValueError):
+            mod_inverses(values, prime)
+    else:
+        assert mod_inverses(values, prime) == [pow(v, -1, prime) for v in values]
+
+
 def test_empty_systems():
     for prime in MODULI:
         assert solve_vandermonde([], [], prime) == []
@@ -228,7 +251,12 @@ def test_kron_power_sums_and_recover_counts(system):
         head, zero = [head], [zero]
     bounds = [21] * len(counts)
     assert recover_counts(residues, factors, head, bounds) == counts
-    assert recover_counts(residues, factors, zero, bounds, counts) == counts
+    # given the expected counts, b is their forward map, which
+    # recover_counts computes itself
+    def factors_only(prime):
+        return residues(prime)[0], None
+
+    assert recover_counts(factors_only, factors, zero, bounds, counts) == counts
 
 
 
@@ -293,18 +321,70 @@ def test_exact_check_rejects_a_planted_error(monkeypatch, exact_reads, name):
 
 @pytest.mark.parametrize("run", FORMULA_RUNS.values(), ids=FORMULA_RUNS)
 def test_exact_check_rejects_an_error_every_prime_agrees_with(monkeypatch, run):
-    # every right-hand side residue, at the solver and the check prime alike,
-    # is that of the same first cell one too small: the modular solve and
-    # the check modulo a second prime both agree with the wrong solution
-    defined = vandermonde._defined_residues
+    # modulo every prime, the forward map drops the first cell, whose
+    # expected count is 1: the right-hand side at the solver prime is that
+    # of the first cell one too small, and the check modulo a second prime
+    # sees no difference either, so only the exact check can reject it
+    forward = vandermonde.kron_power_sums
 
-    def planted(residues, primes):
-        for prime, factors, rhs in defined(residues, primes):
-            shape = [len(nodes) for nodes, _ in factors]
-            unit = [1] + [0] * (math.prod(shape) - 1)
-            shift = kron_power_sums(unit, factors, shape, prime)
-            yield prime, factors, [(b - d) % prime for b, d in zip(rhs, shift)]
+    def planted(terms, factors, lengths, prime=None):
+        if prime is not None:
+            terms = [0, *terms[1:]]
+        return forward(terms, factors, lengths, prime)
 
-    monkeypatch.setattr(vandermonde, "_defined_residues", planted)
+    monkeypatch.setattr(vandermonde, "kron_power_sums", planted)
     with pytest.raises(QReliabError, match="fails exact equation"):
         run()
+
+
+def test_correct_formula_runs_work_at_one_prime(monkeypatch):
+    # the solver prime's factors and right-hand side are all a correct run
+    # computes in residues: y equals the expected solution, so the check
+    # modulo a second prime has nothing to sum
+    residue_primes, forward_primes = [], []
+    for module in (reduction_ur, reduction_pqe):
+
+        def spy(residues, *args, recover=module.recover_counts):
+            def logged(prime):
+                residue_primes.append(prime)
+                return residues(prime)
+
+            return recover(logged, *args)
+
+        monkeypatch.setattr(module, "recover_counts", spy)
+    forward = vandermonde.kron_power_sums
+
+    def forward_spy(terms, factors, lengths, prime=None):
+        if prime is not None:
+            forward_primes.append(prime)
+        return forward(terms, factors, lengths, prime)
+
+    monkeypatch.setattr(vandermonde, "kron_power_sums", forward_spy)
+    for run in FORMULA_RUNS.values():
+        residue_primes.clear()
+        forward_primes.clear()
+        assert run().p_result == 3
+        assert residue_primes == forward_primes == [PRIME]
+
+
+def test_modular_check_rejects_an_error_the_exact_check_cannot_see(monkeypatch):
+    # On a 2+2 graph the PQE system has 9 cells and 4 exactly checked
+    # equations, c, d < 2.  At r = t = 1/2 every node of the left factor is
+    # (1/2)**i and every weight 1, so (-1, 3, -2) along i (at j = 1) is
+    # orthogonal to 1 and (1/2)**i: added to X, it leaves every exactly
+    # checked equation as it is, and its one positive entry takes X_11
+    # from 1 to 4, below the cell's bound of 5.
+    g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1"), ("u1", "w2"), ("u2", "w1")])
+    half = Fraction(1, 2)
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    planted = {(0, 1): -1, (1, 1): 3, (2, 1): -2}
+    solve = vandermonde._kron_solve
+
+    def off_kernel(factors, rhs, prime):
+        solution = solve(factors, rhs, prime)
+        return [y + planted.get(cell, 0) for y, cell in zip(solution, cells)]
+
+    assert run_reduction_pqe(g, half, half, oracle="formula").x[1, 1] == 1
+    monkeypatch.setattr(vandermonde, "_kron_solve", off_kernel)
+    with pytest.raises(QReliabError, match="modulo"):
+        run_reduction_pqe(g, half, half, oracle="formula")
