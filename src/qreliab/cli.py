@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .bipartite import independent_pairs, parse_graph
-from .cq import classify_hierarchical, parse_query
+from .cq import classify_hierarchical, noncomparable_pair_and_rst, parse_query
 from .errors import QReliabError, UsageError
 from .evaluate import brute_cap_override, pqe_brute, pqe_safe, ur_brute, ur_safe
 from .gadgets import brute_counts, closed_counts, verify_lemmas
@@ -73,8 +73,6 @@ def _cmd_classify(args) -> None:
     if report.hierarchical:
         print("hierarchical")
     else:
-        from .cq import noncomparable_pair_and_rst
-
         x, y, r, s, t = noncomparable_pair_and_rst(q)
         print(f"non-hierarchical witness=({x},{y}) rst=({r},{s},{t})")
 

@@ -11,14 +11,16 @@ Vandermonde systems, with column weights a**i and b**j, and it is solved as
 the uniform-reliability reduction's system is, by
 ``vandermonde.recover_counts``: in residues modulo a Mersenne prime above
 every bound C(|R|, i) * C(|T|, j) + 1 on X_ij, checked exactly on the cells
-c, d < 2 and modulo a second prime on every cell.  The formula oracle
-gets X from the fold ``bipartite.independent_pairs`` and hands it over as
-the expected solution: the right-hand side is its forward map, computed
-at the solver prime only, and a correct check reads no node and computes
-nothing at the second prime.  Rationals are reduced a list at a time, by
-one modular inverse of their denominators (``mod_inverses``).  The brute
-oracle enumerates the matches of the largest padded instance once and
-conditions that lineage on each cell's padding (``_brute_pi``).
+c, d < 2 and modulo a second prime on every cell.  This module reduces
+the factors alone modulo a prime, a list at a time by
+``vandermonde.mod_values``; each oracle hands ``recover_counts`` its b
+once.  The brute oracle enumerates the matches of the largest padded
+instance once, conditions that lineage on each cell's padding
+(``_brute_pi``) and hands over the right-hand side pi / scale.  The formula
+oracle gets X from the fold ``bipartite.independent_pairs`` and hands it
+over as the expected solution: the right-hand side is its forward map,
+computed at the solver prime only, and a correct check reads no node and
+computes nothing at the second prime.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .bipartite import BipartiteGraph, independent_pairs
 from .errors import ProbabilityError, QReliabError
 from .evaluate import fact_weights, lineage, lineage_counts, pqe_brute
 from .gadgets import q1_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import Factor, kron_power_sums, mod_inverses, recover_counts
+from .vandermonde import Factor, kron_power_sums, mod_values, recover_counts
 
 
 @dataclass(frozen=True)
@@ -187,46 +189,33 @@ def run_reduction_pqe(
 ) -> PqeReductionRun:
     """End-to-end: every violation probability (brute oracle) or the
     independent-pair counts X (formula oracle), the Kronecker-Vandermonde
-    solve in residues, and the recovered independent-set-pair count.  With
-    the formula oracle, ``residues`` gives the factors only: the right-hand
-    side is the forward map of X, which ``recover_counts`` computes."""
+    solve in residues, and the recovered independent-set-pair count.  The
+    brute oracle hands ``recover_counts`` the right-hand side pi / scale,
+    the formula oracle X, whose forward map the right-hand side is."""
     r, t = Fraction(r), Fraction(t)
     n_left, n_right = len(g.left), len(g.right)
     system = kron_system(n_left, n_right, r, t)
     exact = system.factors()
     shape = (n_left + 1, n_right + 1)
     cells = [divmod(k, shape[1]) for k in range(shape[0] * shape[1])]
-    rows, columns = [range(min(2, n)) for n in shape]  # the exactly checked cells: c, d < 2
 
     # rhs(c, d) = pi(c, d) / scale = sum_{i,j} a**i * b**j * X_ij * x_i**c * y_j**d
-    oracle_pi = counts = None
+    oracle_pi = rhs = counts = None
     if oracle == "formula":  # one fold serves every cell; X is the expected solution
         independent = independent_pairs(g)
         counts = [independent.get(cell, 0) for cell in cells]
-        head = [[0] * len(columns) for _ in rows]
     elif oracle == "brute":
         oracle_pi = _brute_pi(g, r, t, cells)
         scale = _scale(g, r, t)
         rhs = [oracle_pi[cell] / scale for cell in cells]
-        head = [[rhs[c * shape[1] + d] for d in columns] for c in rows]
     else:
         raise QReliabError(f"unknown oracle {oracle!r}")
 
-    def residues(prime: int) -> tuple[list[Factor], list[int] | None]:
+    def residues(prime: int) -> list[Factor]:
         if any(v % prime == 0 for f in (r, t, 1 - r, 1 - t) for v in (f.numerator, f.denominator)):
             raise ValueError(f"{prime} divides r, t, 1 - r or 1 - t")
-        factors = [(_residues(xs, prime), _residues(weights, prime)) for xs, weights in exact]
-        if oracle == "formula":
-            return factors, None  # recover_counts maps X forward
-        return factors, _residues(rhs, prime)
+        return [(mod_values(xs, prime), mod_values(weights, prime)) for xs, weights in exact]
 
     bounds = [comb(n_left, i) * comb(n_right, j) + 1 for i, j in cells]
-    solution = recover_counts(residues, exact, head, bounds, counts)
+    solution = recover_counts(residues, exact, bounds, 2, rhs, counts)  # exact on c, d < 2
     return PqeReductionRun(r, t, g, oracle_pi, dict(zip(cells, solution)), sum(solution))
-
-
-def _residues(values: Sequence[Fraction], prime: int) -> list[int]:
-    """Rationals modulo ``prime``, which must divide none of their
-    denominators, by one modular inverse in all."""
-    inverses = mod_inverses([value.denominator for value in values], prime)
-    return [value.numerator * inverse % prime for value, inverse in zip(values, inverses)]

@@ -169,25 +169,22 @@ def profile_cells(params: ReductionParams) -> tuple[ProfileKey, ...]:
 
 
 def alpha_coefficient(
-    profile_key: ProfileKey,
-    counts: GadgetCounts,
-    params: ReductionParams,
-    prime: int | None = None,
+    profile_key: ProfileKey, counts: GadgetCounts, params: ReductionParams
 ) -> int:
     """The per-pair world-count coefficient of a realizable profile
     (c + d + d' <= m), a product of gadget counts raised to multiplicity
-    exponents, exactly or modulo ``prime``."""
+    exponents.  ``run_reduction``'s residues take the product of the same
+    factors modulo a prime."""
     i, j, c, d, dp = profile_key
     if min(i, j, c, d, dp) < 0 or c + d + dp > params.m:
         raise InvalidProfileError(f"profile {profile_key} is not realizable")
     if i > params.n_left or j > params.n_right:
         raise InvalidProfileError(f"profile {profile_key} is out of range")
-    value = (
-        _row_factor(i, counts, params, prime)
-        * _column_factor(j, counts, params, prime)
-        * _cell_factor((c, d, dp), counts, params, prime)
+    return (
+        _row_factor(i, counts, params, None)
+        * _column_factor(j, counts, params, None)
+        * _cell_factor((c, d, dp), counts, params, None)
     )
-    return value if prime is None else value % prime
 
 
 # alpha(i, j, c, d, d') = row(i) * column(j) * cell(c, d, d'), exactly or
@@ -273,17 +270,20 @@ def run_reduction(
     """End-to-end reduction: oracle counts N_p, Vandermonde solve, recovery
     of the independent-set-pair count.
 
-    The system sum_k y_k * alpha_k**p = N_p is built only in residues.  A
-    node is the product of its row, column and cell factors, so a prime
-    costs (n_left+1) + (n_right+1) + C(m+3, 3) modular powers of the gadget
-    counts and one product per cell.  With the analytic oracle,
-    N_p = sum_k Y_k * alpha_k**p, Y the weighted pair-profile histogram, is
-    the forward map of Y, which ``recover_counts`` computes at the solver
-    prime alone: a y equal to Y needs no residue at a second prime.  The
-    exact check of N_0..N_3 reads exact coefficients only where y differs
-    from Y (from 0 with the brute oracle, whose counts are checked modulo a
-    second prime as well).  The M' nodes, one per cell, are distinct
-    integers, so the first M' equations form a regular system.
+    The system sum_k y_k * alpha_k**p = N_p is built only in residues:
+    ``residues(q)`` gives the nodes modulo q and nothing else.  A node is
+    the product of its row, column and cell factors, so a prime costs
+    (n_left+1) + (n_right+1) + C(m+3, 3) modular powers of the gadget
+    counts and one product per cell.  The brute oracle hands
+    ``recover_counts`` its counts N_p as the right-hand side.  The analytic
+    oracle hands it Y, the weighted pair-profile histogram, as the expected
+    solution: N_p = sum_k Y_k * alpha_k**p is Y's forward map, computed at
+    the solver prime alone, and a y equal to Y needs no residue at a
+    second prime.  The exact check of N_0..N_3 (``lead`` 4) reads exact
+    coefficients only where y differs from Y (from 0 with the brute
+    oracle, whose counts are checked modulo a second prime as well).  The
+    M' nodes, one per cell, are distinct integers, so the first M'
+    equations form a regular system.
     """
     if oracle not in ("analytic", "brute"):
         raise QReliabError(f"unknown oracle {oracle!r}")
@@ -305,26 +305,26 @@ def run_reduction(
             if oracle == "brute":
                 oracle_counts.append(count_violating(dp_inst, query))
 
-    terms, head = None, oracle_counts[:4]
-    if oracle == "analytic":  # Y is the expected solution: the exact check reads y - Y
+    rhs = terms = None
+    if oracle == "brute":
+        rhs = oracle_counts
+    else:  # Y is the expected solution: the exact check reads y - Y
         weights = weighted_profiles(g, r, t)
-        terms, head = [weights.get(key, 0) for key in cells], [0] * min(4, params.M)
+        terms = [weights.get(key, 0) for key in cells]
 
-    def residues(prime: int) -> tuple[list[Factor], list[int] | None]:
+    def residues(prime: int) -> list[Factor]:
         rows = [_row_factor(i, counts, params, prime) for i in range(params.n_left + 1)]
         columns = [_column_factor(j, counts, params, prime) for j in range(params.n_right + 1)]
         corner = [key[2:] for key in cells if key[:2] == (0, 0)]  # every (c, d, d')
         parts = {part: _cell_factor(part, counts, params, prime) for part in corner}
-        nodes = [rows[key[0]] * columns[key[1]] * parts[key[2:]] % prime for key in cells]
-        if oracle == "brute":
-            return [(nodes, None)], [n_p % prime for n_p in oracle_counts]
-        return [(nodes, None)], None  # recover_counts maps Y forward
+        return [([rows[key[0]] * columns[key[1]] * parts[key[2:]] % prime for key in cells], None)]
 
     # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
     heaviest = _pair_weight(r, t, params.n_left, params.n_right)
     bounds = [2 ** (params.n_left + params.n_right) * heaviest + 1] * params.M
     node = _Lazy(lambda k: alpha_coefficient(cells[k], counts, params), params.M)
-    y_vector = dict(zip(cells, recover_counts(residues, [(node, None)], head, bounds, terms)))
+    solution = recover_counts(residues, [(node, None)], bounds, 4, rhs, terms)  # exact on N_0..N_3
+    y_vector = dict(zip(cells, solution))
     p_result = 0
     for (i, j, c, d, dp), y in y_vector.items():
         if c != 0:
@@ -406,23 +406,12 @@ def merge_power2(q_rst: Query, i_prime: Instance) -> tuple[Instance, ProbAssignm
     if rest or [q_rst.atoms[i].args for i in x_only + shared + y_only] != shapes:
         raise SchemaMismatchError("query is not of the R*/S*/T* family shape")
 
-    r_names = [q_rst.atoms[i].relation for i in x_only]
-    s_names = [q_rst.atoms[i].relation for i in shared]
-    t_names = [q_rst.atoms[i].relation for i in y_only]
-
     merged: list[Fact] = []
-    elems = {f.args[0] for name in r_names for f in i_prime.facts_of(name)}
-    for a in elems:
-        if all(Fact(name, (a,)) in i_prime for name in r_names):
-            merged.append(Fact("R", (a,)))
-    pairs = {f.args for name in s_names for f in i_prime.facts_of(name)}
-    for ab in pairs:
-        if all(Fact(name, ab) in i_prime for name in s_names):
-            merged.append(Fact("S", ab))
-    elems = {f.args[0] for name in t_names for f in i_prime.facts_of(name)}
-    for b in elems:
-        if all(Fact(name, (b,)) in i_prime for name in t_names):
-            merged.append(Fact("T", (b,)))
+    for merged_name, atoms in (("R", x_only), ("S", shared), ("T", y_only)):
+        names = [q_rst.atoms[i].relation for i in atoms]
+        for args in {f.args for name in names for f in i_prime.facts_of(name)}:
+            if all(Fact(name, args) in i_prime for name in names):
+                merged.append(Fact(merged_name, args))
 
     phi = ProbAssignment.for_relations(
         {"R": Fraction(1, 1 << r), "S": Fraction(1, 1 << s), "T": Fraction(1, 1 << t)}

@@ -2,8 +2,9 @@
 recovery of its integer solutions: ``power_sums`` maps y to b, exactly or
 modulo a prime, ``solve_vandermonde`` maps b back to y modulo a prime, and
 ``recover_counts`` finds the integer solution of a Kronecker product of such
-systems from its residues.  ``mod_inverses`` inverts a list of residues by
-one modular inverse.
+systems from the factors' residues and either b, exact, or the solution a
+caller expects.  ``mod_inverses`` inverts a list of residues by one modular
+inverse, and ``mod_values`` reduces a list of rationals with it.
 
 The solve is the transposed multipoint evaluation of Kaltofen & Lakshman
 (ISSAC 1988) and Bostan, Lecerf & Schost (ISSAC 2003).  With
@@ -19,6 +20,7 @@ multiply of packed Python ints.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterator, Sequence
 
 from .errors import DuplicateNodeError, QReliabError
@@ -134,46 +136,56 @@ def mod_inverses(values: Sequence[int], prime: int) -> list[int]:
     return out
 
 
+def mod_values(values: Sequence, prime: int) -> list[int]:
+    """Ints or rationals modulo ``prime``, by one modular inverse of all
+    their denominators (an int's is 1).  Raises ValueError if ``prime``
+    divides some denominator."""
+    inverses = mod_inverses([value.denominator for value in values], prime)
+    return [value.numerator * inverse % prime for value, inverse in zip(values, inverses)]
+
+
 def recover_counts(
-    residues: Callable[[int], tuple[list[Factor], list[int] | None]],
+    residues: Callable[[int], list[Factor]],
     exact: Sequence[Factor],
-    head: Sequence,
     bounds: Sequence[int],
+    lead: int,
+    rhs: Sequence | None = None,
     terms: Sequence[int] | None = None,
 ) -> list[int]:
     """The solution y of the Kronecker product of dual systems
     sum_k y_k * prod_a w_a[k_a] * x_a[k_a]**p_a = b_p (see
     ``kron_power_sums``), whose entries y_k are integers in [0, bounds_k).
-    y and ``bounds`` are flat, in row-major order of k.
+    y, b and ``bounds`` are flat, in row-major order of their indices.
 
-    ``residues(q)`` gives the factors and the flat b modulo the prime q,
-    and raises ValueError if some node or weight is undefined, or some
-    weight is not invertible, modulo q.  ``terms``, if given, is the
-    solution a caller expects, and b is defined as its forward map: b is
-    then computed here, once, at the solver prime, and ``residues(q)``
-    gives None in its place.  ``head`` is b less the forward map of
-    ``terms`` (0 if None) on the leading equations, which are checked
-    exactly, as nested lists, one level per factor; all zeros if ``terms``
-    is given.  ``exact`` gives the factors exactly, read only where y
-    differs from ``terms``.
+    ``residues(q)`` gives the factors modulo the prime q, and raises
+    ValueError if some node or weight is undefined, or some weight is not
+    invertible, modulo q.  ``exact`` gives them exactly, read only where y
+    differs from ``terms``.  b is given once: as ``rhs``, ints or
+    rationals, or as ``terms``, the solution a caller expects, whose
+    forward map b is and is computed here, at the solver prime alone.
 
     Solved modulo the smallest listed prime above every bound at which the
-    factors are defined and each one's nodes distinct, so every residue is
-    the entry itself.  Distinct residues imply distinct nodes, so the
-    system is regular.  Checked as the forward map of y less ``terms``,
-    which reads the factors only where y differs from ``terms``: exactly
-    against ``head``, and on every equation modulo the next listed prime
-    at which the factors are defined, against b there (0 given ``terms``,
-    so a y equal to ``terms`` computes nothing at that prime).
+    factors and ``rhs`` are defined and each factor's nodes distinct, so
+    every residue is the entry itself.  Distinct residues imply distinct
+    nodes, so the system is regular.  Checked as the forward map of y less
+    ``terms`` (0 if None), which reads the factors only where y differs
+    from ``terms``: exactly on the equations whose every power is below
+    ``lead``, and on every equation modulo the next listed prime at which
+    the factors and ``rhs`` are defined, against b less the forward map of
+    ``terms`` (0 given ``terms``, so a y equal to ``terms`` computes
+    nothing at that prime).
     """
+    if (rhs is None) == (terms is None):
+        raise QReliabError("give exactly one of rhs and terms")
+    zeros = itertools.repeat(0)
     top = max(bounds)
-    solvers = _defined_residues(residues, [q for q in _MERSENNE_PRIMES[:-1] if q > top])
-    for prime, factors, rhs in solvers:
+    solvers = _defined_residues(residues, rhs, [q for q in _MERSENNE_PRIMES[:-1] if q > top])
+    for prime, factors, rhs_prime in solvers:
         shape = [len(nodes) for nodes, _ in factors]
         if terms is not None:
-            rhs = kron_power_sums(terms, factors, shape, prime)
+            rhs_prime = kron_power_sums(terms, factors, shape, prime)
         try:
-            solution = _kron_solve(factors, rhs, prime)
+            solution = _kron_solve(factors, rhs_prime, prime)
         except DuplicateNodeError:
             continue
         break
@@ -181,42 +193,42 @@ def recover_counts(
         raise QReliabError("no solver prime exceeds the solution bound with distinct nodes")
     if any(y >= bound for y, bound in zip(solution, bounds)):
         raise QReliabError("recovered value exceeds its combinatorial bound")
-    lengths, flat = [], [head]
-    for _ in exact:  # head's shape, and head flattened in row-major order
-        lengths.append(len(flat[0]))
-        flat = [b for row in flat for b in row]
+    # b less the forward map of terms: on the equations checked exactly,
+    # the leading block of rhs in row-major order, or 0 given terms
+    lengths = [min(lead, n) for n in shape]
+    indices = itertools.product(*map(range, shape))
+    head = zeros if rhs is None else [b for b, k in zip(rhs, indices) if max(k) < lead]
     excess = solution if terms is None else [y - t for y, t in zip(solution, terms)]
     lhs = kron_power_sums(excess, exact, lengths)
-    for p, (a, b) in enumerate(zip(lhs, flat)):
+    for p, (a, b) in enumerate(zip(lhs, head)):
         if a != b:
             raise QReliabError(f"modular solution fails exact equation p={p}")
     if terms is not None and not any(excess):
         return solution
-    checks = _defined_residues(residues, [q for q in _MERSENNE_PRIMES if q > prime])
-    for check, factors, rhs in checks:
+    checks = _defined_residues(residues, rhs, [q for q in _MERSENNE_PRIMES if q > prime])
+    for check, factors, rhs_check in checks:
         break
     else:
         raise QReliabError("no check prime above the solver prime has every node defined")
     lhs = kron_power_sums(excess, factors, shape, check)
-    if terms is not None:
-        rhs = [0] * len(lhs)
-    for p, (a, b) in enumerate(zip(lhs, rhs)):
+    for p, (a, b) in enumerate(zip(lhs, rhs_check or zeros)):
         if a != b:
             raise QReliabError(f"modular solution fails equation p={p} modulo {check}")
     return solution
 
 
 def _defined_residues(
-    residues: Callable[[int], tuple[list[Factor], list[int] | None]], primes: Sequence[int]
+    residues: Callable[[int], list[Factor]], rhs: Sequence | None, primes: Sequence[int]
 ) -> Iterator[tuple[int, list[Factor], list[int] | None]]:
-    """(q, factors, rhs) for each of ``primes`` at which every node and
-    weight is defined."""
+    """(q, factors, rhs) modulo each of ``primes`` at which every node,
+    weight and entry of ``rhs`` is defined."""
     for prime in primes:
         try:
-            factors, rhs = residues(prime)
+            factors = residues(prime)
+            b = None if rhs is None else mod_values(rhs, prime)
         except ValueError:
             continue
-        yield prime, factors, rhs
+        yield prime, factors, b
 
 
 def _kron_solve(factors: Sequence[Factor], rhs: list[int], prime: int) -> list[int]:

@@ -29,7 +29,13 @@ from qreliab.reduction_ur import (
     run_reduction,
     weighted_profiles,
 )
-from qreliab.vandermonde import kron_power_sums, power_sums, recover_counts, solve_vandermonde
+from qreliab.vandermonde import (
+    kron_power_sums,
+    mod_values,
+    power_sums,
+    recover_counts,
+    solve_vandermonde,
+)
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 
@@ -152,12 +158,44 @@ def residue(x, prime):
 
 def recover(nodes, rhs, bound):
     """recover_counts on a one-factor system given by exact nodes and
-    right-hand side."""
+    right-hand side, checked exactly on its first four equations."""
 
     def residues(prime):
-        return [([residue(x, prime) for x in nodes], None)], [residue(b, prime) for b in rhs]
+        return [([residue(x, prime) for x in nodes], None)]
 
-    return recover_counts(residues, [(nodes, None)], rhs[:4], [bound] * len(nodes))
+    return recover_counts(residues, [(nodes, None)], [bound] * len(nodes), 4, rhs)
+
+
+@pytest.mark.parametrize("prime", [SOLVER_PRIME, 10007])
+def test_mod_values_match_residue(prime):
+    # ints (denominator 1) and rationals, one inverse for the whole list
+    rnd = random.Random(prime)
+    ints = [rnd.randint(-10**30, 10**30) for _ in range(20)]
+    fractions = [Fraction(rnd.randint(-10**30, 10**30), rnd.randint(1, 10006)) for _ in range(20)]
+    for values in ([], ints, fractions, ints + fractions):
+        assert mod_values(values, prime) == [residue(x, prime) for x in values]
+    # a prime dividing a denominator leaves a value undefined, as residue does
+    undefined = [Fraction(1, 3), Fraction(5, 2 * prime), 7]
+    with pytest.raises(ValueError):
+        residue(undefined[1], prime)
+    with pytest.raises(ValueError):
+        mod_values(undefined, prime)
+
+
+def test_recover_counts_takes_exactly_one_of_rhs_and_terms():
+    y = [4, 0, 1]
+    nodes = NODES[:3]
+
+    def residues(prime):
+        return [([x % prime for x in nodes], None)]
+
+    args = (residues, [(nodes, None)], [10] * 3, 4)
+    assert recover_counts(*args, rhs=dual_rhs(nodes, y)) == y
+    assert recover_counts(*args, terms=y) == y
+    with pytest.raises(QReliabError, match="exactly one"):
+        recover_counts(*args)
+    with pytest.raises(QReliabError, match="exactly one"):
+        recover_counts(*args, rhs=dual_rhs(nodes, y), terms=y)
 
 
 def test_recover_counts_returns_planted_solution():
@@ -184,6 +222,14 @@ def test_recover_counts_skips_a_prime_where_nodes_collide():
 def test_recover_counts_skips_a_prime_where_a_node_is_undefined():
     nodes = [Fraction(1, SOLVER_PRIME), 2]  # no residue modulo the smallest prime
     assert recover(nodes, dual_rhs(nodes, [3, 4]), 10) == [3, 4]
+
+
+def test_recover_counts_skips_a_prime_where_the_rhs_is_undefined():
+    # integer nodes, but b has no residue modulo the smallest prime: that
+    # prime is skipped as for an undefined node, and the solution, 3/q and
+    # -2/q, fails at the next prime as any non-integral one does
+    with pytest.raises(QReliabError, match="bound"):
+        recover([2, 3], [Fraction(1, SOLVER_PRIME), 0], 10)
 
 
 def test_recover_counts_rejects_nodes_colliding_at_every_prime():
@@ -354,20 +400,19 @@ def test_run_reduction_single_edge_at_large_multiplicities(rst):
 
 def solver_system(monkeypatch, g, rst):
     """run_reduction(g, *rst) and the system it hands to the solver:
-    (run, residues, node, head, terms), where residues(q) gives the node
-    residues and the right-hand side's, None if it is the forward map of
-    terms."""
+    (run, residues, node, lead, rhs, terms), where residues(q) gives the
+    node residues."""
     systems = []
 
-    def spy(residues, exact, head, bounds, terms=None):
+    def spy(residues, exact, bounds, lead, rhs=None, terms=None):
         [(node, _weights)] = exact
 
-        def nodes_and_rhs(prime):
-            [(nodes, _weights)], rhs = residues(prime)
-            return nodes, rhs
+        def nodes_only(prime):
+            [(nodes, _weights)] = residues(prime)
+            return nodes
 
-        systems.append((nodes_and_rhs, node, head, terms))
-        return recover_counts(residues, exact, head, bounds, terms)
+        systems.append((nodes_only, node, lead, rhs, terms))
+        return recover_counts(residues, exact, bounds, lead, rhs, terms)
 
     monkeypatch.setattr(reduction_ur, "recover_counts", spy)
     run = run_reduction(g, *rst)
@@ -388,10 +433,10 @@ ONE_OF_TWO = BipartiteGraph.build(["u"], ["w1", "w2"], [("u", "w2")])
     ],
 )
 def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
-    run, residues, node, _head, _terms = solver_system(monkeypatch, g, rst)
+    run, residues, node, *_ = solver_system(monkeypatch, g, rst)
     assert all(type(value) is int for value in run.alpha.values())
     for prime in SYSTEM_PRIMES:
-        nodes, _rhs = residues(prime)
+        nodes = residues(prime)
         assert nodes == [run.alpha[key] % prime for key in run.cells]
     assert [node[k] for k in range(run.params.M)] == [run.alpha[key] for key in run.cells]
 
@@ -401,16 +446,15 @@ def test_rhs_residues_match_exact_counts(monkeypatch, g, rst):
     # np_analytic powers each coefficient directly, apart from the power
     # sums that build every right-hand side and n_vector; the right-hand
     # side is the forward map of the terms, which recover_counts computes
-    # in residues, and the exactly checked equations are head plus it
-    run, residues, node, head, terms = solver_system(monkeypatch, g, rst)
+    # in residues, and the exactly checked equations are the first four
+    run, residues, node, lead, rhs, terms = solver_system(monkeypatch, g, rst)
     assert run.params.M in (16, 24)
     exact = [np_analytic(g, *rst, p) for p in range(run.params.M)]
-    assert head == [0] * 4
+    assert (lead, rhs) == (4, None)
     assert power_sums(terms, node, 4) == exact[:4]
     assert run.n_vector == exact
     for prime in SYSTEM_PRIMES:
-        nodes, rhs = residues(prime)
-        assert rhs is None
+        nodes = residues(prime)
         rhs = kron_power_sums(terms, [(nodes, None)], [run.params.M], prime)
         assert rhs == [n_p % prime for n_p in exact]
 

@@ -91,3 +91,18 @@ def test_modular_inverses_only_in_the_batch_helper():
             if is_inverse(node) and id(node) not in allowed
         ]
     assert found == []
+
+
+def test_rationals_reduced_only_through_mod_values():
+    # A module that reduces rationals modulo a prime calls
+    # vandermonde.mod_values: importing mod_inverses for it is one more
+    # copy of that routine.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "vandermonde.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "mod_inverses" for alias in node.names)
+    ]
+    assert found == []

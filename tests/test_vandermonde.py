@@ -216,10 +216,11 @@ def kron_systems(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(kron_systems())
-def test_kron_power_sums_and_recover_counts(system):
+@given(kron_systems(), st.integers(1, 3))
+def test_kron_power_sums_and_recover_counts(system, lead):
     # the forward map against the sum it stands for, and recover_counts
-    # undoing it over two and three factors, weighted and not
+    # undoing it over two and three factors, weighted and not, checked
+    # exactly on the leading block of equations, every power below lead
     factors, counts = system
     shape = [len(nodes) for nodes, _ in factors]
     indices = list(itertools.product(*map(range, shape)))
@@ -235,29 +236,18 @@ def test_kron_power_sums_and_recover_counts(system):
     ]
 
     def residues(prime):
-        reduced = [
+        return [
             ([x % prime for x in nodes], weights and [residue(w, prime) for w in weights])
             for nodes, weights in factors
         ]
-        return reduced, [residue(b, prime) for b in rhs]
 
     assert kron_power_sums(counts, factors, shape) == rhs
-    assert kron_power_sums(counts, residues(PRIME)[0], shape, PRIME) == residues(PRIME)[1]
+    assert kron_power_sums(counts, residues(PRIME), shape, PRIME) == [residue(b) for b in rhs]
 
-    # checked exactly on b_0, given as is or less the forward map of the
-    # expected counts
-    head, zero = [rhs[0]], [0]
-    for _ in factors[1:]:
-        head, zero = [head], [zero]
+    # b given as is, or as the expected counts, whose forward map it is
     bounds = [21] * len(counts)
-    assert recover_counts(residues, factors, head, bounds) == counts
-    # given the expected counts, b is their forward map, which
-    # recover_counts computes itself
-    def factors_only(prime):
-        return residues(prime)[0], None
-
-    assert recover_counts(factors_only, factors, zero, bounds, counts) == counts
-
+    assert recover_counts(residues, factors, bounds, lead, rhs=rhs) == counts
+    assert recover_counts(residues, factors, bounds, lead, terms=counts) == counts
 
 
 # Both reductions with their formula oracles, which hand recover_counts the
@@ -277,10 +267,9 @@ def exact_reads(monkeypatch):
     alpha = reduction_ur.alpha_coefficient
     sums = vandermonde.power_sums
 
-    def alpha_spy(key, counts, params, prime=None):
-        if prime is None:
-            reads.append(key)
-        return alpha(key, counts, params, prime)
+    def alpha_spy(key, counts, params):
+        reads.append(key)
+        return alpha(key, counts, params)
 
     def sums_spy(terms, nodes, n, prime=None):
         if prime is None and terms:
