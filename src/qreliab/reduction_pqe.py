@@ -9,8 +9,9 @@ scale * sum_{i,j} a**i * b**j * X_ij * x_i**c * y_j**d, X_ij the independent
 pairs with |R'| = i, |T'| = j.  That is a Kronecker product of two dual
 Vandermonde systems, with column weights a**i and b**j, and it is solved as
 the uniform-reliability reduction's system is, by
-``vandermonde.recover_counts``: in residues modulo a Mersenne prime above
-every bound C(|R|, i) * C(|T|, j) + 1 on X_ij, checked exactly on the cells
+``vandermonde.recover_counts``: in residues modulo the smallest listed
+prime above every bound C(|R|, i) * C(|T|, j) + 1 on X_ij (2**30 - 35 for
+any graph with up to 17 vertices a side), checked exactly on the cells
 c, d < 2 and modulo a second prime on every cell.  This module reduces
 the factors alone modulo a prime, a list at a time by
 ``vandermonde.mod_values``; each oracle hands ``recover_counts`` its b

@@ -29,9 +29,12 @@ from .errors import DuplicateNodeError, QReliabError
 # quadratic loops beat packing small polynomials.
 _BLOCK = 32
 
-# Mersenne primes, smallest first.  A system is solved modulo one of them
-# and checked modulo a later one, so the last one only ever checks.
-_MERSENNE_PRIMES = tuple(
+# The solver and check primes, smallest first: 2**30 - 35, the largest
+# prime below 2**30, whose residues are each one 30-bit CPython digit, so
+# that a system with small bounds is solved on single-digit ints; then
+# Mersenne primes.  A system is solved modulo one of them and checked
+# modulo a later one, so the last one only ever checks.
+_PRIMES = ((1 << 30) - 35,) + tuple(
     (1 << e) - 1
     for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689)
 )
@@ -166,31 +169,32 @@ def recover_counts(
 
     Solved modulo the smallest listed prime above every bound at which the
     factors and ``rhs`` are defined and each factor's nodes distinct, so
-    every residue is the entry itself.  Distinct residues imply distinct
-    nodes, so the system is regular.  Checked as the forward map of y less
-    ``terms`` (0 if None), which reads the factors only where y differs
-    from ``terms``: exactly on the equations whose every power is below
-    ``lead``, and on every equation modulo the next listed prime at which
-    the factors and ``rhs`` are defined, against b less the forward map of
-    ``terms`` (0 given ``terms``, so a y equal to ``terms`` computes
-    nothing at that prime).
+    every residue is the entry itself: the word-size prime 2**30 - 35 for
+    bounds below it, else a Mersenne prime.  A prime whose nodes collide
+    is skipped before the forward map of ``terms`` is computed there.
+    Distinct residues imply distinct nodes, so the system is regular.
+    Checked as the forward map of y less ``terms`` (0 if None), which
+    reads the factors only where y differs from ``terms``: exactly on the
+    equations whose every power is below ``lead``, and on every equation
+    modulo the next listed prime at which the factors and ``rhs`` are
+    defined, against b less the forward map of ``terms`` (0 given
+    ``terms``, so a y equal to ``terms`` computes nothing at that prime).
     """
     if (rhs is None) == (terms is None):
         raise QReliabError("give exactly one of rhs and terms")
     zeros = itertools.repeat(0)
     top = max(bounds)
-    solvers = _defined_residues(residues, rhs, [q for q in _MERSENNE_PRIMES[:-1] if q > top])
+    solvers = _defined_residues(residues, rhs, [q for q in _PRIMES[:-1] if q > top])
     for prime, factors, rhs_prime in solvers:
-        shape = [len(nodes) for nodes, _ in factors]
-        if terms is not None:
-            rhs_prime = kron_power_sums(terms, factors, shape, prime)
-        try:
-            solution = _kron_solve(factors, rhs_prime, prime)
-        except DuplicateNodeError:
-            continue
-        break
+        # colliding nodes skip a prime before any forward map or solve
+        if all(len(set(nodes)) == len(nodes) for nodes, _ in factors):
+            break
     else:
         raise QReliabError("no solver prime exceeds the solution bound with distinct nodes")
+    shape = [len(nodes) for nodes, _ in factors]
+    if terms is not None:
+        rhs_prime = kron_power_sums(terms, factors, shape, prime)
+    solution = _kron_solve(factors, rhs_prime, prime)
     if any(y >= bound for y, bound in zip(solution, bounds)):
         raise QReliabError("recovered value exceeds its combinatorial bound")
     # b less the forward map of terms: on the equations checked exactly,
@@ -205,7 +209,7 @@ def recover_counts(
             raise QReliabError(f"modular solution fails exact equation p={p}")
     if terms is not None and not any(excess):
         return solution
-    checks = _defined_residues(residues, rhs, [q for q in _MERSENNE_PRIMES if q > prime])
+    checks = _defined_residues(residues, rhs, [q for q in _PRIMES if q > prime])
     for check, factors, rhs_check in checks:
         break
     else:

@@ -20,7 +20,7 @@ from qreliab.reduction_pqe import (
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 HALF = Fraction(1, 2)
-SOLVER_PRIME = (1 << 61) - 1  # the smallest listed prime
+SOLVER_PRIME = vandermonde._PRIMES[0]  # the smallest listed prime, 2**30 - 35
 
 
 def test_build_Icd_base_encoding():

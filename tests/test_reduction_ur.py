@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreliab import reduction_ur
+from qreliab import reduction_ur, vandermonde
 from qreliab.bipartite import BipartiteGraph, independent_pair_count, x_table
 from qreliab.cq import parse_query
 from qreliab.errors import (
@@ -144,8 +144,9 @@ def test_run_reduction_single_edge_satisfies_every_equation():
         assert sum(y * run.alpha[key] ** p for key, y in run.y_vector.items()) == n_p
 
 
-SOLVER_PRIME = (1 << 61) - 1  # the smallest listed prime
-SYSTEM_PRIMES = [(1 << e) - 1 for e in (61, 89, 107)]  # the three smallest
+SOLVER_PRIME = vandermonde._PRIMES[0]  # the smallest listed prime, 2**30 - 35
+MERSENNE_61 = (1 << 61) - 1  # the smallest listed prime above it
+SYSTEM_PRIMES = vandermonde._PRIMES[:3]  # the three smallest
 NODES = [2, 3, 5, 7, 11, 13, 17]
 
 
@@ -166,7 +167,7 @@ def recover(nodes, rhs, bound):
     return recover_counts(residues, [(nodes, None)], [bound] * len(nodes), 4, rhs)
 
 
-@pytest.mark.parametrize("prime", [SOLVER_PRIME, 10007])
+@pytest.mark.parametrize("prime", [SOLVER_PRIME, MERSENNE_61, 10007])
 def test_mod_values_match_residue(prime):
     # ints (denominator 1) and rationals, one inverse for the whole list
     rnd = random.Random(prime)
@@ -378,13 +379,26 @@ def test_run_reduction_four_edge_matching():
     assert_recovers_weighted_histogram(run, g)
 
 
-def test_run_reduction_skips_a_prime_dividing_a_gadget_count():
+def test_run_reduction_skips_a_prime_dividing_a_gadget_count(monkeypatch):
     # 61 divides r + s + t, so 2**61 - 1 divides delta_bot: modulo that
     # prime the node of every cell with e >= 1 vanishes, the nodes collide,
-    # and the solve moves on to the next prime
-    assert closed_counts(30, 1, 30).delta_bot % SOLVER_PRIME == 0
-    run = run_reduction(EDGE, 30, 1, 30)
+    # and the solve moves on to the next prime.  The bound has 42 bits, so
+    # 2**61 - 1 is the first prime tried; a correct run checks at no other.
+    assert closed_counts(20, 21, 20).delta_bot % MERSENNE_61 == 0
+    primes = []
+    recover = reduction_ur.recover_counts
+
+    def spy(residues, *args):
+        def logged(prime):
+            primes.append(prime)
+            return residues(prime)
+
+        return recover(logged, *args)
+
+    monkeypatch.setattr(reduction_ur, "recover_counts", spy)
+    run = run_reduction(EDGE, 20, 21, 20)
     assert run.p_result == 3
+    assert primes == [MERSENNE_61, (1 << 89) - 1]
     assert_recovers_weighted_histogram(run, EDGE)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qreliab import reduction_pqe, reduction_ur, vandermonde
-from qreliab.bipartite import BipartiteGraph
+from qreliab.bipartite import BipartiteGraph, independent_pair_count
 from qreliab.errors import DuplicateNodeError, QReliabError
 from qreliab.reduction_pqe import run_reduction_pqe
 from qreliab.reduction_ur import run_reduction
@@ -19,8 +19,9 @@ from qreliab.vandermonde import (
     solve_vandermonde,
 )
 
-PRIME = (1 << 61) - 1
-MODULI = [PRIME, (1 << 521) - 1, 10007]
+WORD_PRIME = vandermonde._PRIMES[0]  # the smallest listed prime, 2**30 - 35
+PRIME = (1 << 61) - 1  # the smallest listed prime above it
+MODULI = [WORD_PRIME, PRIME, (1 << 521) - 1, 10007]
 
 
 def quadratic_dual_solve(nodes, rhs, prime):
@@ -79,7 +80,8 @@ def distinct(draw_one, n, rnd, zero=False):
 )
 def test_solve_matches_quadratic_solve(prime, n, zero, seed):
     # sizes at and just past the leaf blocks of the subproduct tree, moduli
-    # of one machine word, of many, and one below every solver prime
+    # of one CPython digit, of one machine word, of many, and one below
+    # every solver prime
     rnd = random.Random(seed)
     nodes = distinct(lambda r: r.randrange(prime), n, rnd, zero)
     rhs = [rnd.randrange(prime) for _ in nodes]
@@ -353,7 +355,7 @@ def test_correct_formula_runs_work_at_one_prime(monkeypatch):
         residue_primes.clear()
         forward_primes.clear()
         assert run().p_result == 3
-        assert residue_primes == forward_primes == [PRIME]
+        assert residue_primes == forward_primes == [WORD_PRIME]
 
 
 def test_modular_check_rejects_an_error_the_exact_check_cannot_see(monkeypatch):
@@ -377,3 +379,86 @@ def test_modular_check_rejects_an_error_the_exact_check_cannot_see(monkeypatch):
     monkeypatch.setattr(vandermonde, "_kron_solve", off_kernel)
     with pytest.raises(QReliabError, match="modulo"):
         run_reduction_pqe(g, half, half, oracle="formula")
+
+
+def test_listed_primes():
+    # 2**30 - 35 is prime (trial division up to its square root) and no
+    # number between it and 2**30 is, so each residue is one 30-bit digit;
+    # the list is smallest first, the Mersenne primes after it
+    def is_prime(n):
+        return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert WORD_PRIME == (1 << 30) - 35
+    assert is_prime(WORD_PRIME)
+    assert not any(is_prime(n) for n in range(WORD_PRIME + 1, 1 << 30))
+    assert vandermonde._PRIMES[1] == PRIME
+    assert all(a < b for a, b in zip(vandermonde._PRIMES, vandermonde._PRIMES[1:]))
+
+
+@pytest.fixture()
+def modular_primes(monkeypatch):
+    """The prime of every solve and of every forward map taken modulo a
+    prime, in call order."""
+    primes = {"solve": [], "forward": []}
+    solve, forward = vandermonde._kron_solve, vandermonde.kron_power_sums
+
+    def solve_spy(factors, rhs, prime):
+        primes["solve"].append(prime)
+        return solve(factors, rhs, prime)
+
+    def forward_spy(terms, factors, lengths, prime=None):
+        if prime is not None:
+            primes["forward"].append(prime)
+        return forward(terms, factors, lengths, prime)
+
+    monkeypatch.setattr(vandermonde, "_kron_solve", solve_spy)
+    monkeypatch.setattr(vandermonde, "kron_power_sums", forward_spy)
+    return primes
+
+
+def one_factor(nodes):
+    """residues(q) of a one-factor system with integer nodes."""
+    return lambda prime: [([x % prime for x in nodes], None)]
+
+
+def test_recover_counts_skips_a_colliding_prime_before_any_forward_map(modular_primes):
+    # the nodes collide modulo the word-size prime, which is skipped before
+    # the forward map of terms is computed there
+    nodes = [1, WORD_PRIME + 1]
+    assert recover_counts(one_factor(nodes), [(nodes, None)], [10, 10], 4, terms=[3, 4]) == [3, 4]
+    assert modular_primes == {"solve": [PRIME], "forward": [PRIME]}
+
+
+def test_bound_at_the_word_prime_solves_past_it(modular_primes):
+    # the solver prime lies above every bound: a bound of W - 1 solves at
+    # W = 2**30 - 35, a bound of W and a PQE bound past it at 2**61 - 1
+    nodes = [2, 3, 5]
+    for bound in (WORD_PRIME - 1, WORD_PRIME):
+        y = [bound - 1, 0, 7]
+        assert recover_counts(one_factor(nodes), [(nodes, None)], [bound] * 3, 4, terms=y) == y
+    # X_0,17 = C(34, 17) = 2,333,606,220 on an edgeless 1+34 graph
+    g = BipartiteGraph.build(["u"], [f"w{k}" for k in range(34)], [])
+    assert run_reduction_pqe(g, Fraction(1, 3), Fraction(1, 2), oracle="formula").p_result == 2**35
+    assert modular_primes["solve"] == [WORD_PRIME, PRIME, PRIME]
+
+
+def test_reduce_sized_runs_solve_at_the_word_prime(modular_primes):
+    # a 2-matching at (r, s, t) = (1, 1, 1), M' = 90, and the PQE formula
+    # run on a 6+6 graph: both correct, so neither checks at a second prime
+    left, right = [f"u{k}" for k in range(6)], [f"w{k}" for k in range(6)]
+    matching = BipartiteGraph.build(left[:2], right[:2], list(zip(left[:2], right[:2])))
+    run = run_reduction(matching, 1, 1, 1)
+    assert (run.params.M, run.p_result) == (90, 9)
+    g = BipartiteGraph.build(left, right, [*zip(left, right), (left[0], right[1]), (left[2], right[5])])
+    run = run_reduction_pqe(g, Fraction(1, 3), Fraction(2, 3), oracle="formula")
+    assert run.p_result == independent_pair_count(g)
+    assert modular_primes == {"solve": [WORD_PRIME] * 2, "forward": [WORD_PRIME] * 2}
+
+
+def test_brute_pqe_run_checks_modulo_the_next_listed_prime(modular_primes):
+    # solved modulo the word-size prime, checked modulo 2**61 - 1: no check
+    # runs modulo a prime below it
+    g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1")])
+    run = run_reduction_pqe(g, Fraction(1, 2), Fraction(1, 3), oracle="brute")
+    assert run.p_result == independent_pair_count(g)
+    assert modular_primes == {"solve": [WORD_PRIME], "forward": [PRIME]}
