@@ -37,6 +37,8 @@ class BipartiteGraph:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
+        if len({*self.left, *self.right}) < len(self.left) + len(self.right):
+            raise GraphFormatError("a vertex name is declared twice")
         for u, w in self.edges:
             if u not in self.left or w not in self.right:
                 raise GraphFormatError(f"edge ({u}, {w}) has an undeclared endpoint")
@@ -133,11 +135,11 @@ def iter_pairs(g: BipartiteGraph, cap: int | None = None):
             yield r_mask, t_mask
 
 
-def independent_pair_count(g: BipartiteGraph, cap: int | None = None) -> int:
+def independent_pair_count(g: BipartiteGraph) -> int:
     """Number of pairs (R', T') with R' x T' disjoint from the edge set."""
     edge_bits = _edge_masks(g)
     count = 0
-    for r_mask, t_mask in iter_pairs(g, cap):
+    for r_mask, t_mask in iter_pairs(g):
         if all(not (r_mask & ub and t_mask & wb) for ub, wb in edge_bits):
             count += 1
     return count

@@ -9,6 +9,7 @@ computation errors (caps, format mismatches) with 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from fractions import Fraction
@@ -113,19 +114,9 @@ def _cmd_pqe(args) -> None:
 def _cmd_gadgets(args) -> None:
     r, s, t = args.rst
     cc = closed_counts(r, s, t)
-    fields = (
-        "lam_r",
-        "lam_rbar",
-        "lam_t",
-        "lam_tbar",
-        "gamma",
-        "delta_r",
-        "delta_t",
-        "delta_bot",
-        "kappa",
-    )
-    for name in fields:
-        print(f"{name}={getattr(cc, name)}")
+    for field in dataclasses.fields(cc):
+        if field.name not in ("r", "s", "t"):
+            print(f"{field.name}={getattr(cc, field.name)}")
     if args.check_brute:
         bc = brute_counts(r, s, t)
         print(f"brute_match={str(bc == cc).lower()}")

@@ -265,9 +265,8 @@ class _JoinPlan(NamedTuple):
     steps: tuple[_JoinStep, ...]
     order: tuple[int, ...]  # slot of each query variable, in first-occurrence order
     # each variable that occurs in two or more atoms, as its occurrences
-    # ((step, column), ...)
+    # ((step, column), ...), in the order the join first binds them
     shared: tuple[tuple[tuple[int, int], ...], ...]
-    linked: tuple[tuple[int, ...], ...]  # per step, the shared variables it holds
 
 
 def _plan_join(q: Query) -> _JoinPlan:
@@ -294,42 +293,31 @@ def _plan_join(q: Query) -> _JoinPlan:
         for v, k in step.pattern.columns.items():
             occurrences.setdefault(v, []).append((i, k))
     shared = tuple(tuple(occ) for occ in occurrences.values() if len(occ) > 1)
-    linked: list[list[int]] = [[] for _ in steps]
-    for v, occ in enumerate(shared):
-        for i, _ in occ:
-            linked[i].append(v)
     order = tuple(slot[v] for v in q.variables)
-    return _JoinPlan(tuple(steps), order, shared, tuple(map(tuple, linked)))
+    return _JoinPlan(tuple(steps), order, shared)
 
 
 def _semijoin(lists: list[list], plan: _JoinPlan) -> list[list]:
-    """Drop, until no list shrinks, every fact whose value of a shared
-    variable is missing from that variable's column in another atom's list.
+    """One pass over the shared variables, the one the join binds last
+    first: drop every fact whose value of the variable is missing from that
+    variable's column in another atom's list.
 
     A fact of a match holds each variable's value in every atom's column of
     it, so no such fact is dropped; the join rejects what dangling facts
-    remain (a cycle can keep some).  A variable is checked again only when
-    a list holding it has shrunk since.  When a variable's values have
-    nothing in common there is no match, and every list comes back empty.
-    A list that shrinks is replaced, never modified.
+    remain.  When a variable's values have nothing in common there is no
+    match, and every list comes back empty.  A list that shrinks is
+    replaced, never modified.
     """
-    shared, linked = plan.shared, plan.linked
-    pending = list(range(len(shared)))  # the variables to check
-    while pending:
-        v = pending.pop()
-        occ = shared[v]
+    for occ in reversed(plan.shared):
         # (Comprehensions over the facts measured faster here than
         # map/compress chains, on 3 facts and on 2,000 alike.)
         seen = [{f.args[k] for f in lists[i]} for i, k in occ]
         domain = set.intersection(*seen)
         if not domain:
             return [[]] * len(lists)
-        if len(domain) * len(seen) == sum(map(len, seen)):
-            continue  # every column holds exactly the domain
         for (i, k), values in zip(occ, seen):
             if len(domain) < len(values):  # the domain is a subset of values
                 lists[i] = [f for f in lists[i] if f.args[k] in domain]
-                pending += [w for w in linked[i] if w != v and w not in pending]
     return lists
 
 
@@ -354,9 +342,10 @@ def enumerate_matches(q: Query, instance) -> list[frozenset]:
     First a semijoin pass (Yannakakis): each atom's facts, restricted to its
     constants and repeated variables, lose every fact with a value of a
     shared variable (one in two or more atoms) that another atom's list
-    lacks in that variable's column, until no list shrinks.  The pass is a
-    full reducer only where atoms share at most one variable pairwise along
-    a chain; elsewhere (a cycle, say) dangling facts may remain, and the
+    lacks in that variable's column, one variable at a time, the one the
+    join binds last first.  Each variable is reduced once, so dangling
+    facts may remain (in a cycle, say, or where one variable's filter drops
+    the last fact holding a value of a variable reduced before it), and the
     join rejects them.  Then a hash join: each atom's facts are indexed on
     the columns of the variables that earlier atoms bind, so each partial
     assignment reaches exactly the facts that extend it.

@@ -72,6 +72,7 @@ class InvalidProfileError(QReliabError):
 
 
 class DuplicateNodeError(QReliabError):
-    """Two Vandermonde nodes coincide (modulo the prime, for a modular
-    solve).  The main reduction then moves on to its next listed prime.
+    """Two Vandermonde nodes coincide: ``solve_vandermonde`` raises it
+    when its nodes collide modulo its prime.  (``recover_counts`` skips a
+    prime where the nodes collide before it solves, so it never sees this.)
     """

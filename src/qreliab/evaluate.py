@@ -52,7 +52,7 @@ def brute_cap_override() -> int | None:
     return value
 
 
-def resolve_cap(cap: int | None, default: int = DEFAULT_BRUTE_CAP) -> int:
+def resolve_cap(cap: int | None = None, default: int = DEFAULT_BRUTE_CAP) -> int:
     """Explicit cap, else the QRELIAB_BRUTE_CAP environment override, else default."""
     if cap is not None:
         return cap
@@ -110,7 +110,7 @@ def lineage(q: Query, instance: Instance) -> Lineage:
     return Lineage(facts, [sum(map(index.__getitem__, sup)) for sup in supports])
 
 
-def lineage_counts(lin: Lineage, weights: Weights, cap: int | None) -> tuple[int, int]:
+def lineage_counts(lin: Lineage, weights: Weights) -> tuple[int, int]:
     """(miss, total) over the lineage's facts, each weighing ``weights[f]``:
     the weight of the worlds that hold no support, and of all worlds.
 
@@ -127,25 +127,20 @@ def lineage_counts(lin: Lineage, weights: Weights, cap: int | None) -> tuple[int
         elif not w_in:
             impossible |= 1 << i
     masks = [m & ~certain for m in lin.masks if not m & impossible]
-    miss = kernels.count_avoiding(masks, pairs, resolve_cap(cap))
+    miss = kernels.count_avoiding(masks, pairs, resolve_cap())
     return miss, math.prod(map(sum, pairs))
 
 
-def ur_brute(q: Query, instance: Instance, cap: int | None = None) -> int:
+def ur_brute(q: Query, instance: Instance) -> int:
     """|Mod(Q, I)| by exact model counting over the support facts, every
     fact weighing 1 present and 1 absent; each fact outside every match
     support doubles the count."""
     lin = lineage(q, instance)
-    miss, total = lineage_counts(lin, dict.fromkeys(lin.facts, (1, 1)), cap)
+    miss, total = lineage_counts(lin, dict.fromkeys(lin.facts, (1, 1)))
     return (total - miss) << (len(instance) - len(lin.facts))
 
 
-def pqe_brute(
-    q: Query,
-    instance: Instance,
-    prob: ProbAssignment,
-    cap: int | None = None,
-) -> Fraction:
+def pqe_brute(q: Query, instance: Instance, prob: ProbAssignment) -> Fraction:
     """Exact query probability by weighted model counting over the support
     facts, weighted as ``fact_weights`` says.
 
@@ -153,7 +148,7 @@ def pqe_brute(
     (probability 0) fixed absent; facts outside every match support
     contribute a factor of 1 either way.
     """
-    miss, total = lineage_counts(lineage(q, instance), fact_weights(instance, prob), cap)
+    miss, total = lineage_counts(lineage(q, instance), fact_weights(instance, prob))
     return Fraction(total - miss, total)
 
 

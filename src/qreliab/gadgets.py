@@ -136,7 +136,6 @@ def count_violating(
     query: Query,
     forced_present: Iterable[Fact] = (),
     forced_absent: Iterable[Fact] = (),
-    cap: int | None = None,
 ) -> int:
     """Worlds of the instance violating the query, under presence constraints.
 
@@ -145,15 +144,15 @@ def count_violating(
     weighing (1, 0), in every world, and a forced-absent one (0, 1), in
     none; a fact forced both ways is absent.
     """
-    return _violating(instance, lineage(query, instance), forced_present, forced_absent, cap)
+    return _violating(instance, lineage(query, instance), forced_present, forced_absent)
 
 
-def _violating(instance: Instance, lin: Lineage, forced_present, forced_absent, cap=None) -> int:
+def _violating(instance: Instance, lin: Lineage, forced_present, forced_absent) -> int:
     """``count_violating`` on the instance's lineage ``lin``."""
     absent = set(forced_absent)
     present = set(forced_present) - absent
     weights = {f: (0, 1) if f in absent else (1, 0) if f in present else (1, 1) for f in lin.facts}
-    miss, total = lineage_counts(lin, weights, cap)
+    miss, total = lineage_counts(lin, weights)
     # total = 2**k for the k free lineage facts; each other free fact doubles the count.
     return miss << (len(instance.facts - absent - present) - (total.bit_length() - 1))
 

@@ -133,7 +133,7 @@ def _brute_pi(
     for c, d in cells:
         impossible = [f for left, _ in pendants[c:n_left] for f in left]
         impossible += [f for _, right in pendants[d:n_right] for f in right]
-        miss, total = lineage_counts(lin, weights | dict.fromkeys(impossible, (0, 1)), None)
+        miss, total = lineage_counts(lin, weights | dict.fromkeys(impossible, (0, 1)))
         pi[(c, d)] = Fraction(miss, total)
     return pi
 

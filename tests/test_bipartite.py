@@ -82,6 +82,18 @@ def test_undeclared_endpoint_rejected():
         BipartiteGraph.build(["u"], ["w"], [("u", "x")])
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [(["a", "a"], ["w"]), (["a"], ["w", "w"]), (["a"], ["a"]), (["a", "b"], ["w", "b"])],
+)
+def test_repeated_vertex_name_rejected(left, right):
+    # As parse_graph refuses it: one name would stand for two vertices, and
+    # the brute reduction, which builds facts from the names, would count
+    # the pairs of a different graph.
+    with pytest.raises(GraphFormatError):
+        BipartiteGraph.build(left, right, [(left[0], right[0])])
+
+
 def test_independent_pair_count_single_edge():
     # all 4 pairs except ({u}, {w})
     assert independent_pair_count(EDGE) == 3
@@ -169,7 +181,8 @@ def test_fold_matches_plain_pair_enumeration(g):
     assert sum(fold.values()) == independent_pair_count(g)
 
 
-def test_pair_cap():
+def test_pair_cap(monkeypatch):
     g = BipartiteGraph.build([f"u{k}" for k in range(6)], ["w"], [])
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "5")
     with pytest.raises(CapExceededError):
-        independent_pair_count(g, cap=5)
+        independent_pair_count(g)

@@ -147,8 +147,10 @@ def test_long_exact_answers_print_in_full(capsys, tmp_path):
 def test_gadgets(capsys):
     code, out, _ = run(capsys, "gadgets", "--rst", "1,1,1")
     assert code == 0
-    assert "gamma=17\n" in out
-    assert "kappa=8\n" in out
+    assert out == (
+        "lam_r=3\nlam_rbar=4\nlam_t=3\nlam_tbar=4\ngamma=17\n"
+        "delta_r=22\ndelta_t=22\ndelta_bot=28\nkappa=8\n"
+    )
 
 
 def test_gadgets_check_brute(capsys):

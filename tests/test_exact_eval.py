@@ -48,19 +48,21 @@ def test_ur_brute_free_facts_double():
     assert ur_brute(Q1, extra) == 2 * ur_brute(Q1, base)
 
 
-def test_ur_brute_cap():
+def test_ur_brute_cap(monkeypatch):
     facts = "".join(f"R(c{i})\nS(c{i},d)\n" for i in range(20)) + "T(d)\n"
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "20")
     with pytest.raises(CapExceededError):
-        ur_brute(Q1, parse_instance(facts), cap=20)
+        ur_brute(Q1, parse_instance(facts))
 
 
-def test_ur_brute_cap_bounds_the_widest_component():
+def test_ur_brute_cap_bounds_the_widest_component(monkeypatch):
     # 20 disjoint triangles: 60 support facts, but no component wider than 3.
     facts = "".join(f"R(c{i})\nS(c{i},d{i})\nT(d{i})\n" for i in range(20))
     i = parse_instance(facts)
     assert ur_brute(Q1, i) == 2**60 - 7**20
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "2")
     with pytest.raises(CapExceededError) as err:
-        ur_brute(Q1, i, cap=2)
+        ur_brute(Q1, i)
     assert err.value.required == 3
 
 
@@ -69,12 +71,13 @@ def test_pqe_brute_uniform_half():
     assert pqe_brute(Q1, i, HALF) == Fraction(1, 8)
 
 
-def test_pqe_brute_certain_facts_not_enumerated():
+def test_pqe_brute_certain_facts_not_enumerated(monkeypatch):
     i = parse_instance("R(a)\nS(a,b)\nT(b)\n")
     phi = ProbAssignment.for_relations(
         {"R": Fraction(1, 3), "S": Fraction(1), "T": Fraction(1, 2)}
     )
-    assert pqe_brute(Q1, i, phi, cap=2) == Fraction(1, 6)
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "2")
+    assert pqe_brute(Q1, i, phi) == Fraction(1, 6)
 
 
 def test_pqe_brute_empty_instance():

@@ -106,3 +106,28 @@ def test_rationals_reduced_only_through_mod_values():
         and any(alias.name == "mod_inverses" for alias in node.names)
     ]
     assert found == []
+
+
+def test_only_evaluate_reads_the_environment():
+    # The enumeration cap is the package's one setting, and evaluate reads
+    # it: a module that reads os.environ or os.getenv itself is a second
+    # place to look for it.
+    def reads_environment(node):
+        if isinstance(node, ast.Attribute):
+            return (
+                isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in ("environ", "getenv")
+            )
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            return any(alias.name in ("environ", "getenv") for alias in node.names)
+        return False
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "evaluate.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if reads_environment(node)
+    ]
+    assert found == []
