@@ -58,7 +58,6 @@ from .reduction_ur import (
     lemma_binary_transform,
     merge_power2,
     np_analytic,
-    override_params,
     reduction_params,
     run_reduction,
     weighted_profiles,
@@ -101,7 +100,6 @@ __all__ = [
     "merge_power2",
     "noncomparable_pair_and_rst",
     "np_analytic",
-    "override_params",
     "parse_graph",
     "parse_instance",
     "parse_prob_map",

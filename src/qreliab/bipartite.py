@@ -70,34 +70,30 @@ def ordered_edges(g: BipartiteGraph) -> list[tuple[str, str]]:
 
 
 def parse_graph(text: str) -> BipartiteGraph:
-    left: list[str] = []
-    right: list[str] = []
+    # Each side's names in declaration order, as dict keys for O(1) lookups.
+    sides: dict[str, dict[str, None]] = {"left": {}, "right": {}}
     edges: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] in ("left", "right") and len(parts) == 2:
+        if parts[0] in sides and len(parts) == 2:
+            name = parts[1]
             # Vertex names become constants of the emitted instances.
-            if not CONSTANT_RE.fullmatch(parts[1]) or parts[1].startswith("@"):
-                raise GraphFormatError(f"line {lineno}: bad vertex name {parts[1]!r}")
-        if parts[0] == "left" and len(parts) == 2:
-            if parts[1] in left or parts[1] in right:
-                raise GraphFormatError(f"line {lineno}: duplicate vertex {parts[1]!r}")
-            left.append(parts[1])
-        elif parts[0] == "right" and len(parts) == 2:
-            if parts[1] in left or parts[1] in right:
-                raise GraphFormatError(f"line {lineno}: duplicate vertex {parts[1]!r}")
-            right.append(parts[1])
+            if not CONSTANT_RE.fullmatch(name) or name.startswith("@"):
+                raise GraphFormatError(f"line {lineno}: bad vertex name {name!r}")
+            if name in sides["left"] or name in sides["right"]:
+                raise GraphFormatError(f"line {lineno}: duplicate vertex {name!r}")
+            sides[parts[0]][name] = None
         elif parts[0] == "edge" and len(parts) == 3:
             u, w = parts[1], parts[2]
-            if u not in left or w not in right:
+            if u not in sides["left"] or w not in sides["right"]:
                 raise GraphFormatError(f"line {lineno}: unknown endpoint in {line!r}")
             edges.add((u, w))
         else:
             raise GraphFormatError(f"line {lineno}: cannot parse {line!r}")
-    return BipartiteGraph(tuple(left), tuple(right), frozenset(edges))
+    return BipartiteGraph(tuple(sides["left"]), tuple(sides["right"]), frozenset(edges))
 
 
 def profile_stats(g: BipartiteGraph, r_sub: Iterable[str], t_sub: Iterable[str]) -> ProfileKey:

@@ -81,10 +81,7 @@ def _cmd_classify(args) -> None:
 def _cmd_ur(args) -> None:
     q = parse_query(args.query)
     instance = parse_instance(_read(args.facts))
-    method = args.method
-    if method == "auto":
-        method = "safe" if classify_hierarchical(q).hierarchical else "brute"
-    if method == "safe":
+    if classify_hierarchical(q).hierarchical:
         print(_fmt(ur_safe(q, instance)))
     else:
         print(_fmt(ur_brute(q, instance)))
@@ -96,14 +93,7 @@ def _cmd_pqe(args) -> None:
     if args.uniform is not None:
         prob = ProbAssignment.uniform(args.uniform)
     else:
-        text = _read(args.probs)
-        per_fact = any(
-            "(" in line
-            for line in map(str.strip, text.splitlines())
-            if line and not line.startswith("#")
-        )
-        mode = "per-fact" if per_fact else "per-relation"
-        prob = parse_prob_map(text, mode)
+        prob = parse_prob_map(_read(args.probs))
     if classify_hierarchical(q).hierarchical:
         result = pqe_safe(q, instance, prob)
     else:
@@ -170,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ur", help="uniform reliability |Mod(Q, I)|")
     p.add_argument("query")
     p.add_argument("facts")
-    p.add_argument("--method", choices=("auto", "brute", "safe"), default="auto")
     p.set_defaults(func=_cmd_ur)
 
     p = sub.add_parser("pqe", help="exact query probability")

@@ -34,8 +34,6 @@ DEFAULT_BRUTE_CAP = 30
 
 Weights = dict[Fact, tuple[int, int]]
 
-_Q1_SCHEMA = {"R": 1, "S": 2, "T": 1}
-
 
 def brute_cap_override() -> int | None:
     """The QRELIAB_BRUTE_CAP environment override, or None when it is unset
@@ -65,13 +63,13 @@ def fact_weights(instance: Instance, prob: ProbAssignment) -> Weights:
     probability num/den: its weight in the worlds where it is present, and
     in those where it is absent.
 
-    A per-relation assignment is resolved once per relation.  Anything else
-    with a ``prob_of`` is resolved fact by fact, and each distinct
-    probability object gives one pair.  Either way every fact's probability
-    is resolved, so a missing one is reported whichever facts the evaluation
-    visits.
+    A ``ProbAssignment`` with no per-fact probability is resolved once per
+    relation.  Anything else with a ``prob_of`` is resolved fact by fact,
+    and each distinct probability object gives one pair.  Either way every
+    fact's probability is resolved, so a missing one is reported whichever
+    facts the evaluation visits.
     """
-    if getattr(prob, "mode", None) == "per-relation":
+    if isinstance(prob, ProbAssignment) and not prob.per_fact:
         weights = {}
         for relation in instance.relations:
             facts = instance.facts_of(relation)
@@ -294,13 +292,13 @@ def rewrite_prob1(instance: Instance, r: Fraction, s: Fraction) -> Fraction:
     Drops every S-fact whose right endpoint has no T-fact, then evaluates the
     hierarchical residual R(x),S(x,y) with per-relation probabilities (r, s).
     """
-    for relation in ("R", "S", "T"):
-        arity = instance.arity_of(relation)
-        if arity is not None and arity != _Q1_SCHEMA[relation]:
-            raise InstanceFormatError(f"relation {relation!r} has arity {arity}")
-    for fact in instance.facts:
-        if fact.relation not in _Q1_SCHEMA:
-            raise InstanceFormatError(f"unexpected relation {fact.relation!r}")
+    from .gadgets import q1_query  # gadgets imports this module
+
+    q1 = q1_query()
+    check_arities(q1, instance)
+    for relation in instance.relations:
+        if relation not in q1.schema:
+            raise InstanceFormatError(f"unexpected relation {relation!r}")
 
     t_values = {f.args[0] for f in instance.facts_of("T")}
     kept = [f for f in instance.facts_of("R")]

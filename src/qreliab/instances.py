@@ -1,10 +1,10 @@
 """Fact sets, probability assignments, and their on-disk formats.
 
 Fact files hold one fact per line (``Rel(c1,...,ck)``), with ``#`` comments
-and blank lines allowed.  Probability files hold lines ``Rel p/q``
-(per-relation mode) or ``Rel(c1,...,ck) p/q`` (per-fact mode).  Serialization
-emits facts sorted by (relation, args), so parse/serialize round-trips are
-bit-exact.
+and blank lines allowed.  Probability files hold lines ``Rel p/q`` (per
+relation) or ``Rel(c1,...,ck) p/q`` (per fact); a file is per fact when some
+line other than a comment holds a ``(``.  Serialization emits facts sorted by
+(relation, args), so parse/serialize round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -165,18 +165,15 @@ def _parse_rational(token: str) -> Fraction:
 class ProbAssignment:
     """Exact-rational fact probabilities, per fact or per relation.
 
-    Every stored probability is a rational in (0, 1].  The per-relation mode
-    assigns the relation's probability to each of its facts.
+    Every stored probability is a rational in (0, 1].  A fact takes its own
+    probability, else its relation's, else the default.
     """
 
-    mode: str  # "per-fact" | "per-relation"
     per_fact: Mapping[Fact, Fraction] = field(default_factory=dict)
     per_relation: Mapping[str, Fraction] = field(default_factory=dict)
     default: Fraction | None = None
 
     def __post_init__(self):
-        if self.mode not in ("per-fact", "per-relation"):
-            raise ProbabilityError(f"unknown mode {self.mode!r}")
         # A Fraction's denominator is positive, so integer comparisons check
         # 0 < p <= 1 without building a Fraction.  A parsed file shares one
         # object per distinct value, so each object is checked once.
@@ -189,33 +186,35 @@ class ProbAssignment:
 
     @classmethod
     def uniform(cls, p: Fraction | int | str) -> "ProbAssignment":
-        return cls(mode="per-relation", default=Fraction(p))
+        return cls(default=Fraction(p))
 
     @classmethod
     def for_relations(cls, probs: Mapping[str, Fraction]) -> "ProbAssignment":
-        return cls(mode="per-relation", per_relation=dict(probs))
+        return cls(per_relation=dict(probs))
 
     @classmethod
     def for_facts(cls, probs: Mapping[Fact, Fraction]) -> "ProbAssignment":
-        return cls(mode="per-fact", per_fact=dict(probs))
+        return cls(per_fact=dict(probs))
 
     def prob_of(self, fact: Fact) -> Fraction:
-        if self.mode == "per-fact":
-            p = self.per_fact.get(fact, self.default)
-        else:
+        p = self.per_fact.get(fact)
+        if p is None:
             p = self.per_relation.get(fact.relation, self.default)
         if p is None:
             raise ProbabilityError(f"no probability assigned to {fact}")
         return p
 
 
-def parse_prob_map(text: str, mode: str) -> ProbAssignment:
-    """Parse a probability file in the given mode.  A fact (or relation)
-    given on two lines is an error."""
-    if mode not in ("per-fact", "per-relation"):
-        raise ProbabilityError(f"unknown mode {mode!r}")
-    per_fact = mode == "per-fact"
+def parse_prob_map(text: str) -> ProbAssignment:
+    """Parse a probability file: per fact when some line other than a
+    comment holds a ``(``, else per relation.  A fact (or relation) given
+    on two lines is an error."""
     lines = text.splitlines()
+    per_fact = any(
+        "(" in line
+        for line in map(str.strip, lines)
+        if line and not line.startswith("#")
+    )
     probs: dict = {}  # Fact or relation name -> probability
     first_line: dict = {}
     parsed: dict[str, Fraction] = {}  # probability token -> its value

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -85,15 +85,6 @@ def reduction_params(g: BipartiteGraph, r: int, s: int, t: int) -> ReductionPara
     return ReductionParams(r, s, t, m, n_left, n_right, m1, m2, m3, big_m)
 
 
-def override_params(params: ReductionParams, M1: int, M2: int, M3: int) -> ReductionParams:
-    """Replace the multiplicities with tiny test values.
-
-    Breaks the invertibility guarantees of the full reduction; intended only
-    for downsized verification of the per-pair count formula.
-    """
-    return replace(params, M1=M1, M2=M2, M3=M3)
-
-
 def build_Dp(
     g: BipartiteGraph,
     r: int,
@@ -106,8 +97,10 @@ def build_Dp(
     gadget copies whose multiplicities encode p into the world counts.  The
     gadgets come from ``gadget_facts``, whose counts ``brute_counts`` checks.
 
-    ``params`` from ``override_params`` give downsized test instances, which
-    are not usable for the full reduction.
+    ``params`` with the multiplicities M1, M2, M3 replaced by smaller values
+    (``dataclasses.replace``) give downsized test instances; that breaks the
+    invertibility of the full reduction, so they serve only to check the
+    per-pair count formula.
     """
     if p < 0:
         raise QReliabError("p must be non-negative")
@@ -207,7 +200,7 @@ def _cell_factor(
 ) -> int:
     # The exponent layering that makes coefficients distinct needs no check:
     # realizability gives d + d' + 2e <= 2m, so s * (d + d' + 2e) < 4ms + 1,
-    # which is M1 unless override_params replaced it.
+    # which is M1 unless a downsized test replaced it.
     c, d, dp = cell
     e = params.m - c - d - dp
     powers = [

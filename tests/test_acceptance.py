@@ -6,6 +6,7 @@ Random inputs use fixed seeds so every run checks the same cases.
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from qreliab.bipartite import BipartiteGraph, independent_pair_count
@@ -31,7 +32,6 @@ from qreliab.reduction_ur import (
     build_Dp,
     lemma_binary_transform,
     merge_power2,
-    override_params,
     reduction_params,
     run_reduction,
 )
@@ -141,7 +141,7 @@ def test_criterion_4_uniform_identity():
 
 
 def test_criterion_5_per_pair_count_downsized():
-    params = override_params(reduction_params(EDGE, 1, 1, 1), 1, 1, 1)
+    params = replace(reduction_params(EDGE, 1, 1, 1), M1=1, M2=1, M3=1)
     counts = closed_counts(1, 1, 1)
     query = qrst_query(1, 1, 1)
     d1 = build_Dp(EDGE, 1, 1, 1, 1, params)

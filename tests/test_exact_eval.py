@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qreliab.cq import Atom, Query, Term, classify_hierarchical, parse_query
 from qreliab.errors import (
+    ArityError,
     CapExceededError,
+    InstanceFormatError,
     NonHierarchicalQueryError,
     ProbabilityError,
     UsageError,
@@ -140,6 +143,18 @@ def test_rewrite_prob1_matches_brute():
     r, s = Fraction(2, 5), Fraction(3, 7)
     phi = ProbAssignment.for_relations({"R": r, "S": s, "T": Fraction(1)})
     assert rewrite_prob1(i, r, s) == pqe_brute(Q1, i, phi)
+
+
+@pytest.mark.parametrize(
+    "facts, error, message",
+    [
+        ("R(a)\nS(a,b)\nT(b,c)\n", ArityError, "relation 'T' has arity 1 in the query but 2 in the instance"),
+        ("R(a)\nS(a,b)\nT(b)\nU(a)\n", InstanceFormatError, "unexpected relation 'U'"),
+    ],
+)
+def test_rewrite_prob1_rejects_an_instance_outside_its_query(facts, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        rewrite_prob1(parse_instance(facts), Fraction(1, 2), Fraction(1, 2))
 
 
 def test_brute_cap_env_override(monkeypatch):
@@ -330,25 +345,26 @@ _PROBS = [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fracti
 
 @st.composite
 def _weighting_case(draw):
-    """An instance over R, S, T and a probability source in one of the
-    modes: per fact, per relation, uniform, with or without a default, or a
-    plain table."""
+    """An instance over R, S, T and a probability source: per fact, per
+    relation, both, uniform, with or without a default, or a plain table."""
     candidates = [Fact(rel, args) for rel in "RS" for args in product("abc", repeat=2)]
     candidates += [Fact("T", (c,)) for c in "abc"]
     instance = Instance(draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True)))
     prob = st.sampled_from(_PROBS)
-    kind = draw(st.sampled_from(["per-fact", "per-relation", "uniform", "table"]))
+    kind = draw(st.sampled_from(["per-fact", "per-relation", "both", "uniform", "table"]))
     if kind == "uniform":
         return instance, ProbAssignment.uniform(draw(prob))
     if kind == "table":
         values = st.one_of(prob, st.sampled_from([0, 1, Fraction(0)]))
         return instance, _ProbTable({f: draw(values) for f in instance.facts})
     default = draw(st.one_of(st.none(), prob))
-    if kind == "per-relation":
-        probs = {rel: draw(prob) for rel in "RST" if draw(st.booleans()) or default is None}
-        return instance, ProbAssignment(mode=kind, per_relation=probs, default=default)
-    probs = {f: draw(prob) for f in instance.facts if draw(st.booleans()) or default is None}
-    return instance, ProbAssignment(mode=kind, per_fact=probs, default=default)
+    per_fact, per_relation = {}, {}
+    if kind != "per-fact":
+        per_relation = {rel: draw(prob) for rel in "RST" if draw(st.booleans()) or default is None}
+    if kind != "per-relation":
+        covered = default is not None or kind == "both"
+        per_fact = {f: draw(prob) for f in instance.facts if draw(st.booleans()) or not covered}
+    return instance, ProbAssignment(per_fact, per_relation, default)
 
 
 @settings(max_examples=200, deadline=None)

@@ -67,7 +67,7 @@ def test_serialize_parse_roundtrip(raw):
 
 
 def test_prob_map_per_relation():
-    phi = parse_prob_map("R 1/2\nS 1\n", "per-relation")
+    phi = parse_prob_map("R 1/2\nS 1\n")
     assert phi.prob_of(Fact("R", ("a",))) == Fraction(1, 2)
     assert phi.prob_of(Fact("S", ("a", "b"))) == 1
     with pytest.raises(ProbabilityError):
@@ -75,7 +75,7 @@ def test_prob_map_per_relation():
 
 
 def test_prob_map_per_fact():
-    phi = parse_prob_map("R(a) 1/3\nS(a,b) 2/3\n", "per-fact")
+    phi = parse_prob_map("R(a) 1/3\nS(a,b) 2/3\n")
     assert phi.prob_of(Fact("S", ("a", "b"))) == Fraction(2, 3)
     with pytest.raises(ProbabilityError):
         phi.prob_of(Fact("R", ("b",)))
@@ -84,7 +84,7 @@ def test_prob_map_per_fact():
 @pytest.mark.parametrize("line", ["R(a-1) 1/5", "S(a, ) 1/2", "S(a,b c) 1/2"])
 def test_prob_map_per_fact_rejects_bad_constant(line):
     with pytest.raises(ProbabilityError, match="line 2: bad constant"):
-        parse_prob_map(f"R(a) 1/3\n{line}\n", "per-fact")
+        parse_prob_map(f"R(a) 1/3\n{line}\n")
 
 
 @pytest.mark.parametrize(
@@ -95,16 +95,28 @@ def test_prob_map_per_fact_rejects_bad_constant(line):
     ],
 )
 def test_prob_map_rejects_duplicates(text, mode, target):
+    # Without the repeated last line, the file parses in the mode its lines pick.
+    assert bool(parse_prob_map(text.rsplit("\n", 2)[0]).per_fact) == (mode == "per-fact")
     message = f"line 4: {target} already has a probability on line 1"
     with pytest.raises(ProbabilityError, match=re.escape(message)):
-        parse_prob_map(text, mode)
+        parse_prob_map(text)
 
 
 def test_prob_map_rejects_out_of_range():
     with pytest.raises(ProbabilityError):
-        parse_prob_map("R 0\n", "per-relation")
+        parse_prob_map("R 0\n")
     with pytest.raises(ProbabilityError):
-        parse_prob_map("R 3/2\n", "per-relation")
+        parse_prob_map("R 3/2\n")
+
+
+def test_prob_map_mode_is_read_from_the_lines():
+    # Line 2 makes the file per fact, so line 1 is read as a fact.
+    with pytest.raises(ProbabilityError, match=re.escape("line 1: cannot parse fact 'R'")):
+        parse_prob_map("R 1/2\nR(a) 1/3")
+    # A "(" in a comment line leaves the file per relation.
+    phi = parse_prob_map("# R(a) is not listed\nR 1/2\n  # S(a,b) neither\n")
+    assert phi == ProbAssignment.for_relations({"R": Fraction(1, 2)})
+    assert phi.prob_of(Fact("R", ("a",))) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("p", [Fraction(0), Fraction(3, 2), Fraction(-1, 2)])
@@ -120,6 +132,12 @@ def test_assignment_built_outside_the_parser_rejects_out_of_range(p):
 def test_uniform_assignment():
     phi = ProbAssignment.uniform(Fraction(1, 2))
     assert phi.prob_of(Fact("Anything", ("a",))) == Fraction(1, 2)
+
+
+def test_assignment_reads_fact_then_relation_then_default():
+    phi = ProbAssignment({Fact("R", ("a",)): Fraction(1, 3)}, {"R": Fraction(1, 2)}, Fraction(1, 5))
+    facts = [Fact("R", ("a",)), Fact("R", ("b",)), Fact("S", ("a", "b"))]
+    assert [phi.prob_of(f) for f in facts] == [Fraction(1, 3), Fraction(1, 2), Fraction(1, 5)]
 
 
 def test_fresh_constant_format():
@@ -180,13 +198,13 @@ def oracle_parse_instance(text):
     return Instance(facts)
 
 
-def oracle_parse_prob_map(text, mode):
+def oracle_parse_prob_map(text):
+    lines = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    per_fact = any("(" in line for _, line in lines)
     probs = {}
     first_line = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in lines:
         try:
             target, value = line.rsplit(None, 1)
         except ValueError:
@@ -197,7 +215,7 @@ def oracle_parse_prob_map(text, mode):
             raise ProbabilityError(f"malformed rational {value!r}") from None
         if not 0 < prob <= 1:
             raise ProbabilityError(f"probability {value} is outside (0, 1]")
-        if mode == "per-relation":
+        if not per_fact:
             if not re.fullmatch(r"[A-Z][A-Za-z0-9_]*", target):
                 raise ProbabilityError(f"line {lineno}: bad relation name {target!r}")
             key = target
@@ -209,9 +227,9 @@ def oracle_parse_prob_map(text, mode):
             )
         first_line[key] = lineno
         probs[key] = prob
-    if mode == "per-relation":
-        return ProbAssignment.for_relations(probs)
-    return ProbAssignment.for_facts(probs)
+    if per_fact:
+        return ProbAssignment.for_facts(probs)
+    return ProbAssignment.for_relations(probs)
 
 
 def _outcome(parse, *args):
@@ -272,13 +290,14 @@ def _fact_lines(draw):
 
 @st.composite
 def _prob_lines(draw, mode):
-    # Mostly the mode's own targets, sometimes the other mode's.
+    # Mostly the mode's own targets, sometimes the other mode's; the parser
+    # reads the mode from the lines drawn.
     own, other = (_fact_text(), _relation) if mode == "per-fact" else (_relation, _fact_text())
     target = st.one_of(own, own, own, other)
     lines = draw(st.lists(
         st.one_of(
             st.tuples(_space, target, st.sampled_from([" ", "\t", "  ", ""]), _probability, _tail).map("".join),
-            st.sampled_from(["", "# comment"]),
+            st.sampled_from(["", "# comment", "  # R(a) 1/2"]),
         ),
         min_size=1,
         max_size=5,
@@ -299,7 +318,7 @@ def test_parse_instance_agrees_with_plain_parser(text):
 @given(st.data(), st.sampled_from(["per-fact", "per-relation"]))
 def test_parse_prob_map_agrees_with_plain_parser(data, mode):
     text = data.draw(_prob_lines(mode))
-    assert _outcome(parse_prob_map, text, mode) == _outcome(oracle_parse_prob_map, text, mode)
+    assert _outcome(parse_prob_map, text) == _outcome(oracle_parse_prob_map, text)
 
 
 @pytest.mark.parametrize(
@@ -327,9 +346,10 @@ _UNICODE_BLANK_LINES = {
 def test_lines_with_unicode_blanks_agree_with_plain_parser(line):
     text = f"S(z)\n{line}\nS(y)\n"
     assert _outcome(parse_instance, text) == _outcome(oracle_parse_instance, text)
-    for mode, target in (("per-fact", line), ("per-relation", "R")):
-        text = f"S(z) 1/2\n{target}\u3000\u00a01/3\u2003\n"
-        assert _outcome(parse_prob_map, text, mode) == _outcome(oracle_parse_prob_map, text, mode)
+    # The first line makes the file per fact, or per relation.
+    for first, target in (("S(z)", line), ("S(z)", "R"), ("S", "R")):
+        text = f"{first} 1/2\n{target}\u3000\u00a01/3\u2003\n"
+        assert _outcome(parse_prob_map, text) == _outcome(oracle_parse_prob_map, text)
 
 
 # Rejected lines of about n characters, mostly blanks or separators.
@@ -346,22 +366,25 @@ _LONG_REJECTED_LINES = {
 def test_long_rejected_line_is_read_in_linear_time(line_of):
     # A pattern quadratic in the line's length takes seconds at 20,000
     # characters, so it fails there before the 200,000-character line.
+    # A probability file is read per fact when some line holds a "(", so
+    # the line is read per fact after a fact's line, and on its own in the
+    # mode its own brackets pick.
     for n in (20_000, 200_000):
-        text = f"{line_of(n)}\n"
-        for parse, oracle, args in (
-            (parse_instance, oracle_parse_instance, ()),
-            (parse_prob_map, oracle_parse_prob_map, ("per-fact",)),
-            (parse_prob_map, oracle_parse_prob_map, ("per-relation",)),
+        line = line_of(n)
+        for parse, oracle, text in (
+            (parse_instance, oracle_parse_instance, f"{line}\n"),
+            (parse_prob_map, oracle_parse_prob_map, f"{line}\n"),
+            (parse_prob_map, oracle_parse_prob_map, f"S(z) 1/2\n{line}\n"),
         ):
             start = time.perf_counter()
-            got = _outcome(parse, text, *args)
+            got = _outcome(parse, text)
             elapsed = time.perf_counter() - start
-            assert isinstance(got, tuple) and got == _outcome(oracle, text, *args)
-            assert elapsed < 1.0, (n, parse.__name__, args)
+            assert isinstance(got, tuple) and got == _outcome(oracle, text)
+            assert elapsed < 1.0, (n, parse.__name__, text[:4])
 
 
 def test_repeated_probability_token_is_one_value():
-    phi = parse_prob_map("R(a) 3/8\nR(b) 3/8\nR(c) 6/16\n", "per-fact")
+    phi = parse_prob_map("R(a) 3/8\nR(b) 3/8\nR(c) 6/16\n")
     values = [phi.prob_of(Fact("R", (c,))) for c in "abc"]
     assert values == [Fraction(3, 8)] * 3
     assert values[0] is values[1]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from qreliab.reduction_ur import (
     lemma_binary_transform,
     merge_power2,
     np_analytic,
-    override_params,
     profile_cells,
     reduction_params,
     run_reduction,
@@ -67,7 +67,7 @@ def test_build_Dp_single_edge_sizes():
 
 
 def test_build_Dp_override_sizes():
-    tiny = override_params(reduction_params(EDGE, 1, 1, 1), 1, 1, 1)
+    tiny = replace(reduction_params(EDGE, 1, 1, 1), M1=1, M2=1, M3=1)
     assert len(build_Dp(EDGE, 1, 1, 1, 1, tiny)) == 13
 
 
@@ -81,7 +81,7 @@ def test_alpha_coefficient_rejects_invalid_profile():
 
 
 def test_alpha_coefficient_independent_pair():
-    params = override_params(reduction_params(EDGE, 1, 1, 1), 1, 1, 1)
+    params = replace(reduction_params(EDGE, 1, 1, 1), M1=1, M2=1, M3=1)
     counts = closed_counts(1, 1, 1)
     # empty pair: the edge is excluded (e = 1)
     value = alpha_coefficient((0, 0, 0, 0, 0), counts, params)
@@ -97,7 +97,7 @@ def test_profile_cells_count_and_order():
 
 
 def test_np_analytic_matches_brute_downsized():
-    tiny = override_params(reduction_params(EDGE, 1, 1, 1), 1, 1, 1)
+    tiny = replace(reduction_params(EDGE, 1, 1, 1), M1=1, M2=1, M3=1)
     query = qrst_query(1, 1, 1)
     for p in (0, 1):
         dp = build_Dp(EDGE, 1, 1, 1, p, tiny)
