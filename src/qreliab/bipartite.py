@@ -37,10 +37,11 @@ class BipartiteGraph:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        if len({*self.left, *self.right}) < len(self.left) + len(self.right):
+        left, right = set(self.left), set(self.right)
+        if len(left | right) < len(self.left) + len(self.right):
             raise GraphFormatError("a vertex name is declared twice")
         for u, w in self.edges:
-            if u not in self.left or w not in self.right:
+            if u not in left or w not in right:
                 raise GraphFormatError(f"edge ({u}, {w}) has an undeclared endpoint")
 
     def __repr__(self) -> str:

@@ -1,36 +1,38 @@
 """The main counting reduction: from bipartite independent-set-pair counting
-to uniform reliability of the R*/S*/T* query family.
-
-Builds the oracle instances D_p, assembles the linear system whose matrix is
-a Vandermonde in the per-pair coefficients, directly in residues modulo a
-prime above the solution's combinatorial bound, solves it there, and
-recovers the independent-set-pair count.  Also provides the
-query-generalization transform (arbitrary non-hierarchical query <- R*/S*/T*
-family) and the power-of-two probability merge.
+to uniform reliability of the R*/S*/T* query family, solved directly in
+residues modulo a prime above the solution's combinatorial bound.  Also
+provides the query-generalization transform (arbitrary non-hierarchical
+query <- R*/S*/T* family) and the power-of-two probability merge.
 
 The system has one unknown per realizable profile cell (i, j, c, d, d'),
-c + d + d' <= m, so M' = (n_left+1)(n_right+1)(m+1)(m+2)(m+3)/6 equations
-p = 0..M'-1.  The paper indexes it by the whole grid, (n_left+1)(n_right+1)
-(m+1)^3 cells, but a cell with c + d + d' > m has no realizing pair and its
-unknown is zero.  Only the number of oracle calls changes: the
-multiplicities M1, M2, M3 and every D_p are the paper's.
+c + d + d' <= m: M' = (n_left+1)(n_right+1)(m+1)(m+2)(m+3)/6 of them, where
+the paper has (n_left+1)(n_right+1)(m+1)^3, since a cell with c + d + d' > m
+has no realizing pair.  The paper's D_p ties every multiplicity to p; here
+each vertex side has its own, and the run and ``--emit-instances`` use the
+M' instances D_{p_left, p_right, p} of the grid p_left <= n_left,
+p_right <= n_right, p < C(m+3, 3), in files D_{p_left}_{p_right}_{p}.facts.
+The paper's D_p is the diagonal p_left = M2 * p, p_right = M3 * p.  The
+system is then a Kronecker product of row, column and cell systems, and M2
+and M3 drop out of the run.  Each instance has polynomially many facts, so
+the reduction stays a polynomial Turing reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, partial
 
 from .bipartite import BipartiteGraph, ProfileKey, ordered_edges, x_table
 from .cq import Query, Term, noncomparable_pair_and_rst
 from .errors import InvalidProfileError, QReliabError, SchemaMismatchError
 from .gadgets import GadgetCounts, closed_counts, count_violating, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import Factor, power_sums, recover_counts
+from .vandermonde import Factor, kron_power_sums, recover_counts
 
 
 @dataclass(frozen=True)
@@ -53,24 +55,25 @@ class ReductionRun:
     counts: GadgetCounts
     cells: tuple[ProfileKey, ...]
     graph: BipartiteGraph
-    oracle_counts: list[int] | None  # N_0..N_{M-1} counted on D_p (brute oracle)
+    oracle_counts: list[int] | None  # N on the grid, counted on each D (brute oracle)
     y_vector: Mapping[ProfileKey, int]
     p_result: int
 
     @cached_property
-    def alpha(self) -> dict[ProfileKey, int]:
-        """Each cell's exact coefficient, computed on first access."""
-        return {key: alpha_coefficient(key, self.counts, self.params) for key in self.cells}
+    def alpha(self) -> list[Factor]:
+        """The exact ``grid_factors``, computed on first access."""
+        return grid_factors(self.counts, self.params)
 
     @cached_property
     def n_vector(self) -> list[int]:
-        """N_0..N_{M-1}: the brute oracle's counts, or else the analytic
-        formula's, computed exactly on first access."""
+        """N over the grid, in row-major order of (p_left, p_right, p): the
+        brute oracle's counts, or else the analytic formula's, the forward
+        map of Y, computed exactly on first access."""
         if self.oracle_counts is not None:
             return self.oracle_counts
         weights = weighted_profiles(self.graph, self.params.r, self.params.t)
-        nodes = [alpha_coefficient(key, self.counts, self.params) for key in weights]
-        return power_sums(list(weights.values()), nodes, self.params.M)
+        terms = [weights.get(key, 0) for key in self.cells]
+        return kron_power_sums(terms, self.alpha, [len(nodes) for nodes, _ in self.alpha])
 
 
 def reduction_params(g: BipartiteGraph, r: int, s: int, t: int) -> ReductionParams:
@@ -92,20 +95,25 @@ def build_Dp(
     t: int,
     p: int,
     params: ReductionParams | None = None,
+    p_left: int | None = None,
+    p_right: int | None = None,
 ) -> Instance:
-    """The p-th oracle instance: graph vertices as R*/T* bundles, plus the
-    gadget copies whose multiplicities encode p into the world counts.  The
-    gadgets come from ``gadget_facts``, whose counts ``brute_counts`` checks.
+    """The oracle instance D_{p_left, p_right, p}: graph vertices as R*/T*
+    bundles, p chains and M1 * p (a,b)-gadgets per edge, p_left per left
+    vertex and p_right per right vertex, all from ``gadget_facts``.  The
+    defaults M2 * p and M3 * p give the paper's D_p.
 
     ``params`` with the multiplicities M1, M2, M3 replaced by smaller values
     (``dataclasses.replace``) give downsized test instances; that breaks the
-    invertibility of the full reduction, so they serve only to check the
+    invertibility of the paper's reduction, so they serve only to check the
     per-pair count formula.
     """
-    if p < 0:
-        raise QReliabError("p must be non-negative")
     if params is None:
         params = reduction_params(g, r, s, t)
+    p_left = params.M2 * p if p_left is None else p_left
+    p_right = params.M3 * p if p_right is None else p_right
+    if min(p, p_left, p_right) < 0:
+        raise QReliabError("multiplicities must be non-negative")
     facts: list[Fact] = []
     for u in g.left:
         facts += [Fact(f"R{k}", (u,)) for k in range(1, r + 1)]
@@ -120,11 +128,11 @@ def build_Dp(
             b = fresh_constant(f"e{ei}.m", [copy])
             facts += gadget_facts("ab", r, s, t, (u, b))
     for ui, u in enumerate(g.left):
-        for copy in range(1, params.M2 * p + 1):
+        for copy in range(1, p_left + 1):
             b = fresh_constant(f"u{ui}.b", [copy])
             facts += gadget_facts("ab", r, s, t, (u, b))
     for wi, w in enumerate(g.right):
-        for copy in range(1, params.M3 * p + 1):
+        for copy in range(1, p_right + 1):
             a = fresh_constant(f"w{wi}.a", [copy])
             facts += gadget_facts("ab", r, s, t, (a, w))
     return Instance(facts)
@@ -147,52 +155,55 @@ def weighted_profiles(g: BipartiteGraph, r: int, t: int) -> dict[ProfileKey, int
     }
 
 
+def _cell_parts(m: int) -> list[tuple[int, int, int]]:
+    """The (c, d, d') with c + d + d' <= m, in lexicographic order."""
+    return [
+        (c, d, dp) for c in range(m + 1) for d in range(m + 1 - c) for dp in range(m + 1 - c - d)
+    ]
+
+
 def profile_cells(params: ReductionParams) -> tuple[ProfileKey, ...]:
     """The realizable (i, j, c, d, d') cells, c + d + d' <= m, in
     lexicographic order: one per unknown of the system."""
-    m = params.m
-    return tuple(
-        (i, j, c, d, dp)
-        for i in range(params.n_left + 1)
-        for j in range(params.n_right + 1)
-        for c in range(m + 1)
-        for d in range(m + 1 - c)
-        for dp in range(m + 1 - c - d)
-    )
+    sides = itertools.product(range(params.n_left + 1), range(params.n_right + 1))
+    return tuple((i, j, *part) for (i, j), part in itertools.product(sides, _cell_parts(params.m)))
+
+
+def grid_factors(
+    counts: GadgetCounts, params: ReductionParams, prime: int | None = None
+) -> list[Factor]:
+    """The grid system's factors, exactly or modulo ``prime``: rows
+    lam_r**i * lam_rbar**(n_left - i), columns lam_t**j *
+    lam_tbar**(n_right - j), cells ``_cell_factor``.  In the count of
+    D_{p_left, p_right, p}, cell (i, j, c, d, d') weighs row**p_left *
+    column**p_right * cell**p.  Rows differ since lam_r != lam_rbar, columns
+    likewise, and cells by M1's exponent layering."""
+    rows = _side_nodes(counts.lam_r, counts.lam_rbar, params.n_left, prime)
+    columns = _side_nodes(counts.lam_t, counts.lam_tbar, params.n_right, prime)
+    cells = [_cell_factor(part, counts, params, prime) for part in _cell_parts(params.m)]
+    return [(rows, None), (columns, None), (cells, None)]
+
+
+def _side_nodes(lam: int, lam_bar: int, n: int, prime: int | None) -> list[int]:
+    """lam**k * lam_bar**(n - k) for k = 0..n, exactly or modulo ``prime``."""
+    return [_power_product([(lam, k), (lam_bar, n - k)], prime) for k in range(n + 1)]
 
 
 def alpha_coefficient(
     profile_key: ProfileKey, counts: GadgetCounts, params: ReductionParams
 ) -> int:
     """The per-pair world-count coefficient of a realizable profile
-    (c + d + d' <= m), a product of gadget counts raised to multiplicity
-    exponents.  ``run_reduction``'s residues take the product of the same
-    factors modulo a prime."""
+    (c + d + d' <= m) in the paper's D_p, where p_left = M2 * p and
+    p_right = M3 * p: row(i)**M2 * column(j)**M3 * cell(c, d, d'), over
+    the factors of ``grid_factors``."""
     i, j, c, d, dp = profile_key
     if min(i, j, c, d, dp) < 0 or c + d + dp > params.m:
         raise InvalidProfileError(f"profile {profile_key} is not realizable")
     if i > params.n_left or j > params.n_right:
         raise InvalidProfileError(f"profile {profile_key} is out of range")
-    return (
-        _row_factor(i, counts, params, None)
-        * _column_factor(j, counts, params, None)
-        * _cell_factor((c, d, dp), counts, params, None)
-    )
-
-
-# alpha(i, j, c, d, d') = row(i) * column(j) * cell(c, d, d'), exactly or
-# modulo a prime; the powers of lam_r and lam_rbar split into the M2 parts of
-# the row and the M1 parts of the cell.
-def _row_factor(i: int, counts: GadgetCounts, params: ReductionParams, prime: int | None) -> int:
-    powers = [(counts.lam_r, params.M2 * i), (counts.lam_rbar, params.M2 * (params.n_left - i))]
-    return _power_product(powers, prime)
-
-
-def _column_factor(
-    j: int, counts: GadgetCounts, params: ReductionParams, prime: int | None
-) -> int:
-    powers = [(counts.lam_t, params.M3 * j), (counts.lam_tbar, params.M3 * (params.n_right - j))]
-    return _power_product(powers, prime)
+    row = _side_nodes(counts.lam_r, counts.lam_rbar, params.n_left, None)[i]
+    column = _side_nodes(counts.lam_t, counts.lam_tbar, params.n_right, None)[j]
+    return row**params.M2 * column**params.M3 * _cell_factor((c, d, dp), counts, params, None)
 
 
 def _cell_factor(
@@ -229,7 +240,8 @@ def np_analytic(
     p: int,
     params: ReductionParams | None = None,
 ) -> int:
-    """Violating-world count of D_p predicted by the per-pair formula."""
+    """Violating-world count of the paper's D_p predicted by the per-pair
+    formula."""
     if params is None:
         params = reduction_params(g, r, s, t)
     counts = closed_counts(r, s, t)
@@ -237,19 +249,6 @@ def np_analytic(
     for key, weight in weighted_profiles(g, params.r, params.t).items():
         total += weight * alpha_coefficient(key, counts, params) ** p
     return total
-
-
-class _Lazy(Sequence):
-    """value(0), ..., value(n - 1), each computed when first read."""
-
-    def __init__(self, value: Callable[[int], int], n: int):
-        self._value, self._n = cache(value), n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, k: int) -> int:
-        return self._value(k)
 
 
 def run_reduction(
@@ -260,43 +259,39 @@ def run_reduction(
     oracle: str = "analytic",
     emit_dir: str | None = None,
 ) -> ReductionRun:
-    """End-to-end reduction: oracle counts N_p, Vandermonde solve, recovery
-    of the independent-set-pair count.
+    """End-to-end reduction: oracle counts N on the grid, the solve of the
+    Kronecker product of the three dual systems of ``grid_factors``, and
+    the recovery of the independent-set-pair count.
 
-    The system sum_k y_k * alpha_k**p = N_p is built only in residues:
-    ``residues(q)`` gives the nodes modulo q and nothing else.  A node is
-    the product of its row, column and cell factors, so a prime costs
-    (n_left+1) + (n_right+1) + C(m+3, 3) modular powers of the gadget
-    counts and one product per cell.  The brute oracle hands
-    ``recover_counts`` its counts N_p as the right-hand side.  The analytic
-    oracle hands it Y, the weighted pair-profile histogram, as the expected
-    solution: N_p = sum_k Y_k * alpha_k**p is Y's forward map, computed at
-    the solver prime alone, and a y equal to Y needs no residue at a
-    second prime.  The exact check of N_0..N_3 (``lead`` 4) reads exact
-    coefficients only where y differs from Y (from 0 with the brute
-    oracle, whose counts are checked modulo a second prime as well).  The
-    M' nodes, one per cell, are distinct integers, so the first M'
-    equations form a regular system.
+    The brute oracle hands ``recover_counts`` its counts as the right-hand
+    side, in row-major order of (p_left, p_right, p).  The analytic oracle
+    hands it Y, the weighted pair-profile histogram, as the expected
+    solution: N is Y's forward map, computed at the solver prime alone, and
+    a y equal to Y is checked no further.  Any other y is checked exactly
+    on the equations whose every power is below 4, and modulo a second
+    prime on all of them.
     """
     if oracle not in ("analytic", "brute"):
         raise QReliabError(f"unknown oracle {oracle!r}")
     params = reduction_params(g, r, s, t)
     counts = closed_counts(r, s, t)
     cells = profile_cells(params)
+    exact = grid_factors(counts, params)
+    shape = [len(nodes) for nodes, _ in exact]
 
     query = qrst_query(r, s, t)
     oracle_counts: list[int] = []
     if emit_dir is not None:
         os.makedirs(emit_dir, exist_ok=True)
     if oracle == "brute" or emit_dir is not None:
-        for p in range(params.M):
-            dp_inst = build_Dp(g, r, s, t, p, params)
+        for p_left, p_right, p in itertools.product(*map(range, shape)):
+            instance = build_Dp(g, r, s, t, p, params, p_left, p_right)
             if emit_dir is not None:
-                path = os.path.join(emit_dir, f"D_{p}.facts")
+                path = os.path.join(emit_dir, f"D_{p_left}_{p_right}_{p}.facts")
                 with open(path, "w") as fh:
-                    fh.write(dp_inst.serialize())
+                    fh.write(instance.serialize())
             if oracle == "brute":
-                oracle_counts.append(count_violating(dp_inst, query))
+                oracle_counts.append(count_violating(instance, query))
 
     rhs = terms = None
     if oracle == "brute":
@@ -305,18 +300,11 @@ def run_reduction(
         weights = weighted_profiles(g, r, t)
         terms = [weights.get(key, 0) for key in cells]
 
-    def residues(prime: int) -> list[Factor]:
-        rows = [_row_factor(i, counts, params, prime) for i in range(params.n_left + 1)]
-        columns = [_column_factor(j, counts, params, prime) for j in range(params.n_right + 1)]
-        corner = [key[2:] for key in cells if key[:2] == (0, 0)]  # every (c, d, d')
-        parts = {part: _cell_factor(part, counts, params, prime) for part in corner}
-        return [([rows[key[0]] * columns[key[1]] * parts[key[2:]] % prime for key in cells], None)]
-
     # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
     heaviest = _pair_weight(r, t, params.n_left, params.n_right)
     bounds = [2 ** (params.n_left + params.n_right) * heaviest + 1] * params.M
-    node = _Lazy(lambda k: alpha_coefficient(cells[k], counts, params), params.M)
-    solution = recover_counts(residues, [(node, None)], bounds, 4, rhs, terms)  # exact on N_0..N_3
+    residues = partial(grid_factors, counts, params)
+    solution = recover_counts(residues, exact, bounds, 4, rhs, terms)  # exact on powers < 4
     y_vector = dict(zip(cells, solution))
     p_result = 0
     for (i, j, c, d, dp), y in y_vector.items():

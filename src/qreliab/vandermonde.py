@@ -1,6 +1,6 @@
 """The dual Vandermonde system sum_k y_k x_k**p = b_p, p = 0..n-1, and the
 recovery of its integer solutions: ``power_sums`` maps y to b, exactly or
-modulo a prime, ``solve_vandermonde`` maps b back to y modulo a prime, and
+modulo a prime, ``dual_solver`` maps b back to y modulo a prime, and
 ``recover_counts`` finds the integer solution of a Kronecker product of such
 systems from the factors' residues and either b, exact, or the solution a
 caller expects.  ``mod_inverses`` inverts a list of residues by one modular
@@ -12,10 +12,10 @@ Q(z) = prod_k (z - x_k), the generating series sum_p b_p z**p equals
 sum_k y_k / (1 - x_k z) modulo z**n, so N = B * rev(Q) mod z**n is
 sum_k y_k prod_{j != k} (1 - x_j z), and its reversal N~ satisfies
 N~(x_k) = y_k Q'(x_k).  Q comes from a subproduct tree over blocks of
-``_BLOCK`` nodes, N~ and Q' are evaluated at every node by one remainder
-tree (dividing by Newton inversion) down to the blocks and by Horner's rule
-inside them.  Polynomials are multiplied by Kronecker substitution, one
-multiply of packed Python ints.
+``_BLOCK`` nodes, N~ and Q' are evaluated at every node by a remainder
+tree (dividing by Newton inverses) down to the blocks and by Horner's rule
+inside them; all but N~ is built once per node set.  Polynomials are
+multiplied by Kronecker substitution, one multiply of packed Python ints.
 """
 
 from __future__ import annotations
@@ -83,23 +83,18 @@ def kron_power_sums(
     return _along_axes(along, [len(nodes) for nodes, _ in factors], terms)
 
 
-def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int], prime: int) -> list[int]:
-    """The solution y of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, as
-    residues modulo ``prime``.
-
-    Nodes must be pairwise distinct modulo ``prime``.
-    """
+def dual_solver(nodes: Sequence[int], prime: int) -> Callable[[Sequence[int]], list[int]]:
+    """The solve of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, modulo
+    ``prime``, as a function of rhs.  The subproduct tree, the inverses its
+    remainder tree divides by and 1 / Q'(x_k) are built here, once, so each
+    rhs pays for one product and one evaluation.  Nodes must be pairwise
+    distinct modulo ``prime``."""
     n = len(nodes)
-    if len(rhs) != n:
-        raise QReliabError("nodes and right-hand side differ in length")
     nodes = [x % prime for x in nodes]
-    rhs = [b % prime for b in rhs]
     if len(set(nodes)) != n:
         raise DuplicateNodeError(f"nodes are not pairwise distinct modulo {prime}")
-    if not n:
-        return []
     blocks = [nodes[k : k + _BLOCK] for k in range(0, n, _BLOCK)]
-    tree = [[_from_roots(block, prime) for block in blocks]]
+    tree = [[_from_roots(block, prime) for block in blocks] or [[1]]]  # Q = 1 if n = 0
     while len(tree[-1]) > 1:
         below = tree[-1]
         level = [
@@ -107,20 +102,43 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int], prime: int) -> l
         ]
         tree.append(level + below[2 * len(level) :])  # an odd last node moves up as it is
     [master] = tree[-1]  # Q, monic of degree n, coefficients low to high
-    numer = _product(rhs, master[::-1], n, prime)[::-1]  # N~
-    deriv = [p * q % prime for p, q in enumerate(master)][1:]  # Q'
-    remainders = [(numer, deriv)]  # both modulo each node of the current level
-    for level in reversed(tree[:-1]):
-        remainders = [
-            below
-            for k, pair in enumerate(remainders)
-            for below in _split(pair, level[2 * k : 2 * k + 2], prime)
+    # each node below the root, and 1 / rev(node) to the precision that its
+    # parent's remainder asks for: its sibling's degree, 0 for an odd node
+    divisors = [
+        [
+            (node, _inverse(node[::-1], len(above[k // 2]) - len(node), prime))
+            for k, node in enumerate(level)
         ]
-    numers, derivs = [], []  # N~(x_k) and Q'(x_k)
-    for block, (numer, deriv) in zip(blocks, remainders):
-        numers += _horner(numer, block, prime)
-        derivs += _horner(deriv, block, prime)
-    return [a * b % prime for a, b in zip(numers, mod_inverses(derivs, prime))]
+        for level, above in zip(tree, tree[1:])
+    ][::-1]
+
+    def evaluate(poly: list[int]) -> list[int]:
+        """poly at every node: a remainder tree, then Horner's rule per block."""
+        remainders = [poly]
+        for level in divisors:
+            remainders = [
+                _remainder(remainders[k // 2], node, inverse, prime)
+                for k, (node, inverse) in enumerate(level)
+            ]
+        return [v for block, rem in zip(blocks, remainders) for v in _horner(rem, block, prime)]
+
+    deriv = [p * q % prime for p, q in enumerate(master)][1:]  # Q'
+    scale = mod_inverses(evaluate(deriv), prime)
+
+    def solve(rhs: Sequence[int]) -> list[int]:
+        if len(rhs) != n:
+            raise QReliabError("nodes and right-hand side differ in length")
+        numer = _product([b % prime for b in rhs], master[::-1], n, prime)[::-1]  # N~
+        return [a * b % prime for a, b in zip(evaluate(numer), scale)]
+
+    return solve
+
+
+def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int], prime: int) -> list[int]:
+    """The solution y of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, as
+    residues modulo ``prime``: ``dual_solver`` applied to one right-hand
+    side.  Nodes must be pairwise distinct modulo ``prime``."""
+    return dual_solver(nodes, prime)(rhs)
 
 
 def mod_inverses(values: Sequence[int], prime: int) -> list[int]:
@@ -178,7 +196,8 @@ def recover_counts(
     equations whose every power is below ``lead``, and on every equation
     modulo the next listed prime at which the factors and ``rhs`` are
     defined, against b less the forward map of ``terms`` (0 given
-    ``terms``, so a y equal to ``terms`` computes nothing at that prime).
+    ``terms``).  A y equal to ``terms`` has nothing to sum, so it is
+    returned as soon as it is within bounds.
     """
     if (rhs is None) == (terms is None):
         raise QReliabError("give exactly one of rhs and terms")
@@ -197,6 +216,8 @@ def recover_counts(
     solution = _kron_solve(factors, rhs_prime, prime)
     if any(y >= bound for y, bound in zip(solution, bounds)):
         raise QReliabError("recovered value exceeds its combinatorial bound")
+    if terms is not None and solution == list(terms):
+        return solution  # both checks would sum the forward map of 0
     # b less the forward map of terms: on the equations checked exactly,
     # the leading block of rhs in row-major order, or 0 given terms
     lengths = [min(lead, n) for n in shape]
@@ -207,8 +228,6 @@ def recover_counts(
     for p, (a, b) in enumerate(zip(lhs, head)):
         if a != b:
             raise QReliabError(f"modular solution fails exact equation p={p}")
-    if terms is not None and not any(excess):
-        return solution
     checks = _defined_residues(residues, rhs, [q for q in _PRIMES if q > prime])
     for check, factors, rhs_check in checks:
         break
@@ -237,14 +256,15 @@ def _defined_residues(
 
 def _kron_solve(factors: Sequence[Factor], rhs: list[int], prime: int) -> list[int]:
     """The inverse of ``kron_power_sums`` modulo ``prime``, for square
-    factors: one ``solve_vandermonde`` per row along each factor, divided by
-    the factor's weights."""
+    factors: one ``dual_solver`` per factor, applied to every row along it,
+    divided by the factor's weights."""
+    solvers = [dual_solver(nodes, prime) for nodes, _weights in factors]
     inverses = [
         None if weights is None else mod_inverses(weights, prime) for _nodes, weights in factors
     ]
 
     def along(axis: int, row: list) -> list:
-        solution = solve_vandermonde(factors[axis][0], row, prime)
+        solution = solvers[axis](row)
         if inverses[axis] is None:
             return solution
         return [y * inverse % prime for y, inverse in zip(solution, inverses[axis])]
@@ -273,19 +293,6 @@ def _from_roots(roots: Sequence[int], prime: int) -> list[int]:
         for p in range(len(poly) - 1):
             poly[p] = (poly[p] - x * poly[p + 1]) % prime
     return poly
-
-
-def _split(pair: tuple, children: list, prime: int) -> list:
-    """The remainders of both polynomials of ``pair`` modulo each of the
-    (one or two) ``children`` of their tree node.  Each child's inverse is
-    computed once, to the precision its sibling's degree asks for."""
-    if len(children) == 1:
-        return [pair]
-    out = []
-    for child, sibling in (children, children[::-1]):
-        inverse = _inverse(child[::-1], len(sibling) - 1, prime)
-        out.append(tuple(_remainder(poly, child, inverse, prime) for poly in pair))
-    return out
 
 
 def _inverse(poly: list[int], precision: int, prime: int) -> list[int]:

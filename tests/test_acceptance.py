@@ -174,8 +174,8 @@ def test_criterion_6_main_reduction_end_to_end():
         expected = independent_pair_count(g)
         for rst in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]:
             # run_reduction raises QReliabError ("no solver prime ...") if
-            # the coefficients collide, or are undefined, modulo every listed
-            # solver prime
+            # some factor's nodes collide, or are undefined, modulo every
+            # listed solver prime
             run = run_reduction(g, *rst, oracle="analytic")
             assert run.p_result == expected, (g, rst)
 

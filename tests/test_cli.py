@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import os
 import random
 import re
@@ -219,7 +220,9 @@ def test_reduce_ur_emit_instances(capsys, edge_graph, tmp_path):
         capsys, "reduce-ur", edge_graph, "--rst", "1,1,1", "--emit-instances", str(out_dir)
     )
     assert (code, out) == (0, "P=3\n")
-    names = [f"D_{p}.facts" for p in range(16)]
+    # the grid p_left <= 1, p_right <= 1, p < C(4, 3) = 4
+    grid = itertools.product(range(2), range(2), range(4))
+    names = [f"D_{p_left}_{p_right}_{p}.facts" for p_left, p_right, p in grid]
     assert sorted(f.name for f in out_dir.iterdir()) == sorted(names)
     for name in names:
         text = (out_dir / name).read_text()

@@ -153,7 +153,8 @@ def test_count_violating_matches_world_enumeration(case):
 @settings(max_examples=60, deadline=None)
 @given(_constrained_instances())
 def test_count_violating_is_the_complement_of_ur(case):
-    # The UR reduction's brute oracle takes N_p = count_violating(D_p, q).
+    # The UR reduction's brute oracle counts each oracle instance D as
+    # count_violating(D, q).
     query, instance, _, _ = case
     assert count_violating(instance, query) == 2 ** len(instance) - ur_brute(query, instance)
 

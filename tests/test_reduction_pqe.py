@@ -188,13 +188,13 @@ def test_formula_on_16_plus_16_is_symmetric_under_transposition():
 
 def test_solver_prime_dividing_a_denominator_is_skipped(monkeypatch):
     primes = []
-    solve = vandermonde.solve_vandermonde
+    solver = vandermonde.dual_solver
 
-    def spy(nodes, rhs, prime):
+    def spy(nodes, prime):
         primes.append(prime)
-        return solve(nodes, rhs, prime)
+        return solver(nodes, prime)
 
-    monkeypatch.setattr(vandermonde, "solve_vandermonde", spy)
+    monkeypatch.setattr(vandermonde, "dual_solver", spy)
     g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w3")])
     run = run_reduction_pqe(g, Fraction(1, SOLVER_PRIME), HALF, oracle="formula")
     assert run.x == _sizes_of_independent_pairs(g)

@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from qreliab import reduction_ur, vandermonde
 from qreliab.bipartite import BipartiteGraph, independent_pair_count, x_table
 from qreliab.cq import parse_query
 from qreliab.errors import (
+    CapExceededError,
     DuplicateNodeError,
     InvalidProfileError,
     QReliabError,
@@ -32,7 +34,6 @@ from qreliab.reduction_ur import (
 from qreliab.vandermonde import (
     kron_power_sums,
     mod_values,
-    power_sums,
     recover_counts,
     solve_vandermonde,
 )
@@ -136,12 +137,28 @@ def test_solve_vandermonde_rejects_duplicates():
         solve_vandermonde([1, 1], [0, 0], SOLVER_PRIME)
 
 
+def grid_sums(run, y):
+    """sum_k y_k * row_i**p_left * column_j**p_right * cell_k**p on every
+    grid point, in row-major order of (p_left, p_right, p), each power
+    taken directly over the run's exact factors."""
+    (rows, _), (columns, _), (parts, _) = run.alpha
+    per_row = len(columns) * len(parts)
+    entries = [
+        (v, rows[k // per_row], columns[k // len(parts) % len(columns)], parts[k % len(parts)])
+        for k, v in enumerate(y)
+    ]
+    grid = itertools.product(range(len(rows)), range(len(columns)), range(len(parts)))
+    return [
+        sum(v * a**p_left * b**p_right * c**p for v, a, b, c in entries)
+        for p_left, p_right, p in grid
+    ]
+
+
 def test_run_reduction_single_edge_satisfies_every_equation():
     run = run_reduction(EDGE, 1, 1, 1)
     assert run.p_result == 3
     assert len(run.n_vector) == run.params.M
-    for p, n_p in enumerate(run.n_vector):
-        assert sum(y * run.alpha[key] ** p for key, y in run.y_vector.items()) == n_p
+    assert grid_sums(run, [run.y_vector[key] for key in run.cells]) == run.n_vector
 
 
 SOLVER_PRIME = vandermonde._PRIMES[0]  # the smallest listed prime, 2**30 - 35
@@ -267,26 +284,49 @@ def test_recover_counts_checks_every_equation():
 
 
 def test_run_reduction_brute_oracle_downscaled_graph():
-    # The default width cap refuses every D_p with p >= 1 of a one-edge graph
-    # (each is one lineage component of hundreds of facts), so this run takes
-    # an edgeless graph, whose D_p stay tiny; the one-edge graph's full run
-    # is test_run_reduction_brute_oracle_full_multiplicity.
+    # The default width cap refuses the one-edge graph's instances with
+    # p >= 2 (each is one lineage component of 32 facts or more), so this
+    # run takes an edgeless graph, whose instances stay tiny; the one-edge
+    # graph's full run is test_run_reduction_brute_oracle_full_multiplicity.
     g = BipartiteGraph.build(["u"], [], [])
     run = run_reduction(g, 1, 1, 1, oracle="brute")
     assert run.p_result == independent_pair_count(g) == 2
-    # D_0 = {R1(u)} never satisfies the query, so both of its worlds violate
+    # D_{0,0,0} = {R1(u)} never satisfies the query, so both of its worlds violate
     assert run.n_vector[0] == 2
+    with pytest.raises(CapExceededError):
+        run_reduction(EDGE, 1, 1, 1, oracle="brute")
+
+
+def assert_brute_counts_are_the_forward_map_of_y(g, rst):
+    """The brute oracle's count of every grid instance is the forward map
+    of Y over the three exact factors, and the run recovers P."""
+    run = run_reduction(g, *rst, oracle="brute")
+    y = weighted_profiles(g, rst[0], rst[2])
+    terms = [y.get(key, 0) for key in run.cells]
+    shape = [len(nodes) for nodes, _ in run.alpha]
+    assert len(run.n_vector) == run.params.M
+    assert run.n_vector == kron_power_sums(terms, run.alpha, shape)
+    assert run.p_result == independent_pair_count(g)
+    return run
 
 
 def test_run_reduction_brute_oracle_full_multiplicity(monkeypatch):
-    # The counter's width cap lifted, so every D_p of the one-edge graph is
-    # counted: the brute oracle agrees with the per-pair formula on each of
-    # the M' = 16 equations at the paper's multiplicities.
+    # The counter's width cap lifted, so every instance of the one-edge
+    # graph's grid is counted: the brute oracle agrees with the per-pair
+    # formula on each of the M' = 16 equations.
     monkeypatch.setenv("QRELIAB_BRUTE_CAP", "100000")
-    run = run_reduction(EDGE, 1, 1, 1, oracle="brute")
-    assert run.p_result == 3
-    assert run.params.M == len(run.n_vector) == 16
-    assert run.n_vector == [np_analytic(EDGE, 1, 1, 1, p) for p in range(run.params.M)]
+    for rst in [(1, 1, 1), (2, 1, 1)]:
+        run = assert_brute_counts_are_the_forward_map_of_y(EDGE, rst)
+        assert run.params.M == 16
+        assert run.n_vector == run_reduction(EDGE, *rst).n_vector
+
+
+def test_run_reduction_brute_oracle_on_a_two_matching(monkeypatch):
+    # past the single edge: a 3 x 3 x 10 grid of instances, counted in a
+    # fraction of a second, recovers P = 9
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "100000")
+    run = assert_brute_counts_are_the_forward_map_of_y(matching(2), (1, 1, 1))
+    assert (run.params.M, run.p_result) == (90, 9)
 
 
 def test_weighted_profiles():
@@ -380,11 +420,11 @@ def test_run_reduction_four_edge_matching():
 
 
 def test_run_reduction_skips_a_prime_dividing_a_gadget_count(monkeypatch):
-    # 61 divides r + s + t, so 2**61 - 1 divides delta_bot: modulo that
-    # prime the node of every cell with e >= 1 vanishes, the nodes collide,
+    # 61 divides s + t, so 2**61 - 1 divides lam_r = 2**(s + t) - 1: modulo
+    # that prime the cell nodes with c + d >= 1 vanish, two of them collide,
     # and the solve moves on to the next prime.  The bound has 42 bits, so
     # 2**61 - 1 is the first prime tried; a correct run checks at no other.
-    assert closed_counts(20, 21, 20).delta_bot % MERSENNE_61 == 0
+    assert closed_counts(20, 41, 20).lam_r % MERSENNE_61 == 0
     primes = []
     recover = reduction_ur.recover_counts
 
@@ -396,7 +436,7 @@ def test_run_reduction_skips_a_prime_dividing_a_gadget_count(monkeypatch):
         return recover(logged, *args)
 
     monkeypatch.setattr(reduction_ur, "recover_counts", spy)
-    run = run_reduction(EDGE, 20, 21, 20)
+    run = run_reduction(EDGE, 20, 41, 20)
     assert run.p_result == 3
     assert primes == [MERSENNE_61, (1 << 89) - 1]
     assert_recovers_weighted_histogram(run, EDGE)
@@ -404,8 +444,9 @@ def test_run_reduction_skips_a_prime_dividing_a_gadget_count(monkeypatch):
 
 @pytest.mark.parametrize("rst", [(14, 15, 14), (20, 21, 20)])
 def test_run_reduction_single_edge_at_large_multiplicities(rst):
-    # M3 = 296,438 at (20, 21, 20): an exact node has millions of bits, and
-    # the run reads none
+    # the bound lies just below the word-size prime at (14, 15, 14) and has
+    # 42 bits at (20, 21, 20), where the run solves modulo 2**61 - 1; the
+    # exact cell nodes have up to 1,842 and 3,588 bits (M1 = 61 and 85)
     run = run_reduction(EDGE, *rst)
     assert run.p_result == 3
     nonzero = {key: y for key, y in run.y_vector.items() if y}
@@ -414,18 +455,17 @@ def test_run_reduction_single_edge_at_large_multiplicities(rst):
 
 def solver_system(monkeypatch, g, rst):
     """run_reduction(g, *rst) and the system it hands to the solver:
-    (run, residues, node, lead, rhs, terms), where residues(q) gives the
-    node residues."""
+    (run, residues, exact, lead, rhs, terms), where residues(q) gives the
+    factors' node lists modulo q and exact the exact factors."""
     systems = []
 
     def spy(residues, exact, bounds, lead, rhs=None, terms=None):
-        [(node, _weights)] = exact
-
         def nodes_only(prime):
-            [(nodes, _weights)] = residues(prime)
-            return nodes
+            factors = residues(prime)
+            assert all(weights is None for _nodes, weights in factors)
+            return [nodes for nodes, _weights in factors]
 
-        systems.append((nodes_only, node, lead, rhs, terms))
+        systems.append((nodes_only, exact, lead, rhs, terms))
         return recover_counts(residues, exact, bounds, lead, rhs, terms)
 
     monkeypatch.setattr(reduction_ur, "recover_counts", spy)
@@ -447,30 +487,37 @@ ONE_OF_TWO = BipartiteGraph.build(["u"], ["w1", "w2"], [("u", "w2")])
     ],
 )
 def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
-    run, residues, node, *_ = solver_system(monkeypatch, g, rst)
-    assert all(type(value) is int for value in run.alpha.values())
+    run, residues, exact, *_ = solver_system(monkeypatch, g, rst)
+    assert exact == run.alpha
+    factors = [nodes for nodes, _weights in run.alpha]
+    assert all(type(value) is int for nodes in factors for value in nodes)
+    shape = [len(g.left) + 1, len(g.right) + 1, comb(g.m + 3, 3)]
+    assert [len(nodes) for nodes in factors] == shape
     for prime in SYSTEM_PRIMES:
-        nodes = residues(prime)
-        assert nodes == [run.alpha[key] % prime for key in run.cells]
-    assert [node[k] for k in range(run.params.M)] == [run.alpha[key] for key in run.cells]
+        assert residues(prime) == [[x % prime for x in nodes] for nodes in factors]
+    # the paper's coefficient is the diagonal's: row**M2 * column**M3 * cell
+    (rows, columns, parts), params = factors, run.params
+    for k, key in enumerate(run.cells):
+        node = rows[key[0]] ** params.M2 * columns[key[1]] ** params.M3 * parts[k % len(parts)]
+        assert node == alpha_coefficient(key, run.counts, params)
 
 
 @pytest.mark.parametrize("g, rst", [(EDGE, (1, 1, 1)), (EDGE, (2, 1, 3)), (ONE_OF_TWO, (1, 1, 2))])
 def test_rhs_residues_match_exact_counts(monkeypatch, g, rst):
-    # np_analytic powers each coefficient directly, apart from the power
-    # sums that build every right-hand side and n_vector; the right-hand
-    # side is the forward map of the terms, which recover_counts computes
-    # in residues, and the exactly checked equations are the first four
-    run, residues, node, lead, rhs, terms = solver_system(monkeypatch, g, rst)
+    # grid_sums powers each factor directly, apart from the power sums that
+    # build every right-hand side and n_vector; the right-hand side is the
+    # forward map of the terms, which recover_counts computes in residues,
+    # and the exactly checked equations are those with every power below 4
+    run, residues, exact, lead, rhs, terms = solver_system(monkeypatch, g, rst)
     assert run.params.M in (16, 24)
-    exact = [np_analytic(g, *rst, p) for p in range(run.params.M)]
+    counts = grid_sums(run, terms)
     assert (lead, rhs) == (4, None)
-    assert power_sums(terms, node, 4) == exact[:4]
-    assert run.n_vector == exact
+    assert run.n_vector == counts
+    shape = [len(nodes) for nodes, _ in exact]
     for prime in SYSTEM_PRIMES:
-        nodes = residues(prime)
-        rhs = kron_power_sums(terms, [(nodes, None)], [run.params.M], prime)
-        assert rhs == [n_p % prime for n_p in exact]
+        factors = [(nodes, None) for nodes in residues(prime)]
+        rhs = kron_power_sums(terms, factors, shape, prime)
+        assert rhs == [n % prime for n in counts]
 
 
 def test_run_reduction_emits_instances(tmp_path):
@@ -478,8 +525,10 @@ def test_run_reduction_emits_instances(tmp_path):
     out = tmp_path / "emitted"
     run_reduction(g, 1, 1, 1, oracle="brute", emit_dir=str(out))
     files = sorted(f.name for f in out.iterdir())
-    assert files == [f"D_{p}.facts" for p in range(2)]
-    assert (out / "D_0.facts").read_text() == "R1(u)\n"
+    assert files == [f"D_{p_left}_0_0.facts" for p_left in range(2)]
+    assert (out / "D_0_0_0.facts").read_text() == "R1(u)\n"
+    # one (a,b)-gadget on u: R1(u), S1(u, b) and T1(b)
+    assert len(parse_instance((out / "D_1_0_0.facts").read_text())) == 3
 
 
 TRANSFORM_Q = parse_query("A(x,z), S(x,y), B(y,w), U(v)")

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from qreliab import reduction_pqe, reduction_ur, vandermonde
 from qreliab.bipartite import BipartiteGraph, independent_pair_count
 from qreliab.errors import DuplicateNodeError, QReliabError
-from qreliab.reduction_pqe import run_reduction_pqe
-from qreliab.reduction_ur import run_reduction
+from qreliab.gadgets import closed_counts
+from qreliab.reduction_pqe import kron_system, run_reduction_pqe
+from qreliab.reduction_ur import grid_factors, reduction_params, run_reduction
 from qreliab.vandermonde import (
     kron_power_sums,
     mod_inverses,
@@ -263,29 +264,30 @@ FORMULA_RUNS = {
 
 @pytest.fixture()
 def exact_reads(monkeypatch):
-    """The cells whose exact UR coefficient is computed, and the lengths of
-    the exact power sums taken over any node, in call order."""
+    """What is computed exactly, in call order: "forward" for each exact
+    forward map, and the nodes that each exact power sum over some term
+    reads."""
     reads = []
-    alpha = reduction_ur.alpha_coefficient
-    sums = vandermonde.power_sums
-
-    def alpha_spy(key, counts, params):
-        reads.append(key)
-        return alpha(key, counts, params)
+    sums, forward = vandermonde.power_sums, vandermonde.kron_power_sums
 
     def sums_spy(terms, nodes, n, prime=None):
         if prime is None and terms:
-            reads.append(len(terms))
+            reads.append(tuple(nodes))
         return sums(terms, nodes, n, prime)
 
-    monkeypatch.setattr(reduction_ur, "alpha_coefficient", alpha_spy)
-    for module in (vandermonde, reduction_ur):
-        monkeypatch.setattr(module, "power_sums", sums_spy)
+    def forward_spy(terms, factors, lengths, prime=None):
+        if prime is None:
+            reads.append("forward")
+        return forward(terms, factors, lengths, prime)
+
+    monkeypatch.setattr(vandermonde, "power_sums", sums_spy)
+    monkeypatch.setattr(vandermonde, "kron_power_sums", forward_spy)
     return reads
 
 
 def test_formula_runs_build_no_exact_node(exact_reads):
-    # a correct run's exact check cancels every term
+    # a correct run's y equals the expected solution, so no exact check
+    # runs: no exact forward map is taken and no exact node is read
     for run in FORMULA_RUNS.values():
         assert run().p_result == 3
     assert exact_reads == []
@@ -305,9 +307,14 @@ def test_exact_check_rejects_a_planted_error(monkeypatch, exact_reads, name):
     monkeypatch.setattr(vandermonde, "_kron_solve", off_by_one)
     with pytest.raises(QReliabError, match="fails exact equation"):
         FORMULA_RUNS[name]()
-    # the failed check read the exact nodes of the wrong cell alone
-    if name == "ur":
-        assert exact_reads == [(0, 0, 0, 0, 0), 1]
+    # the failed check took one exact forward map, which read the exact
+    # nodes of the wrong cell alone: the first node of each factor
+    factors = {
+        "ur": lambda: grid_factors(closed_counts(1, 2, 1), reduction_params(EDGE, 1, 2, 1)),
+        "pqe": lambda: kron_system(1, 1, Fraction(1, 3), Fraction(3, 4)).factors(),
+    }[name]()
+    assert exact_reads[0] == "forward" and "forward" not in exact_reads[1:]
+    assert set(exact_reads[1:]) == {(nodes[0],) for nodes, _ in factors}
 
 
 @pytest.mark.parametrize("run", FORMULA_RUNS.values(), ids=FORMULA_RUNS)
