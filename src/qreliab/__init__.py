@@ -43,10 +43,8 @@ from .instances import (
 )
 from .kernels import BACKEND
 from .reduction_pqe import (
-    KronSystem,
     PqeReductionRun,
     build_Icd,
-    kron_system,
     pi_value,
     run_reduction_pqe,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "GadgetCounts",
     "HierarchyReport",
     "Instance",
-    "KronSystem",
     "LemmaCheck",
     "PqeReductionRun",
     "ProbAssignment",
@@ -95,7 +92,6 @@ __all__ = [
     "fresh_constant",
     "independent_pair_count",
     "independent_pairs",
-    "kron_system",
     "lemma_binary_transform",
     "merge_power2",
     "noncomparable_pair_and_rst",

@@ -12,6 +12,8 @@ the rest are excluded: the UR reduction's system is indexed by them.
 ``independent_pairs``, a fold over the smaller side's subsets, is the one
 fast pair count (``qreliab isets``, the PQE formula oracle); ``iter_pairs``,
 ``independent_pair_count`` and ``x_table`` enumerate every pair, as oracles.
+Both reductions weigh each pair by its vertices, ``side_weights`` a side,
+and recover pair counts from weighted ones with ``pair_count``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .errors import CapExceededError, GraphFormatError
+from .errors import CapExceededError, GraphFormatError, QReliabError
 from .evaluate import resolve_cap
 from .instances import CONSTANT_RE
 
@@ -210,3 +212,20 @@ def x_table(g: BipartiteGraph) -> dict[ProfileKey, int]:
         key = _profile(edge_bits, r_mask, t_mask)
         x[key] = x.get(key, 0) + 1
     return x
+
+
+def side_weights(inside: int, outside: int, n: int) -> list[int]:
+    """inside**k * outside**(n - k) for k = 0..n: the weight of a side of n
+    vertices whose k vertices in a pair weigh ``inside`` each and whose
+    others weigh ``outside``.  Both reductions build their pair weights and
+    their row and column nodes with it."""
+    return [inside**k * outside ** (n - k) for k in range(n + 1)]
+
+
+def pair_count(weighted: int, weight: int) -> int:
+    """The number of pairs whose weights, each ``weight``, sum to
+    ``weighted``; raises QReliabError if ``weight`` does not divide it."""
+    count, rest = divmod(weighted, weight)
+    if rest:
+        raise QReliabError("non-integral division during count recovery")
+    return count

@@ -20,19 +20,25 @@ the reduction stays a polynomial Turing reduction.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
-from .bipartite import BipartiteGraph, ProfileKey, ordered_edges, x_table
+from .bipartite import (
+    BipartiteGraph,
+    ProfileKey,
+    ordered_edges,
+    pair_count,
+    side_weights,
+    x_table,
+)
 from .cq import Query, Term, noncomparable_pair_and_rst
 from .errors import InvalidProfileError, QReliabError, SchemaMismatchError
 from .gadgets import GadgetCounts, closed_counts, count_violating, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
-from .vandermonde import Factor, kron_power_sums, recover_counts
+from .vandermonde import kron_power_sums, recover_counts
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class ReductionRun:
     p_result: int
 
     @cached_property
-    def alpha(self) -> list[Factor]:
+    def alpha(self) -> list[list[int]]:
         """The exact ``grid_factors``, computed on first access."""
         return grid_factors(self.counts, self.params)
 
@@ -68,12 +74,11 @@ class ReductionRun:
     def n_vector(self) -> list[int]:
         """N over the grid, in row-major order of (p_left, p_right, p): the
         brute oracle's counts, or else the analytic formula's, the forward
-        map of Y, computed exactly on first access."""
+        map of the recovered y, computed exactly on first access."""
         if self.oracle_counts is not None:
             return self.oracle_counts
-        weights = weighted_profiles(self.graph, self.params.r, self.params.t)
-        terms = [weights.get(key, 0) for key in self.cells]
-        return kron_power_sums(terms, self.alpha, [len(nodes) for nodes, _ in self.alpha])
+        y = [self.y_vector[key] for key in self.cells]
+        return kron_power_sums(y, self.alpha, list(map(len, self.alpha)))
 
 
 def reduction_params(g: BipartiteGraph, r: int, s: int, t: int) -> ReductionParams:
@@ -138,21 +143,18 @@ def build_Dp(
     return Instance(facts)
 
 
-def _pair_weight(r: int, t: int, outside_left: int, outside_right: int) -> int:
-    """(2^r-1)^outside_left * (2^t-1)^outside_right: the choices of a
-    non-full R- or T-bundle on each vertex outside a pair."""
-    return ((1 << r) - 1) ** outside_left * ((1 << t) - 1) ** outside_right
+def _pair_weights(r: int, t: int, n_left: int, n_right: int) -> tuple[list[int], list[int]]:
+    """The weights of a pair's i left and j right vertices, by i and by j:
+    (2^r-1)^(n_left-i) and (2^t-1)^(n_right-j), the choices of a non-full
+    R- or T-bundle on each vertex outside the pair."""
+    return side_weights(1, (1 << r) - 1, n_left), side_weights(1, (1 << t) - 1, n_right)
 
 
 def weighted_profiles(g: BipartiteGraph, r: int, t: int) -> dict[ProfileKey, int]:
     """The weighted histogram Y: each count of ``x_table`` with profile key
-    (i, j, ...) times ``_pair_weight`` of the n_left - i and n_right - j
-    vertices outside the pair."""
-    n_left, n_right = len(g.left), len(g.right)
-    return {
-        key: _pair_weight(r, t, n_left - key[0], n_right - key[1]) * count
-        for key, count in x_table(g).items()
-    }
+    (i, j, ...) times the weight of its pair, ``_pair_weights``."""
+    left, right = _pair_weights(r, t, len(g.left), len(g.right))
+    return {key: left[key[0]] * right[key[1]] * count for key, count in x_table(g).items()}
 
 
 def _cell_parts(m: int) -> list[tuple[int, int, int]]:
@@ -169,24 +171,16 @@ def profile_cells(params: ReductionParams) -> tuple[ProfileKey, ...]:
     return tuple((i, j, *part) for (i, j), part in itertools.product(sides, _cell_parts(params.m)))
 
 
-def grid_factors(
-    counts: GadgetCounts, params: ReductionParams, prime: int | None = None
-) -> list[Factor]:
-    """The grid system's factors, exactly or modulo ``prime``: rows
-    lam_r**i * lam_rbar**(n_left - i), columns lam_t**j *
-    lam_tbar**(n_right - j), cells ``_cell_factor``.  In the count of
-    D_{p_left, p_right, p}, cell (i, j, c, d, d') weighs row**p_left *
-    column**p_right * cell**p.  Rows differ since lam_r != lam_rbar, columns
-    likewise, and cells by M1's exponent layering."""
-    rows = _side_nodes(counts.lam_r, counts.lam_rbar, params.n_left, prime)
-    columns = _side_nodes(counts.lam_t, counts.lam_tbar, params.n_right, prime)
-    cells = [_cell_factor(part, counts, params, prime) for part in _cell_parts(params.m)]
-    return [(rows, None), (columns, None), (cells, None)]
-
-
-def _side_nodes(lam: int, lam_bar: int, n: int, prime: int | None) -> list[int]:
-    """lam**k * lam_bar**(n - k) for k = 0..n, exactly or modulo ``prime``."""
-    return [_power_product([(lam, k), (lam_bar, n - k)], prime) for k in range(n + 1)]
+def grid_factors(counts: GadgetCounts, params: ReductionParams) -> list[list[int]]:
+    """The grid system's factors: rows lam_r**i * lam_rbar**(n_left - i),
+    columns lam_t**j * lam_tbar**(n_right - j), cells ``_cell_factor``.  In
+    the count of D_{p_left, p_right, p}, cell (i, j, c, d, d') weighs
+    row**p_left * column**p_right * cell**p.  Rows differ since
+    lam_r != lam_rbar, columns likewise, and cells by M1's exponent
+    layering."""
+    rows = side_weights(counts.lam_r, counts.lam_rbar, params.n_left)
+    columns = side_weights(counts.lam_t, counts.lam_tbar, params.n_right)
+    return [rows, columns, [_cell_factor(part, counts, params) for part in _cell_parts(params.m)]]
 
 
 def alpha_coefficient(
@@ -201,35 +195,25 @@ def alpha_coefficient(
         raise InvalidProfileError(f"profile {profile_key} is not realizable")
     if i > params.n_left or j > params.n_right:
         raise InvalidProfileError(f"profile {profile_key} is out of range")
-    row = _side_nodes(counts.lam_r, counts.lam_rbar, params.n_left, None)[i]
-    column = _side_nodes(counts.lam_t, counts.lam_tbar, params.n_right, None)[j]
-    return row**params.M2 * column**params.M3 * _cell_factor((c, d, dp), counts, params, None)
+    row = side_weights(counts.lam_r, counts.lam_rbar, params.n_left)[i]
+    column = side_weights(counts.lam_t, counts.lam_tbar, params.n_right)[j]
+    return row**params.M2 * column**params.M3 * _cell_factor((c, d, dp), counts, params)
 
 
-def _cell_factor(
-    cell: tuple[int, int, int], counts: GadgetCounts, params: ReductionParams, prime: int | None
-) -> int:
+def _cell_factor(cell: tuple[int, int, int], counts: GadgetCounts, params: ReductionParams) -> int:
     # The exponent layering that makes coefficients distinct needs no check:
     # realizability gives d + d' + 2e <= 2m, so s * (d + d' + 2e) < 4ms + 1,
     # which is M1 unless a downsized test replaced it.
     c, d, dp = cell
     e = params.m - c - d - dp
-    powers = [
-        (counts.gamma, c),
-        (counts.delta_r, d),
-        (counts.delta_t, dp),
-        (counts.delta_bot, e),
-        (counts.lam_r, params.M1 * (c + d)),
-        (counts.lam_rbar, params.M1 * (dp + e)),
-    ]
-    return _power_product(powers, prime)
-
-
-def _power_product(powers: list[tuple[int, int]], prime: int | None) -> int:
-    """The product of base**exponent over ``powers``, exactly or modulo
-    ``prime``."""
-    value = math.prod(pow(base, exponent, prime) for base, exponent in powers)
-    return value if prime is None else value % prime
+    return (
+        counts.gamma**c
+        * counts.delta_r**d
+        * counts.delta_t**dp
+        * counts.delta_bot**e
+        * counts.lam_r ** (params.M1 * (c + d))
+        * counts.lam_rbar ** (params.M1 * (dp + e))
+    )
 
 
 def np_analytic(
@@ -277,7 +261,7 @@ def run_reduction(
     counts = closed_counts(r, s, t)
     cells = profile_cells(params)
     exact = grid_factors(counts, params)
-    shape = [len(nodes) for nodes, _ in exact]
+    shape = list(map(len, exact))
 
     query = qrst_query(r, s, t)
     oracle_counts: list[int] = []
@@ -301,19 +285,13 @@ def run_reduction(
         terms = [weights.get(key, 0) for key in cells]
 
     # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
-    heaviest = _pair_weight(r, t, params.n_left, params.n_right)
-    bounds = [2 ** (params.n_left + params.n_right) * heaviest + 1] * params.M
-    residues = partial(grid_factors, counts, params)
-    solution = recover_counts(residues, exact, bounds, 4, rhs, terms)  # exact on powers < 4
+    left, right = _pair_weights(r, t, params.n_left, params.n_right)
+    bounds = [2 ** (params.n_left + params.n_right) * left[0] * right[0] + 1] * params.M
+    solution = recover_counts(exact, bounds, 4, rhs, terms)  # exact on powers < 4
     y_vector = dict(zip(cells, solution))
-    p_result = 0
-    for (i, j, c, d, dp), y in y_vector.items():
-        if c != 0:
-            continue
-        weight = _pair_weight(r, t, params.n_left - i, params.n_right - j)
-        if y % weight != 0:
-            raise QReliabError("non-integral division during count recovery")
-        p_result += y // weight
+    p_result = sum(
+        pair_count(y, left[i] * right[j]) for (i, j, c, _d, _dp), y in y_vector.items() if c == 0
+    )
     return ReductionRun(
         params, counts, cells, g, oracle_counts if oracle == "brute" else None,
         y_vector, p_result,

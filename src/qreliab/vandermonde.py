@@ -2,9 +2,10 @@
 recovery of its integer solutions: ``power_sums`` maps y to b, exactly or
 modulo a prime, ``dual_solver`` maps b back to y modulo a prime, and
 ``recover_counts`` finds the integer solution of a Kronecker product of such
-systems from the factors' residues and either b, exact, or the solution a
-caller expects.  ``mod_inverses`` inverts a list of residues by one modular
-inverse, and ``mod_values`` reduces a list of rationals with it.
+systems from the factors' exact integer nodes and either b, exact, or the
+solution a caller expects; it reduces both modulo each prime itself.  Every
+value here is an int: both reductions write their systems over integer
+nodes.  ``mod_inverses`` inverts a list of residues by one modular inverse.
 
 The solve is the transposed multipoint evaluation of Kaltofen & Lakshman
 (ISSAC 1988) and Bostan, Lecerf & Schost (ISSAC 2003).  With
@@ -21,7 +22,7 @@ multiplied by Kronecker substitution, one multiply of packed Python ints.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import DuplicateNodeError, QReliabError
 
@@ -38,10 +39,6 @@ _PRIMES = ((1 << 30) - 35,) + tuple(
     (1 << e) - 1
     for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689)
 )
-
-# One factor of a Kronecker product of dual systems: its nodes x_k and the
-# weights w_k of its columns, w_k * x_k**p (None if every weight is 1).
-Factor = tuple[Sequence, Sequence | None]
 
 
 def power_sums(terms: Sequence, nodes: Sequence, n: int, prime: int | None = None) -> list:
@@ -62,25 +59,27 @@ def power_sums(terms: Sequence, nodes: Sequence, n: int, prime: int | None = Non
 
 
 def kron_power_sums(
-    terms: Sequence, factors: Sequence[Factor], lengths: Sequence[int], prime: int | None = None
-) -> list:
+    terms: Sequence[int],
+    factors: Sequence[Sequence[int]],
+    lengths: Sequence[int],
+    prime: int | None = None,
+) -> list[int]:
     """The forward map of a Kronecker product of dual systems, exactly or
-    modulo ``prime``: b_p = sum_k terms_k * prod_a w_a[k_a] * x_a[k_a]**p_a,
-    with one index k_a < len(x_a) and one power p_a < lengths[a] per factor
-    a.  ``terms`` and b are flat, in row-major order of their indices.
+    modulo ``prime``: b_p = sum_k terms_k * prod_a x_a[k_a]**p_a, with one
+    index k_a < len(x_a) and one power p_a < lengths[a] per factor a.
+    ``terms`` and b are flat, in row-major order of their indices.
 
     One ``power_sums`` per row along each factor, over the row's non-zero
-    entries only: a factor's nodes and weights are read only where some
-    term with that index is non-zero.
+    entries only: a factor's nodes are read only where some term with that
+    index is non-zero.
     """
 
     def along(axis: int, row: list) -> list:
-        nodes, weights = factors[axis]
         support = [k for k, v in enumerate(row) if v]
-        scaled = [row[k] if weights is None else row[k] * weights[k] for k in support]
-        return power_sums(scaled, [nodes[k] for k in support], lengths[axis], prime)
+        nodes = [factors[axis][k] for k in support]
+        return power_sums([row[k] for k in support], nodes, lengths[axis], prime)
 
-    return _along_axes(along, [len(nodes) for nodes, _ in factors], terms)
+    return _along_axes(along, list(map(len, factors)), terms)
 
 
 def dual_solver(nodes: Sequence[int], prime: int) -> Callable[[Sequence[int]], list[int]]:
@@ -157,63 +156,54 @@ def mod_inverses(values: Sequence[int], prime: int) -> list[int]:
     return out
 
 
-def mod_values(values: Sequence, prime: int) -> list[int]:
-    """Ints or rationals modulo ``prime``, by one modular inverse of all
-    their denominators (an int's is 1).  Raises ValueError if ``prime``
-    divides some denominator."""
-    inverses = mod_inverses([value.denominator for value in values], prime)
-    return [value.numerator * inverse % prime for value, inverse in zip(values, inverses)]
-
-
 def recover_counts(
-    residues: Callable[[int], list[Factor]],
-    exact: Sequence[Factor],
+    factors: Sequence[Sequence[int]],
     bounds: Sequence[int],
     lead: int,
-    rhs: Sequence | None = None,
+    rhs: Sequence[int] | None = None,
     terms: Sequence[int] | None = None,
 ) -> list[int]:
     """The solution y of the Kronecker product of dual systems
-    sum_k y_k * prod_a w_a[k_a] * x_a[k_a]**p_a = b_p (see
-    ``kron_power_sums``), whose entries y_k are integers in [0, bounds_k).
-    y, b and ``bounds`` are flat, in row-major order of their indices.
+    sum_k y_k * prod_a x_a[k_a]**p_a = b_p (see ``kron_power_sums``), whose
+    entries y_k are integers in [0, bounds_k).  y, b and ``bounds`` are
+    flat, in row-major order of their indices.
 
-    ``residues(q)`` gives the factors modulo the prime q, and raises
-    ValueError if some node or weight is undefined, or some weight is not
-    invertible, modulo q.  ``exact`` gives them exactly, read only where y
-    differs from ``terms``.  b is given once: as ``rhs``, ints or
-    rationals, or as ``terms``, the solution a caller expects, whose
-    forward map b is and is computed here, at the solver prime alone.
+    ``factors`` are the exact integer node lists, which are reduced modulo
+    each prime here and read exactly only where y differs from ``terms``.
+    b is given once: as ``rhs``, ints, or as ``terms``, the solution a
+    caller expects, whose forward map b is and is computed here, at the
+    solver prime alone.
 
-    Solved modulo the smallest listed prime above every bound at which the
-    factors and ``rhs`` are defined and each factor's nodes distinct, so
-    every residue is the entry itself: the word-size prime 2**30 - 35 for
-    bounds below it, else a Mersenne prime.  A prime whose nodes collide
-    is skipped before the forward map of ``terms`` is computed there.
-    Distinct residues imply distinct nodes, so the system is regular.
-    Checked as the forward map of y less ``terms`` (0 if None), which
-    reads the factors only where y differs from ``terms``: exactly on the
-    equations whose every power is below ``lead``, and on every equation
-    modulo the next listed prime at which the factors and ``rhs`` are
-    defined, against b less the forward map of ``terms`` (0 given
-    ``terms``).  A y equal to ``terms`` has nothing to sum, so it is
-    returned as soon as it is within bounds.
+    Solved modulo the smallest listed prime above every bound at which each
+    factor's nodes are distinct, so every residue is the entry itself: the
+    word-size prime 2**30 - 35 for bounds below it, else a Mersenne prime.
+    A prime whose nodes collide is skipped before the forward map of
+    ``terms`` is computed there.  Distinct residues imply distinct nodes,
+    so the system is regular.  Checked as the forward map of y less
+    ``terms`` (0 if None), which reads the factors only where y differs
+    from ``terms``: exactly on the equations whose every power is below
+    ``lead``, and on every equation modulo the next listed prime, against
+    b less the forward map of ``terms`` (0 given ``terms``).  A y equal to
+    ``terms`` has nothing to sum, so it is returned as soon as it is within
+    bounds.
     """
     if (rhs is None) == (terms is None):
         raise QReliabError("give exactly one of rhs and terms")
     zeros = itertools.repeat(0)
     top = max(bounds)
-    solvers = _defined_residues(residues, rhs, [q for q in _PRIMES[:-1] if q > top])
-    for prime, factors, rhs_prime in solvers:
+    for prime in [q for q in _PRIMES[:-1] if q > top]:
+        residues = [[x % prime for x in nodes] for nodes in factors]
         # colliding nodes skip a prime before any forward map or solve
-        if all(len(set(nodes)) == len(nodes) for nodes, _ in factors):
+        if all(len(set(nodes)) == len(nodes) for nodes in residues):
             break
     else:
         raise QReliabError("no solver prime exceeds the solution bound with distinct nodes")
-    shape = [len(nodes) for nodes, _ in factors]
-    if terms is not None:
-        rhs_prime = kron_power_sums(terms, factors, shape, prime)
-    solution = _kron_solve(factors, rhs_prime, prime)
+    shape = [len(nodes) for nodes in factors]
+    if terms is None:
+        b = [v % prime for v in rhs]
+    else:
+        b = kron_power_sums(terms, residues, shape, prime)
+    solution = _kron_solve(residues, b, prime)
     if any(y >= bound for y, bound in zip(solution, bounds)):
         raise QReliabError("recovered value exceeds its combinatorial bound")
     if terms is not None and solution == list(terms):
@@ -222,54 +212,27 @@ def recover_counts(
     # the leading block of rhs in row-major order, or 0 given terms
     lengths = [min(lead, n) for n in shape]
     indices = itertools.product(*map(range, shape))
-    head = zeros if rhs is None else [b for b, k in zip(rhs, indices) if max(k) < lead]
+    head = zeros if rhs is None else [v for v, k in zip(rhs, indices) if max(k) < lead]
     excess = solution if terms is None else [y - t for y, t in zip(solution, terms)]
-    lhs = kron_power_sums(excess, exact, lengths)
-    for p, (a, b) in enumerate(zip(lhs, head)):
-        if a != b:
+    lhs = kron_power_sums(excess, factors, lengths)
+    for p, (a, v) in enumerate(zip(lhs, head)):
+        if a != v:
             raise QReliabError(f"modular solution fails exact equation p={p}")
-    checks = _defined_residues(residues, rhs, [q for q in _PRIMES if q > prime])
-    for check, factors, rhs_check in checks:
-        break
-    else:
-        raise QReliabError("no check prime above the solver prime has every node defined")
-    lhs = kron_power_sums(excess, factors, shape, check)
-    for p, (a, b) in enumerate(zip(lhs, rhs_check or zeros)):
-        if a != b:
+    check = _PRIMES[_PRIMES.index(prime) + 1]
+    residues = [[x % check for x in nodes] for nodes in factors]
+    lhs = kron_power_sums(excess, residues, shape, check)
+    for p, (a, v) in enumerate(zip(lhs, zeros if rhs is None else rhs)):
+        if a != v % check:
             raise QReliabError(f"modular solution fails equation p={p} modulo {check}")
     return solution
 
 
-def _defined_residues(
-    residues: Callable[[int], list[Factor]], rhs: Sequence | None, primes: Sequence[int]
-) -> Iterator[tuple[int, list[Factor], list[int] | None]]:
-    """(q, factors, rhs) modulo each of ``primes`` at which every node,
-    weight and entry of ``rhs`` is defined."""
-    for prime in primes:
-        try:
-            factors = residues(prime)
-            b = None if rhs is None else mod_values(rhs, prime)
-        except ValueError:
-            continue
-        yield prime, factors, b
-
-
-def _kron_solve(factors: Sequence[Factor], rhs: list[int], prime: int) -> list[int]:
+def _kron_solve(factors: Sequence[Sequence[int]], rhs: list[int], prime: int) -> list[int]:
     """The inverse of ``kron_power_sums`` modulo ``prime``, for square
-    factors: one ``dual_solver`` per factor, applied to every row along it,
-    divided by the factor's weights."""
-    solvers = [dual_solver(nodes, prime) for nodes, _weights in factors]
-    inverses = [
-        None if weights is None else mod_inverses(weights, prime) for _nodes, weights in factors
-    ]
-
-    def along(axis: int, row: list) -> list:
-        solution = solvers[axis](row)
-        if inverses[axis] is None:
-            return solution
-        return [y * inverse % prime for y, inverse in zip(solution, inverses[axis])]
-
-    return _along_axes(along, [len(nodes) for nodes, _ in factors], rhs)
+    factors: one ``dual_solver`` per factor, applied to every row along
+    it."""
+    solvers = [dual_solver(nodes, prime) for nodes in factors]
+    return _along_axes(lambda axis, row: solvers[axis](row), list(map(len, factors)), rhs)
 
 
 def _along_axes(along: Callable[[int, list], list], shape: Sequence[int], values: list) -> list:

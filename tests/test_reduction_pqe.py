@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,13 +11,11 @@ from hypothesis import given, settings, strategies as st
 from qreliab import bipartite, evaluate, reduction_pqe, vandermonde
 from qreliab.bipartite import BipartiteGraph, independent_pair_count
 from qreliab.errors import CapExceededError, ProbabilityError, QReliabError
+from qreliab.evaluate import fact_weights, lineage, lineage_counts
+from qreliab.gadgets import q1_query
 from qreliab.instances import Fact, parse_instance
-from qreliab.reduction_pqe import (
-    build_Icd,
-    kron_system,
-    pi_value,
-    run_reduction_pqe,
-)
+from qreliab.reduction_pqe import build_Icd, pi_value, run_reduction_pqe
+from qreliab.vandermonde import kron_power_sums
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 HALF = Fraction(1, 2)
@@ -86,31 +85,39 @@ def test_pi_value_unknown_oracle():
         pi_value(EDGE, 0, 0, HALF, HALF, oracle="guess")
 
 
-def cell(system, c, d, i, j):
-    return system.a**i * system.b**j * system.nodes_left[i] ** c * system.nodes_right[j] ** d
+def relative_cell(factors, weights, c, d, i, j):
+    """The share of one pair with |R'| = i, |T'| = j in N(c, d), relative
+    to the empty pair's: (r/(1-r))**i (t/(1-t))**j ((1-t)**i)**c ((1-r)**j)**d."""
+    (rows, columns), (left, right) = factors, weights
+    return Fraction(
+        left[i] * right[j] * rows[i] ** c * columns[j] ** d,
+        left[0] * right[0] * rows[0] ** c * columns[0] ** d,
+    )
 
 
 def test_kron_system_half():
-    system = kron_system(1, 1, HALF, HALF)
-    assert system.nodes_left == (Fraction(1), HALF)
-    assert system.nodes_right == (Fraction(1), HALF)
-    assert (system.a, system.b) == (1, 1)
-    assert cell(system, 1, 1, 1, 1) == Fraction(1, 4)
-    assert cell(system, 0, 1, 0, 0) == 1
+    # every fact weighs (1, 1): rows 1**i * 2**(1 - i), columns likewise
+    factors, weights = reduction_pqe._system(1, 1, HALF, HALF)
+    assert factors == [[2, 1], [2, 1]]
+    assert weights == [[1, 1], [1, 1]]
+    assert relative_cell(factors, weights, 1, 1, 1, 1) == Fraction(1, 4)
+    assert relative_cell(factors, weights, 0, 1, 0, 0) == 1
 
 
 def test_kron_system_third():
-    system = kron_system(1, 0, Fraction(1, 3), Fraction(1, 4))
-    assert system.nodes_left == (1, Fraction(3, 4))
-    assert system.nodes_right == (1,)
-    assert (system.a, system.b) == (Fraction(1, 2), Fraction(1, 3))
-    assert cell(system, 1, 0, 1, 0) == Fraction(1, 2) * Fraction(3, 4)
+    # r = 1/3 weighs (1, 2) and t = 1/4 weighs (1, 3)
+    factors, weights = reduction_pqe._system(1, 0, Fraction(1, 3), Fraction(1, 4))
+    assert factors == [[4, 3], [1]]
+    assert weights == [[2, 1], [1]]
+    assert relative_cell(factors, weights, 1, 0, 1, 0) == Fraction(1, 2) * Fraction(3, 4)
 
 
 def test_kron_system_rejects_boundary_probabilities():
     for r, t in [(Fraction(1), HALF), (HALF, Fraction(1)), (Fraction(0), HALF)]:
         with pytest.raises(ProbabilityError):
-            kron_system(1, 1, r, t)
+            run_reduction_pqe(EDGE, r, t, oracle="formula")
+        with pytest.raises(ProbabilityError):
+            pi_value(EDGE, 0, 0, r, t, oracle="formula")
 
 
 def test_run_reduction_pqe_single_edge():
@@ -199,18 +206,28 @@ def test_solver_prime_dividing_a_denominator_is_skipped(monkeypatch):
     run = run_reduction_pqe(g, Fraction(1, SOLVER_PRIME), HALF, oracle="formula")
     assert run.x == _sizes_of_independent_pairs(g)
     assert primes and SOLVER_PRIME not in primes
+    # with no left vertex every bound is small, so the solver prime is
+    # tried, but q_r = SOLVER_PRIME makes the columns (q_r - 1)**j *
+    # q_r**(3 - j) with j < 3 vanish there: they collide, and the prime is
+    # skipped before any solver is built
+    primes.clear()
+    g = BipartiteGraph.build([], ["w1", "w2", "w3"], [])
+    run = run_reduction_pqe(g, Fraction(1, SOLVER_PRIME), HALF, oracle="formula")
+    assert run.p_result == 8
+    assert primes == [(1 << 61) - 1] * 2
 
 
 @pytest.mark.parametrize("cell", [(0, 0), (1, 1), (2, 1)])
 def test_tampered_brute_pi_is_rejected(monkeypatch, cell):
-    brute_pi = reduction_pqe._brute_pi
+    # one cell's violating weight, the numerator of its pi, one too large
+    brute_counts = reduction_pqe._brute_counts
 
     def tampered(g, r, t, cells):
-        values = brute_pi(g, r, t, cells)
-        values[cell] += Fraction(1, 1000)
-        return values
+        counts = brute_counts(g, r, t, cells)
+        counts[cells.index(cell)] += 1
+        return counts
 
-    monkeypatch.setattr(reduction_pqe, "_brute_pi", tampered)
+    monkeypatch.setattr(reduction_pqe, "_brute_counts", tampered)
     g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1")])
     with pytest.raises(QReliabError):
         run_reduction_pqe(g, HALF, Fraction(1, 3), oracle="brute")
@@ -303,3 +320,46 @@ def _sizes_of_independent_pairs(g):
 
 def _subsets(vertices):
     return [s for k in range(len(vertices) + 1) for s in combinations(vertices, k)]
+
+
+def violating_weight(g, c, d, r, t):
+    """The weight of the worlds of I_{c,d} with no match, every fact
+    weighing its integer pair: the miss of its own lineage times the total
+    weight of the facts outside it."""
+    instance, phi = build_Icd(g, c, d, r, t)
+    weights = fact_weights(instance, phi)
+    lin = lineage(q1_query(), instance)
+    miss, _total = lineage_counts(lin, weights)
+    inside = set(lin.facts)
+    return miss * math.prod(sum(weights[f]) for f in instance.facts if f not in inside)
+
+
+PROPER_FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(
+    lambda v: 0 < v < 1
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(3), PROPER_FRACTIONS, PROPER_FRACTIONS)
+def test_violating_weight_is_the_integer_forward_map(g, r, t):
+    # N(c, d), counted on each padded instance alone, is the forward map of
+    # the weighted pair counts Y over the integer rows and columns, and the
+    # brute run's right-hand side
+    factors, (left, right) = reduction_pqe._system(len(g.left), len(g.right), r, t)
+    x = _sizes_of_independent_pairs(g)
+    y = [left[i] * right[j] * count for (i, j), count in x.items()]
+    counts = kron_power_sums(y, factors, list(map(len, factors)))
+    assert [violating_weight(g, c, d, r, t) for c, d in x] == counts
+    assert run_reduction_pqe(g, r, t, oracle="brute").oracle_counts == counts
+
+
+def test_brute_run_recovers_x_where_no_weight_is_one():
+    # r = 2/7 weighs (2, 5) and t = 5/9 weighs (5, 4): no node and no pair
+    # weight is 1, so every X_ij is recovered by a division
+    g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w3")])
+    r, t = Fraction(2, 7), Fraction(5, 9)
+    factors, weights = reduction_pqe._system(2, 3, r, t)
+    assert 1 not in [v for side in factors + weights for v in side]
+    run = run_reduction_pqe(g, r, t, oracle="brute")
+    assert run.x == _sizes_of_independent_pairs(g)
+    assert run.p_result == independent_pair_count(g)

@@ -31,12 +31,7 @@ from qreliab.reduction_ur import (
     run_reduction,
     weighted_profiles,
 )
-from qreliab.vandermonde import (
-    kron_power_sums,
-    mod_values,
-    recover_counts,
-    solve_vandermonde,
-)
+from qreliab.vandermonde import kron_power_sums, recover_counts, solve_vandermonde
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 
@@ -141,7 +136,7 @@ def grid_sums(run, y):
     """sum_k y_k * row_i**p_left * column_j**p_right * cell_k**p on every
     grid point, in row-major order of (p_left, p_right, p), each power
     taken directly over the run's exact factors."""
-    (rows, _), (columns, _), (parts, _) = run.alpha
+    rows, columns, parts = run.alpha
     per_row = len(columns) * len(parts)
     entries = [
         (v, rows[k // per_row], columns[k // len(parts) % len(columns)], parts[k % len(parts)])
@@ -177,37 +172,13 @@ def residue(x, prime):
 def recover(nodes, rhs, bound):
     """recover_counts on a one-factor system given by exact nodes and
     right-hand side, checked exactly on its first four equations."""
-
-    def residues(prime):
-        return [([residue(x, prime) for x in nodes], None)]
-
-    return recover_counts(residues, [(nodes, None)], [bound] * len(nodes), 4, rhs)
-
-
-@pytest.mark.parametrize("prime", [SOLVER_PRIME, MERSENNE_61, 10007])
-def test_mod_values_match_residue(prime):
-    # ints (denominator 1) and rationals, one inverse for the whole list
-    rnd = random.Random(prime)
-    ints = [rnd.randint(-10**30, 10**30) for _ in range(20)]
-    fractions = [Fraction(rnd.randint(-10**30, 10**30), rnd.randint(1, 10006)) for _ in range(20)]
-    for values in ([], ints, fractions, ints + fractions):
-        assert mod_values(values, prime) == [residue(x, prime) for x in values]
-    # a prime dividing a denominator leaves a value undefined, as residue does
-    undefined = [Fraction(1, 3), Fraction(5, 2 * prime), 7]
-    with pytest.raises(ValueError):
-        residue(undefined[1], prime)
-    with pytest.raises(ValueError):
-        mod_values(undefined, prime)
+    return recover_counts([nodes], [bound] * len(nodes), 4, rhs)
 
 
 def test_recover_counts_takes_exactly_one_of_rhs_and_terms():
     y = [4, 0, 1]
     nodes = NODES[:3]
-
-    def residues(prime):
-        return [([x % prime for x in nodes], None)]
-
-    args = (residues, [(nodes, None)], [10] * 3, 4)
+    args = ([nodes], [10] * 3, 4)
     assert recover_counts(*args, rhs=dual_rhs(nodes, y)) == y
     assert recover_counts(*args, terms=y) == y
     with pytest.raises(QReliabError, match="exactly one"):
@@ -235,19 +206,6 @@ def test_recover_counts_skips_a_prime_where_nodes_collide():
     nodes = list(range(1, 100)) + [SOLVER_PRIME + 1]
     y = [k % 7 for k in range(100)]
     assert recover(nodes, dual_rhs(nodes, y), 10) == y
-
-
-def test_recover_counts_skips_a_prime_where_a_node_is_undefined():
-    nodes = [Fraction(1, SOLVER_PRIME), 2]  # no residue modulo the smallest prime
-    assert recover(nodes, dual_rhs(nodes, [3, 4]), 10) == [3, 4]
-
-
-def test_recover_counts_skips_a_prime_where_the_rhs_is_undefined():
-    # integer nodes, but b has no residue modulo the smallest prime: that
-    # prime is skipped as for an undefined node, and the solution, 3/q and
-    # -2/q, fails at the next prime as any non-integral one does
-    with pytest.raises(QReliabError, match="bound"):
-        recover([2, 3], [Fraction(1, SOLVER_PRIME), 0], 10)
 
 
 def test_recover_counts_rejects_nodes_colliding_at_every_prime():
@@ -303,7 +261,7 @@ def assert_brute_counts_are_the_forward_map_of_y(g, rst):
     run = run_reduction(g, *rst, oracle="brute")
     y = weighted_profiles(g, rst[0], rst[2])
     terms = [y.get(key, 0) for key in run.cells]
-    shape = [len(nodes) for nodes, _ in run.alpha]
+    shape = list(map(len, run.alpha))
     assert len(run.n_vector) == run.params.M
     assert run.n_vector == kron_power_sums(terms, run.alpha, shape)
     assert run.p_result == independent_pair_count(g)
@@ -423,22 +381,26 @@ def test_run_reduction_skips_a_prime_dividing_a_gadget_count(monkeypatch):
     # 61 divides s + t, so 2**61 - 1 divides lam_r = 2**(s + t) - 1: modulo
     # that prime the cell nodes with c + d >= 1 vanish, two of them collide,
     # and the solve moves on to the next prime.  The bound has 42 bits, so
-    # 2**61 - 1 is the first prime tried; a correct run checks at no other.
+    # 2**61 - 1 is the first prime tried, and it is skipped before the
+    # forward map of Y or any solver is built there; a correct run checks
+    # at no other prime.
     assert closed_counts(20, 41, 20).lam_r % MERSENNE_61 == 0
-    primes = []
-    recover = reduction_ur.recover_counts
+    primes = {"solver": [], "forward": []}
+    solver, forward = vandermonde.dual_solver, vandermonde.kron_power_sums
 
-    def spy(residues, *args):
-        def logged(prime):
-            primes.append(prime)
-            return residues(prime)
+    def solver_spy(nodes, prime):
+        primes["solver"].append(prime)
+        return solver(nodes, prime)
 
-        return recover(logged, *args)
+    def forward_spy(terms, factors, lengths, prime=None):
+        primes["forward"].append(prime)
+        return forward(terms, factors, lengths, prime)
 
-    monkeypatch.setattr(reduction_ur, "recover_counts", spy)
+    monkeypatch.setattr(vandermonde, "dual_solver", solver_spy)
+    monkeypatch.setattr(vandermonde, "kron_power_sums", forward_spy)
     run = run_reduction(EDGE, 20, 41, 20)
     assert run.p_result == 3
-    assert primes == [MERSENNE_61, (1 << 89) - 1]
+    assert primes == {"solver": [(1 << 89) - 1] * 3, "forward": [(1 << 89) - 1]}
     assert_recovers_weighted_histogram(run, EDGE)
 
 
@@ -455,18 +417,12 @@ def test_run_reduction_single_edge_at_large_multiplicities(rst):
 
 def solver_system(monkeypatch, g, rst):
     """run_reduction(g, *rst) and the system it hands to the solver:
-    (run, residues, exact, lead, rhs, terms), where residues(q) gives the
-    factors' node lists modulo q and exact the exact factors."""
+    (run, factors, lead, rhs, terms), the factors' exact node lists."""
     systems = []
 
-    def spy(residues, exact, bounds, lead, rhs=None, terms=None):
-        def nodes_only(prime):
-            factors = residues(prime)
-            assert all(weights is None for _nodes, weights in factors)
-            return [nodes for nodes, _weights in factors]
-
-        systems.append((nodes_only, exact, lead, rhs, terms))
-        return recover_counts(residues, exact, bounds, lead, rhs, terms)
+    def spy(factors, bounds, lead, rhs=None, terms=None):
+        systems.append((factors, lead, rhs, terms))
+        return recover_counts(factors, bounds, lead, rhs, terms)
 
     monkeypatch.setattr(reduction_ur, "recover_counts", spy)
     run = run_reduction(g, *rst)
@@ -487,14 +443,11 @@ ONE_OF_TWO = BipartiteGraph.build(["u"], ["w1", "w2"], [("u", "w2")])
     ],
 )
 def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
-    run, residues, exact, *_ = solver_system(monkeypatch, g, rst)
-    assert exact == run.alpha
-    factors = [nodes for nodes, _weights in run.alpha]
+    run, factors, *_ = solver_system(monkeypatch, g, rst)
+    assert factors == run.alpha
     assert all(type(value) is int for nodes in factors for value in nodes)
     shape = [len(g.left) + 1, len(g.right) + 1, comb(g.m + 3, 3)]
     assert [len(nodes) for nodes in factors] == shape
-    for prime in SYSTEM_PRIMES:
-        assert residues(prime) == [[x % prime for x in nodes] for nodes in factors]
     # the paper's coefficient is the diagonal's: row**M2 * column**M3 * cell
     (rows, columns, parts), params = factors, run.params
     for k, key in enumerate(run.cells):
@@ -508,16 +461,33 @@ def test_rhs_residues_match_exact_counts(monkeypatch, g, rst):
     # build every right-hand side and n_vector; the right-hand side is the
     # forward map of the terms, which recover_counts computes in residues,
     # and the exactly checked equations are those with every power below 4
-    run, residues, exact, lead, rhs, terms = solver_system(monkeypatch, g, rst)
+    run, exact, lead, rhs, terms = solver_system(monkeypatch, g, rst)
     assert run.params.M in (16, 24)
     counts = grid_sums(run, terms)
     assert (lead, rhs) == (4, None)
     assert run.n_vector == counts
-    shape = [len(nodes) for nodes, _ in exact]
+    shape = list(map(len, exact))
     for prime in SYSTEM_PRIMES:
-        factors = [(nodes, None) for nodes in residues(prime)]
+        factors = [[x % prime for x in nodes] for nodes in exact]
         rhs = kron_power_sums(terms, factors, shape, prime)
         assert rhs == [n % prime for n in counts]
+
+
+def test_n_vector_reads_the_recovered_y(monkeypatch):
+    # one pair histogram per run: n_vector is the forward map of the y
+    # the run recovered, not of a second x_table
+    calls = []
+    table = reduction_ur.x_table
+
+    def counted(g):
+        calls.append(g)
+        return table(g)
+
+    monkeypatch.setattr(reduction_ur, "x_table", counted)
+    g = matching(2)
+    run = run_reduction(g, 1, 1, 1)
+    assert run.n_vector == grid_sums(run, [run.y_vector[key] for key in run.cells])
+    assert calls == [g]
 
 
 def test_run_reduction_emits_instances(tmp_path):

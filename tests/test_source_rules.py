@@ -94,9 +94,9 @@ def test_modular_inverses_only_in_the_batch_helper():
 
 
 def test_rationals_reduced_only_through_mod_values():
-    # A module that reduces rationals modulo a prime calls
-    # vandermonde.mod_values: importing mod_inverses for it is one more
-    # copy of that routine.
+    # Residues are inverted in vandermonde alone, where the solve divides by
+    # Q'(x_k): a module that imports mod_inverses to reduce values of its
+    # own is a second place that reduces modulo a prime.
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -104,6 +104,19 @@ def test_rationals_reduced_only_through_mod_values():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.ImportFrom)
         and any(alias.name == "mod_inverses" for alias in node.names)
+    ]
+    assert found == []
+
+
+def test_vandermonde_imports_no_rationals():
+    # Both reductions hand the solver integer nodes and right-hand sides: a
+    # Fraction reaching the solve path would be one more rational reducer.
+    tree = ast.parse((PACKAGE / "vandermonde.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
     ]
     assert found == []
 

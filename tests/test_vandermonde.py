@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qreliab import reduction_pqe, reduction_ur, vandermonde
+from qreliab import reduction_pqe, vandermonde
 from qreliab.bipartite import BipartiteGraph, independent_pair_count
 from qreliab.errors import DuplicateNodeError, QReliabError
 from qreliab.gadgets import closed_counts
-from qreliab.reduction_pqe import kron_system, run_reduction_pqe
+from qreliab.reduction_pqe import run_reduction_pqe
 from qreliab.reduction_ur import grid_factors, reduction_params, run_reduction
 from qreliab.vandermonde import (
     kron_power_sums,
@@ -200,20 +200,13 @@ def test_length_mismatch():
 
 @st.composite
 def kron_systems(draw):
-    """Two or three factors of distinct integer nodes, each with positive
-    rational column weights or none, and non-negative integer counts."""
-    factors = []
-    for _ in range(draw(st.integers(2, 3))):
-        nodes = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True))
-        weights = draw(st.one_of(
-            st.none(),
-            st.lists(st.fractions(min_value=1, max_value=5, max_denominator=4),
-                     min_size=len(nodes), max_size=len(nodes)).filter(all),
-        ))
-        factors.append((nodes, weights))
-    size = 1
-    for nodes, _ in factors:
-        size *= len(nodes)
+    """Two or three factors of distinct integer nodes and non-negative
+    integer counts."""
+    factors = [
+        draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    size = math.prod(map(len, factors))
     counts = draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
     return factors, counts
 
@@ -222,35 +215,26 @@ def kron_systems(draw):
 @given(kron_systems(), st.integers(1, 3))
 def test_kron_power_sums_and_recover_counts(system, lead):
     # the forward map against the sum it stands for, and recover_counts
-    # undoing it over two and three factors, weighted and not, checked
-    # exactly on the leading block of equations, every power below lead
+    # undoing it over two and three factors, checked exactly on the
+    # leading block of equations, every power below lead
     factors, counts = system
-    shape = [len(nodes) for nodes, _ in factors]
+    shape = list(map(len, factors))
     indices = list(itertools.product(*map(range, shape)))
     rhs = [
         sum(
-            count * math.prod(
-                (1 if weights is None else weights[k]) * nodes[k] ** p
-                for (nodes, weights), k, p in zip(factors, index, powers)
-            )
+            count * math.prod(nodes[k] ** p for nodes, k, p in zip(factors, index, powers))
             for count, index in zip(counts, indices)
         )
         for powers in indices
     ]
-
-    def residues(prime):
-        return [
-            ([x % prime for x in nodes], weights and [residue(w, prime) for w in weights])
-            for nodes, weights in factors
-        ]
-
+    residues = [[x % PRIME for x in nodes] for nodes in factors]
     assert kron_power_sums(counts, factors, shape) == rhs
-    assert kron_power_sums(counts, residues(PRIME), shape, PRIME) == [residue(b) for b in rhs]
+    assert kron_power_sums(counts, residues, shape, PRIME) == [b % PRIME for b in rhs]
 
     # b given as is, or as the expected counts, whose forward map it is
     bounds = [21] * len(counts)
-    assert recover_counts(residues, factors, bounds, lead, rhs=rhs) == counts
-    assert recover_counts(residues, factors, bounds, lead, terms=counts) == counts
+    assert recover_counts(factors, bounds, lead, rhs=rhs) == counts
+    assert recover_counts(factors, bounds, lead, terms=counts) == counts
 
 
 # Both reductions with their formula oracles, which hand recover_counts the
@@ -295,8 +279,8 @@ def test_formula_runs_build_no_exact_node(exact_reads):
 
 @pytest.mark.parametrize("name", FORMULA_RUNS)
 def test_exact_check_rejects_a_planted_error(monkeypatch, exact_reads, name):
-    # the first cell, X_00 = 1 and the (0,0,0,0,0) cell of Y, one too small:
-    # within its bound, so only the checks can see it
+    # the first cell of Y, 1 for ur and 2 for pqe, one too small: within
+    # its bound, so only the checks can see it
     solve = vandermonde._kron_solve
 
     def off_by_one(factors, rhs, prime):
@@ -311,16 +295,16 @@ def test_exact_check_rejects_a_planted_error(monkeypatch, exact_reads, name):
     # nodes of the wrong cell alone: the first node of each factor
     factors = {
         "ur": lambda: grid_factors(closed_counts(1, 2, 1), reduction_params(EDGE, 1, 2, 1)),
-        "pqe": lambda: kron_system(1, 1, Fraction(1, 3), Fraction(3, 4)).factors(),
+        "pqe": lambda: reduction_pqe._system(1, 1, Fraction(1, 3), Fraction(3, 4))[0],
     }[name]()
     assert exact_reads[0] == "forward" and "forward" not in exact_reads[1:]
-    assert set(exact_reads[1:]) == {(nodes[0],) for nodes, _ in factors}
+    assert set(exact_reads[1:]) == {(nodes[0],) for nodes in factors}
 
 
 @pytest.mark.parametrize("run", FORMULA_RUNS.values(), ids=FORMULA_RUNS)
 def test_exact_check_rejects_an_error_every_prime_agrees_with(monkeypatch, run):
     # modulo every prime, the forward map drops the first cell, whose
-    # expected count is 1: the right-hand side at the solver prime is that
+    # expected entry is not 0: the right-hand side at the solver prime is that
     # of the first cell one too small, and the check modulo a second prime
     # sees no difference either, so only the exact check can reject it
     forward = vandermonde.kron_power_sums
@@ -336,42 +320,38 @@ def test_exact_check_rejects_an_error_every_prime_agrees_with(monkeypatch, run):
 
 
 def test_correct_formula_runs_work_at_one_prime(monkeypatch):
-    # the solver prime's factors and right-hand side are all a correct run
+    # the solver prime's solvers and right-hand side are all a correct run
     # computes in residues: y equals the expected solution, so the check
     # modulo a second prime has nothing to sum
-    residue_primes, forward_primes = [], []
-    for module in (reduction_ur, reduction_pqe):
+    solver_primes, forward_primes = [], []
+    solver, forward = vandermonde.dual_solver, vandermonde.kron_power_sums
 
-        def spy(residues, *args, recover=module.recover_counts):
-            def logged(prime):
-                residue_primes.append(prime)
-                return residues(prime)
-
-            return recover(logged, *args)
-
-        monkeypatch.setattr(module, "recover_counts", spy)
-    forward = vandermonde.kron_power_sums
+    def solver_spy(nodes, prime):
+        solver_primes.append(prime)
+        return solver(nodes, prime)
 
     def forward_spy(terms, factors, lengths, prime=None):
         if prime is not None:
             forward_primes.append(prime)
         return forward(terms, factors, lengths, prime)
 
+    monkeypatch.setattr(vandermonde, "dual_solver", solver_spy)
     monkeypatch.setattr(vandermonde, "kron_power_sums", forward_spy)
-    for run in FORMULA_RUNS.values():
-        residue_primes.clear()
+    for name, run in FORMULA_RUNS.items():
+        solver_primes.clear()
         forward_primes.clear()
         assert run().p_result == 3
-        assert residue_primes == forward_primes == [WORD_PRIME]
+        assert solver_primes == [WORD_PRIME] * {"ur": 3, "pqe": 2}[name]  # one per factor
+        assert forward_primes == [WORD_PRIME]
 
 
 def test_modular_check_rejects_an_error_the_exact_check_cannot_see(monkeypatch):
     # On a 2+2 graph the PQE system has 9 cells and 4 exactly checked
-    # equations, c, d < 2.  At r = t = 1/2 every node of the left factor is
-    # (1/2)**i and every weight 1, so (-1, 3, -2) along i (at j = 1) is
-    # orthogonal to 1 and (1/2)**i: added to X, it leaves every exactly
-    # checked equation as it is, and its one positive entry takes X_11
-    # from 1 to 4, below the cell's bound of 5.
+    # equations, c, d < 2.  At r = t = 1/2 the left factor's nodes are
+    # 2**(2 - i) and every pair weighs 1, so Y = X, and (-1, 3, -2) along i
+    # (at j = 1) is orthogonal to 1 and to (4, 2, 1): added to Y, it leaves
+    # every exactly checked equation as it is, and its one positive entry
+    # takes Y_11 from 1 to 4, below the cell's bound of 5.
     g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1"), ("u1", "w2"), ("u2", "w1")])
     half = Fraction(1, 2)
     cells = [(i, j) for i in range(3) for j in range(3)]
@@ -423,16 +403,11 @@ def modular_primes(monkeypatch):
     return primes
 
 
-def one_factor(nodes):
-    """residues(q) of a one-factor system with integer nodes."""
-    return lambda prime: [([x % prime for x in nodes], None)]
-
-
 def test_recover_counts_skips_a_colliding_prime_before_any_forward_map(modular_primes):
     # the nodes collide modulo the word-size prime, which is skipped before
     # the forward map of terms is computed there
     nodes = [1, WORD_PRIME + 1]
-    assert recover_counts(one_factor(nodes), [(nodes, None)], [10, 10], 4, terms=[3, 4]) == [3, 4]
+    assert recover_counts([nodes], [10, 10], 4, terms=[3, 4]) == [3, 4]
     assert modular_primes == {"solve": [PRIME], "forward": [PRIME]}
 
 
@@ -442,7 +417,7 @@ def test_bound_at_the_word_prime_solves_past_it(modular_primes):
     nodes = [2, 3, 5]
     for bound in (WORD_PRIME - 1, WORD_PRIME):
         y = [bound - 1, 0, 7]
-        assert recover_counts(one_factor(nodes), [(nodes, None)], [bound] * 3, 4, terms=y) == y
+        assert recover_counts([nodes], [bound] * 3, 4, terms=y) == y
     # X_0,17 = C(34, 17) = 2,333,606,220 on an edgeless 1+34 graph
     g = BipartiteGraph.build(["u"], [f"w{k}" for k in range(34)], [])
     assert run_reduction_pqe(g, Fraction(1, 3), Fraction(1, 2), oracle="formula").p_result == 2**35
