@@ -14,14 +14,22 @@ sum_k y_k / (1 - x_k z) modulo z**n, so N = B * rev(Q) mod z**n is
 sum_k y_k prod_{j != k} (1 - x_j z), and its reversal N~ satisfies
 N~(x_k) = y_k Q'(x_k).  Q comes from a subproduct tree over blocks of
 ``_BLOCK`` nodes, N~ and Q' are evaluated at every node by a remainder
-tree (dividing by Newton inverses) down to the blocks and by Horner's rule
-inside them; all but N~ is built once per node set.  Polynomials are
-multiplied by Kronecker substitution, one multiply of packed Python ints.
+tree (dividing by Newton inverses) down to the blocks and by dot products
+with each block's table of node powers inside them; all but N~ is built
+once per node set.  Polynomials are multiplied by Kronecker substitution,
+one multiply of packed Python ints.
+
+A Kronecker product of systems is solved and mapped one factor at a time,
+in one batched call per factor on all the rows along it: each of the
+solver's products packs every row into one int, and the forward map tables
+the factor's node powers once and takes each row's power sums as dot
+products of its non-zero entries with their nodes' powers.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DuplicateNodeError, QReliabError
@@ -42,20 +50,9 @@ _PRIMES = ((1 << 30) - 35,) + tuple(
 
 
 def power_sums(terms: Sequence, nodes: Sequence, n: int, prime: int | None = None) -> list:
-    """sum_k terms_k * nodes_k**p for p = 0..n-1, exactly or modulo ``prime``,
-    each power by one multiply from the one before."""
-    if prime is not None:
-        terms = [term % prime for term in terms]
-    sums = []
-    for p in range(n):
-        if p:
-            pairs = zip(terms, nodes)
-            if prime is None:
-                terms = [term * x for term, x in pairs]
-            else:
-                terms = [term * x % prime for term, x in pairs]
-        sums.append(sum(terms) if prime is None else sum(terms) % prime)
-    return sums
+    """sum_k terms_k * nodes_k**p for p = 0..n-1, exactly or modulo ``prime``:
+    ``kron_power_sums`` over one factor."""
+    return kron_power_sums(terms, [nodes], [n], prime)
 
 
 def kron_power_sums(
@@ -69,25 +66,42 @@ def kron_power_sums(
     index k_a < len(x_a) and one power p_a < lengths[a] per factor a.
     ``terms`` and b are flat, in row-major order of their indices.
 
-    One ``power_sums`` per row along each factor, over the row's non-zero
-    entries only: a factor's nodes are read only where some term with that
-    index is non-zero.
+    One batched call per factor, over every row along it: the powers of the
+    factor's nodes are tabled once, over the union of the rows' supports,
+    and each row's power sums are dot products of its non-zero entries
+    with their nodes' powers.  A factor's nodes are read only where some
+    term with that index is non-zero.
     """
 
-    def along(axis: int, row: list) -> list:
-        support = [k for k, v in enumerate(row) if v]
-        nodes = [factors[axis][k] for k in support]
-        return power_sums([row[k] for k in support], nodes, lengths[axis], prime)
+    def along(axis: int, rows: list[list]) -> list[list]:
+        n = lengths[axis]
+        used = [any(column) for column in zip(*rows)]
+        powers = iter(_power_table(list(itertools.compress(factors[axis], used)), n, prime))
+        table = [next(powers) if u else None for u in used]
+        sums = []
+        for row in rows:
+            # power p of each non-zero entry's node, one tuple per p
+            columns = zip(*itertools.compress(table, row)) if any(row) else [()] * n
+            nonzero = list(itertools.compress(row, row))
+            if prime is None:
+                sums.append([sum(map(mul, nonzero, column)) for column in columns])
+            else:
+                sums.append([sum(map(mul, nonzero, column)) % prime for column in columns])
+        return sums
 
     return _along_axes(along, list(map(len, factors)), terms)
 
 
-def dual_solver(nodes: Sequence[int], prime: int) -> Callable[[Sequence[int]], list[int]]:
+def dual_solver(
+    nodes: Sequence[int], prime: int
+) -> Callable[[Sequence[Sequence[int]]], list[list[int]]]:
     """The solve of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, modulo
-    ``prime``, as a function of rhs.  The subproduct tree, the inverses its
-    remainder tree divides by and 1 / Q'(x_k) are built here, once, so each
-    rhs pays for one product and one evaluation.  Nodes must be pairwise
-    distinct modulo ``prime``."""
+    ``prime``, as a function of a list of right-hand sides, each of length
+    n, to the list of their solutions.  The subproduct tree, the inverses
+    its remainder tree divides by, each leaf block's table of node powers
+    and 1 / Q'(x_k) are built here, once; the right-hand sides of one call
+    are solved together, each packed multiply taking all of them.  Nodes
+    must be pairwise distinct modulo ``prime``."""
     n = len(nodes)
     nodes = [x % prime for x in nodes]
     if len(set(nodes)) != n:
@@ -97,7 +111,8 @@ def dual_solver(nodes: Sequence[int], prime: int) -> Callable[[Sequence[int]], l
     while len(tree[-1]) > 1:
         below = tree[-1]
         level = [
-            _product(a, b, len(a) + len(b) - 1, prime) for a, b in zip(below[::2], below[1::2])
+            _products([a], b, len(a) + len(b) - 1, prime)[0]
+            for a, b in zip(below[::2], below[1::2])
         ]
         tree.append(level + below[2 * len(level) :])  # an odd last node moves up as it is
     [master] = tree[-1]  # Q, monic of degree n, coefficients low to high
@@ -110,25 +125,33 @@ def dual_solver(nodes: Sequence[int], prime: int) -> Callable[[Sequence[int]], l
         ]
         for level, above in zip(tree, tree[1:])
     ][::-1]
+    # per block, each node's powers 0..len(block)-1: at most _BLOCK * n ints
+    tables = [_power_table(block, len(block), prime) for block in blocks]
 
-    def evaluate(poly: list[int]) -> list[int]:
-        """poly at every node: a remainder tree, then Horner's rule per block."""
-        remainders = [poly]
+    def evaluate(polys: list[list[int]]) -> list[list[int]]:
+        """Each of ``polys`` at every node: a remainder tree over all of
+        them, then dot products with each block's power table."""
+        remainders = [polys]  # per tree node, each poly's remainder
         for level in divisors:
             remainders = [
-                _remainder(remainders[k // 2], node, inverse, prime)
+                _remainders(remainders[k // 2], node, inverse, prime)
                 for k, (node, inverse) in enumerate(level)
             ]
-        return [v for block, rem in zip(blocks, remainders) for v in _horner(rem, block, prime)]
+        values = [[] for _ in polys]
+        for table, rems in zip(tables, remainders):
+            for out, rem in zip(values, rems):
+                out += [sum(map(mul, rem, powers)) % prime for powers in table]
+        return values
 
     deriv = [p * q % prime for p, q in enumerate(master)][1:]  # Q'
-    scale = mod_inverses(evaluate(deriv), prime)
+    scale = mod_inverses(evaluate([deriv])[0], prime)
 
-    def solve(rhs: Sequence[int]) -> list[int]:
-        if len(rhs) != n:
+    def solve(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+        if any(len(rhs) != n for rhs in rows):
             raise QReliabError("nodes and right-hand side differ in length")
-        numer = _product([b % prime for b in rhs], master[::-1], n, prime)[::-1]  # N~
-        return [a * b % prime for a, b in zip(evaluate(numer), scale)]
+        rows = [[b % prime for b in rhs] for rhs in rows]
+        numers = [numer[::-1] for numer in _products(rows, master[::-1], n, prime)]  # N~
+        return [[a * b % prime for a, b in zip(values, scale)] for values in evaluate(numers)]
 
     return solve
 
@@ -137,7 +160,7 @@ def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int], prime: int) -> l
     """The solution y of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, as
     residues modulo ``prime``: ``dual_solver`` applied to one right-hand
     side.  Nodes must be pairwise distinct modulo ``prime``."""
-    return dual_solver(nodes, prime)(rhs)
+    return dual_solver(nodes, prime)([rhs])[0]
 
 
 def mod_inverses(values: Sequence[int], prime: int) -> list[int]:
@@ -229,21 +252,24 @@ def recover_counts(
 
 def _kron_solve(factors: Sequence[Sequence[int]], rhs: list[int], prime: int) -> list[int]:
     """The inverse of ``kron_power_sums`` modulo ``prime``, for square
-    factors: one ``dual_solver`` per factor, applied to every row along
-    it."""
+    factors: one ``dual_solver`` per factor, called once, on every row
+    along it."""
     solvers = [dual_solver(nodes, prime) for nodes in factors]
-    return _along_axes(lambda axis, row: solvers[axis](row), list(map(len, factors)), rhs)
+    return _along_axes(lambda axis, rows: solvers[axis](rows), list(map(len, factors)), rhs)
 
 
-def _along_axes(along: Callable[[int, list], list], shape: Sequence[int], values: list) -> list:
-    """``along(axis, row)`` applied to every row of the flat row-major array
-    ``values`` of ``shape`` along each axis in turn, last axis first.  Each
-    pass moves the axis it transformed to the front, so after the last pass
-    the axes are back in order."""
+def _along_axes(
+    along: Callable[[int, list[list]], list[list]], shape: Sequence[int], values: list
+) -> list:
+    """``along(axis, rows)`` applied once per axis, last axis first, to all
+    the rows of the flat row-major array ``values`` of ``shape`` along that
+    axis; it returns one row per row, all of one length.  Each pass moves
+    the axis it transformed to the front, so after the last pass the axes
+    are back in order."""
     for axis in reversed(range(len(shape))):
         n = shape[axis]
-        rows = [along(axis, values[s : s + n]) for s in range(0, len(values), n)]
-        values = [row[k] for k in range(len(rows[0])) for row in rows]
+        rows = along(axis, [values[s : s + n] for s in range(0, len(values), n)])
+        values = [v for column in zip(*rows) for v in column]
     return values
 
 
@@ -264,47 +290,68 @@ def _inverse(poly: list[int], precision: int, prime: int) -> list[int]:
     inverse, known = [1], 1
     while known < precision:
         known = min(2 * known, precision)
-        error = _product(poly[:known], inverse, known, prime)
+        error = _products([poly[:known]], inverse, known, prime)[0]
         error[0] -= 1
-        correction = _product(inverse, error, known, prime)
+        correction = _products([inverse], error, known, prime)[0]
         inverse = [(a - b) % prime for a, b in zip(inverse + [0] * known, correction)]
     return inverse
 
 
-def _remainder(poly: list[int], divisor: list[int], inverse: list[int], prime: int) -> list[int]:
-    """poly modulo the monic ``divisor``, given 1 / rev(divisor) to at least
-    the quotient's length: the quotient is the head of rev(poly) * inverse."""
+def _power_table(nodes: Sequence, n: int, prime: int | None = None) -> list[tuple]:
+    """The powers x**0, ..., x**(n-1) of each of ``nodes``, exactly or
+    modulo ``prime``: each power of all nodes by one multiply per node from
+    the one before, then one tuple per node."""
+    rows = []
+    powers = [1] * len(nodes)
+    for p in range(n):
+        if p:
+            powers = list(map(mul, powers, nodes))
+            if prime is not None:
+                powers = [v % prime for v in powers]
+        rows.append(powers)
+    return list(zip(*rows)) or [()] * len(nodes)
+
+
+def _remainders(
+    polys: list[list[int]], divisor: list[int], inverse: list[int], prime: int
+) -> list[list[int]]:
+    """Each of ``polys``, all of one length, modulo the monic ``divisor``,
+    given 1 / rev(divisor) to at least the quotients' length: each quotient
+    is the head of rev(poly) * inverse."""
     degree = len(divisor) - 1
-    length = len(poly) - degree
+    length = len(polys[0]) - degree if polys else 0
     if length <= 0:
-        return poly
-    quotient = _product(poly[: degree - 1 : -1], inverse, length, prime)[::-1]
-    low = _product(quotient, divisor, degree, prime)
-    return [(a - b) % prime for a, b in zip(poly[:degree], low)]
+        return polys
+    heads = [poly[: degree - 1 : -1] for poly in polys]
+    quotients = [q[::-1] for q in _products(heads, inverse, length, prime)]
+    lows = _products(quotients, divisor, degree, prime)
+    return [[(a - b) % prime for a, b in zip(poly, low)] for poly, low in zip(polys, lows)]
 
 
-def _horner(poly: list[int], xs: Sequence[int], prime: int) -> list[int]:
-    """poly at each of ``xs``, by Horner's rule run on all of them at once."""
-    values = [0] * len(xs)
-    for c in reversed(poly):
-        values = [(v * x + c) % prime for v, x in zip(values, xs)]
-    return values
-
-
-def _product(a: list[int], b: list[int], length: int, prime: int) -> list[int]:
-    """The first ``length`` coefficients of the product of two polynomials
-    (coefficients low to high, ``length`` at most the product's size)
-    modulo ``prime``, by Kronecker substitution: each reduced coefficient
-    fills one fixed-width slot of a packed int, wide enough that no slot of
-    the product carries into the next, so one int multiply does the whole
-    product."""
-    width = (2 * prime.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
-    a_int, b_int = [
-        int.from_bytes(b"".join([c.to_bytes(width, "little") for c in poly]), "little")
-        for poly in (a[:length], b[:length])
+def _products(rows: list[list[int]], poly: list[int], length: int, prime: int) -> list[list[int]]:
+    """The first ``length`` coefficients of each of ``rows`` times ``poly``
+    (coefficients low to high, reduced modulo ``prime``) modulo ``prime``,
+    by Kronecker substitution: every coefficient fills one fixed-width slot
+    of a packed int, wide enough that no slot of a product carries into
+    the next, and the rows lie ``span`` slots apart, at least the size of
+    one row's product and at least ``length``, so that no row's product
+    reaches the next; one int multiply does every product."""
+    rows = [row[:length] for row in rows]
+    poly = poly[:length]
+    size = max(map(len, rows), default=0)
+    span = max(size + len(poly) - 1, length)
+    width = (2 * prime.bit_length() + min(size, len(poly)).bit_length() + 7) // 8
+    step = width * span
+    padding = [0] * span
+    packed, factor = [
+        int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coefficients]), "little")
+        for coefficients in ([c for row in rows for c in row + padding[len(row) :]], poly)
     ]
-    data = (a_int * b_int).to_bytes(width * (len(a) + len(b)), "little")
+    data = (packed * factor).to_bytes(step * len(rows), "little")
     return [
-        int.from_bytes(data[k : k + width], "little") % prime
-        for k in range(0, width * length, width)
+        [
+            int.from_bytes(data[k : k + width], "little") % prime
+            for k in range(r * step, r * step + width * length, width)
+        ]
+        for r in range(len(rows))
     ]

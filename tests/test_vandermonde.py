@@ -75,18 +75,25 @@ def distinct(draw_one, n, rnd, zero=False):
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(MODULI),
-    st.one_of(st.integers(1, 300), st.sampled_from([32, 33, 64, 65, 96, 97])),
+    st.one_of(st.integers(0, 300), st.sampled_from([0, 32, 33, 64, 65, 96, 97])),
+    st.sampled_from([0, 1, 2, 3, 4, 5, 40]),
     st.booleans(),
     st.integers(0, 1 << 32),
 )
-def test_solve_matches_quadratic_solve(prime, n, zero, seed):
+@example(WORD_PRIME, 0, 3, False, 0)
+@example(PRIME, 97, 40, True, 1)
+def test_solve_matches_quadratic_solve(prime, n, batch, zero, seed):
     # sizes at and just past the leaf blocks of the subproduct tree, moduli
     # of one CPython digit, of one machine word, of many, and one below
-    # every solver prime
+    # every solver prime; every right-hand side of a batch of up to 40,
+    # solved in one call, matches its own reference solve
     rnd = random.Random(seed)
-    nodes = distinct(lambda r: r.randrange(prime), n, rnd, zero)
-    rhs = [rnd.randrange(prime) for _ in nodes]
-    assert solve_vandermonde(nodes, rhs, prime) == quadratic_dual_solve(nodes, rhs, prime)
+    nodes = distinct(lambda r: r.randrange(prime), n, rnd, zero and n > 0)
+    rows = [[rnd.randrange(prime) for _ in nodes] for _ in range(batch)]
+    solutions = vandermonde.dual_solver(nodes, prime)(rows)
+    assert solutions == [quadratic_dual_solve(nodes, rhs, prime) for rhs in rows]
+    if rows:
+        assert solve_vandermonde(nodes, rows[0], prime) == solutions[0]
 
 
 def residue(x, prime=PRIME):
@@ -196,6 +203,12 @@ def test_length_mismatch():
         solve_vandermonde([1, 2], [0], PRIME)
     with pytest.raises(QReliabError):
         solve_vandermonde([1, 2], [0, 1, 2], PRIME)
+    # one short or one long row among right length rows fails the batch
+    solve = vandermonde.dual_solver([1, 2, 3], PRIME)
+    for bad in ([0, 1], [0, 1, 2, 3]):
+        for rows in ([bad, [0, 1, 2]], [[0, 1, 2], [3, 4, 5], bad]):
+            with pytest.raises(QReliabError):
+                solve(rows)
 
 
 @st.composite
@@ -249,22 +262,22 @@ FORMULA_RUNS = {
 @pytest.fixture()
 def exact_reads(monkeypatch):
     """What is computed exactly, in call order: "forward" for each exact
-    forward map, and the nodes that each exact power sum over some term
-    reads."""
+    forward map, and the nodes of each non-empty exact table of node
+    powers, which are the exact nodes that the forward map reads."""
     reads = []
-    sums, forward = vandermonde.power_sums, vandermonde.kron_power_sums
+    table, forward = vandermonde._power_table, vandermonde.kron_power_sums
 
-    def sums_spy(terms, nodes, n, prime=None):
-        if prime is None and terms:
+    def table_spy(nodes, n, prime=None):
+        if prime is None and nodes:
             reads.append(tuple(nodes))
-        return sums(terms, nodes, n, prime)
+        return table(nodes, n, prime)
 
     def forward_spy(terms, factors, lengths, prime=None):
         if prime is None:
             reads.append("forward")
         return forward(terms, factors, lengths, prime)
 
-    monkeypatch.setattr(vandermonde, "power_sums", sums_spy)
+    monkeypatch.setattr(vandermonde, "_power_table", table_spy)
     monkeypatch.setattr(vandermonde, "kron_power_sums", forward_spy)
     return reads
 
@@ -343,6 +356,31 @@ def test_correct_formula_runs_work_at_one_prime(monkeypatch):
         assert run().p_result == 3
         assert solver_primes == [WORD_PRIME] * {"ur": 3, "pqe": 2}[name]  # one per factor
         assert forward_primes == [WORD_PRIME]
+
+
+def test_each_axis_is_solved_in_one_call(monkeypatch):
+    # every solver that dual_solver returns is called once, on all the rows
+    # along its axis: 3 calls for the 3 x 3 x 10 system of the 2-matching at
+    # (1, 1, 1), not one per row (9 + 30 + 30), and 2 for a PQE formula run
+    calls = []
+    solver = vandermonde.dual_solver
+
+    def solver_spy(nodes, prime):
+        solve = solver(nodes, prime)
+
+        def solve_spy(rows):
+            calls.append(len(rows))
+            return solve(rows)
+
+        return solve_spy
+
+    monkeypatch.setattr(vandermonde, "dual_solver", solver_spy)
+    matching = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1"), ("u2", "w2")])
+    assert run_reduction(matching, 1, 1, 1).p_result == 9
+    assert calls == [9, 30, 30]
+    calls.clear()
+    assert FORMULA_RUNS["pqe"]().p_result == 3
+    assert calls == [2, 2]
 
 
 def test_modular_check_rejects_an_error_the_exact_check_cannot_see(monkeypatch):
