@@ -60,7 +60,7 @@ from .reduction_ur import (
     run_reduction,
     weighted_profiles,
 )
-from .vandermonde import power_sums, solve_vandermonde
+from .vandermonde import dual_solve, kron_power_sums
 
 __version__ = "0.1.0"
 
@@ -88,10 +88,12 @@ __all__ = [
     "build_gadget",
     "classify_hierarchical",
     "closed_counts",
+    "dual_solve",
     "enumerate_matches",
     "fresh_constant",
     "independent_pair_count",
     "independent_pairs",
+    "kron_power_sums",
     "lemma_binary_transform",
     "merge_power2",
     "noncomparable_pair_and_rst",
@@ -101,7 +103,6 @@ __all__ = [
     "parse_prob_map",
     "parse_query",
     "pi_value",
-    "power_sums",
     "pqe_brute",
     "pqe_safe",
     "profile_stats",
@@ -111,7 +112,6 @@ __all__ = [
     "rewrite_prob1",
     "run_reduction",
     "run_reduction_pqe",
-    "solve_vandermonde",
     "ur_brute",
     "ur_safe",
     "verify_lemmas",

@@ -72,8 +72,7 @@ class InvalidProfileError(QReliabError):
 
 
 class DuplicateNodeError(QReliabError):
-    """Two Vandermonde nodes coincide: ``dual_solver``, and with it
-    ``solve_vandermonde``, raises it when its nodes collide modulo its
-    prime.  (``recover_counts`` skips a prime where the nodes collide
-    before it solves, so it never sees this.)
+    """Two Vandermonde nodes coincide: ``dual_solve`` raises it when its
+    nodes collide modulo its prime.  (``recover_counts`` skips a prime
+    where the nodes collide before it solves, so it never sees this.)
     """

@@ -60,15 +60,11 @@ class ReductionRun:
     params: ReductionParams
     counts: GadgetCounts
     cells: tuple[ProfileKey, ...]
+    alpha: list[list[int]]  # the exact ``grid_factors`` the run solved with
     graph: BipartiteGraph
     oracle_counts: list[int] | None  # N on the grid, counted on each D (brute oracle)
     y_vector: Mapping[ProfileKey, int]
     p_result: int
-
-    @cached_property
-    def alpha(self) -> list[list[int]]:
-        """The exact ``grid_factors``, computed on first access."""
-        return grid_factors(self.counts, self.params)
 
     @cached_property
     def n_vector(self) -> list[int]:
@@ -293,7 +289,7 @@ def run_reduction(
         pair_count(y, left[i] * right[j]) for (i, j, c, _d, _dp), y in y_vector.items() if c == 0
     )
     return ReductionRun(
-        params, counts, cells, g, oracle_counts if oracle == "brute" else None,
+        params, counts, cells, exact, g, oracle_counts if oracle == "brute" else None,
         y_vector, p_result,
     )
 

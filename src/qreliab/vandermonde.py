@@ -1,11 +1,13 @@
 """The dual Vandermonde system sum_k y_k x_k**p = b_p, p = 0..n-1, and the
-recovery of its integer solutions: ``power_sums`` maps y to b, exactly or
-modulo a prime, ``dual_solver`` maps b back to y modulo a prime, and
-``recover_counts`` finds the integer solution of a Kronecker product of such
-systems from the factors' exact integer nodes and either b, exact, or the
-solution a caller expects; it reduces both modulo each prime itself.  Every
-value here is an int: both reductions write their systems over integer
-nodes.  ``mod_inverses`` inverts a list of residues by one modular inverse.
+recovery of its integer solutions.  ``kron_power_sums`` maps y to b for a
+Kronecker product of such systems, exactly or modulo a prime;
+``dual_solve(nodes, rows, prime)`` maps every right-hand side b of ``rows``
+back to its y modulo a prime, in one call; and ``recover_counts`` finds the
+integer solution of a Kronecker product of systems from the factors' exact
+integer nodes and either b, exact, or the solution a caller expects; it
+reduces both modulo each prime itself.  Every value here is an int: both
+reductions write their systems over integer nodes.  ``mod_inverses``
+inverts a list of residues by one modular inverse.
 
 The solve is the transposed multipoint evaluation of Kaltofen & Lakshman
 (ISSAC 1988) and Bostan, Lecerf & Schost (ISSAC 2003).  With
@@ -20,15 +22,17 @@ once per node set.  Polynomials are multiplied by Kronecker substitution,
 one multiply of packed Python ints.
 
 A Kronecker product of systems is solved and mapped one factor at a time,
-in one batched call per factor on all the rows along it: each of the
-solver's products packs every row into one int, and the forward map tables
-the factor's node powers once and takes each row's power sums as dot
-products of its non-zero entries with their nodes' powers.
+in one batched call per factor on all the rows along it: each of
+``dual_solve``'s products packs every row into one int, and the forward
+map tables the factor's node powers once and takes each row's power sums
+as dot products of its non-zero entries with their nodes' powers.  A factor
+with no nodes is a valid system, of no unknowns.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from operator import mul
 from typing import Callable, Sequence
 
@@ -49,12 +53,6 @@ _PRIMES = ((1 << 30) - 35,) + tuple(
 )
 
 
-def power_sums(terms: Sequence, nodes: Sequence, n: int, prime: int | None = None) -> list:
-    """sum_k terms_k * nodes_k**p for p = 0..n-1, exactly or modulo ``prime``:
-    ``kron_power_sums`` over one factor."""
-    return kron_power_sums(terms, [nodes], [n], prime)
-
-
 def kron_power_sums(
     terms: Sequence[int],
     factors: Sequence[Sequence[int]],
@@ -64,7 +62,9 @@ def kron_power_sums(
     """The forward map of a Kronecker product of dual systems, exactly or
     modulo ``prime``: b_p = sum_k terms_k * prod_a x_a[k_a]**p_a, with one
     index k_a < len(x_a) and one power p_a < lengths[a] per factor a.
-    ``terms`` and b are flat, in row-major order of their indices.
+    ``terms`` and b are flat, in row-major order of their indices; a
+    ``terms`` of another length than prod_a len(x_a), or ``lengths`` of
+    another length than ``factors``, raises QReliabError.
 
     One batched call per factor, over every row along it: the powers of the
     factor's nodes are tabled once, over the union of the rows' supports,
@@ -72,6 +72,9 @@ def kron_power_sums(
     with their nodes' powers.  A factor's nodes are read only where some
     term with that index is non-zero.
     """
+    shape = list(map(len, factors))
+    if len(lengths) != len(shape) or len(terms) != math.prod(shape):
+        raise QReliabError("terms, factors and lengths differ in shape")
 
     def along(axis: int, rows: list[list]) -> list[list]:
         n = lengths[axis]
@@ -89,23 +92,24 @@ def kron_power_sums(
                 sums.append([sum(map(mul, nonzero, column)) % prime for column in columns])
         return sums
 
-    return _along_axes(along, list(map(len, factors)), terms)
+    return _along_axes(along, shape, lengths, terms)
 
 
-def dual_solver(
-    nodes: Sequence[int], prime: int
-) -> Callable[[Sequence[Sequence[int]]], list[list[int]]]:
-    """The solve of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, modulo
-    ``prime``, as a function of a list of right-hand sides, each of length
-    n, to the list of their solutions.  The subproduct tree, the inverses
-    its remainder tree divides by, each leaf block's table of node powers
-    and 1 / Q'(x_k) are built here, once; the right-hand sides of one call
-    are solved together, each packed multiply taking all of them.  Nodes
-    must be pairwise distinct modulo ``prime``."""
+def dual_solve(
+    nodes: Sequence[int], rows: Sequence[Sequence[int]], prime: int
+) -> list[list[int]]:
+    """The solution y of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, modulo
+    ``prime``, for each right-hand side rhs of ``rows``, each of length n.
+    The subproduct tree, the inverses its remainder tree divides by, each
+    leaf block's table of node powers and 1 / Q'(x_k) are built once; the
+    rows are solved together, each packed multiply taking all of them.
+    Nodes must be pairwise distinct modulo ``prime``."""
     n = len(nodes)
     nodes = [x % prime for x in nodes]
     if len(set(nodes)) != n:
         raise DuplicateNodeError(f"nodes are not pairwise distinct modulo {prime}")
+    if any(len(rhs) != n for rhs in rows):
+        raise QReliabError("nodes and right-hand side differ in length")
     blocks = [nodes[k : k + _BLOCK] for k in range(0, n, _BLOCK)]
     tree = [[_from_roots(block, prime) for block in blocks] or [[1]]]  # Q = 1 if n = 0
     while len(tree[-1]) > 1:
@@ -145,22 +149,9 @@ def dual_solver(
 
     deriv = [p * q % prime for p, q in enumerate(master)][1:]  # Q'
     scale = mod_inverses(evaluate([deriv])[0], prime)
-
-    def solve(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-        if any(len(rhs) != n for rhs in rows):
-            raise QReliabError("nodes and right-hand side differ in length")
-        rows = [[b % prime for b in rhs] for rhs in rows]
-        numers = [numer[::-1] for numer in _products(rows, master[::-1], n, prime)]  # N~
-        return [[a * b % prime for a, b in zip(values, scale)] for values in evaluate(numers)]
-
-    return solve
-
-
-def solve_vandermonde(nodes: Sequence[int], rhs: Sequence[int], prime: int) -> list[int]:
-    """The solution y of sum_k y_k * nodes_k**p = rhs_p, p = 0..n-1, as
-    residues modulo ``prime``: ``dual_solver`` applied to one right-hand
-    side.  Nodes must be pairwise distinct modulo ``prime``."""
-    return dual_solver(nodes, prime)([rhs])[0]
+    rows = [[b % prime for b in rhs] for rhs in rows]
+    numers = [numer[::-1] for numer in _products(rows, master[::-1], n, prime)]  # N~
+    return [[a * b % prime for a, b in zip(values, scale)] for values in evaluate(numers)]
 
 
 def mod_inverses(values: Sequence[int], prime: int) -> list[int]:
@@ -189,7 +180,8 @@ def recover_counts(
     """The solution y of the Kronecker product of dual systems
     sum_k y_k * prod_a x_a[k_a]**p_a = b_p (see ``kron_power_sums``), whose
     entries y_k are integers in [0, bounds_k).  y, b and ``bounds`` are
-    flat, in row-major order of their indices.
+    flat, in row-major order of their indices, each of one entry per
+    unknown, or QReliabError is raised.
 
     ``factors`` are the exact integer node lists, which are reduced modulo
     each prime here and read exactly only where y differs from ``terms``.
@@ -212,8 +204,11 @@ def recover_counts(
     """
     if (rhs is None) == (terms is None):
         raise QReliabError("give exactly one of rhs and terms")
+    shape = [len(nodes) for nodes in factors]
+    if not len(bounds) == len(terms if rhs is None else rhs) == math.prod(shape):
+        raise QReliabError("bounds, right-hand side and factors differ in size")
     zeros = itertools.repeat(0)
-    top = max(bounds)
+    top = max(bounds, default=0)
     for prime in [q for q in _PRIMES[:-1] if q > top]:
         residues = [[x % prime for x in nodes] for nodes in factors]
         # colliding nodes skip a prime before any forward map or solve
@@ -221,7 +216,6 @@ def recover_counts(
             break
     else:
         raise QReliabError("no solver prime exceeds the solution bound with distinct nodes")
-    shape = [len(nodes) for nodes in factors]
     if terms is None:
         b = [v % prime for v in rhs]
     else:
@@ -252,23 +246,31 @@ def recover_counts(
 
 def _kron_solve(factors: Sequence[Sequence[int]], rhs: list[int], prime: int) -> list[int]:
     """The inverse of ``kron_power_sums`` modulo ``prime``, for square
-    factors: one ``dual_solver`` per factor, called once, on every row
-    along it."""
-    solvers = [dual_solver(nodes, prime) for nodes in factors]
-    return _along_axes(lambda axis, rows: solvers[axis](rows), list(map(len, factors)), rhs)
+    factors: one ``dual_solve`` per factor, on every row along it."""
+    shape = list(map(len, factors))
+    return _along_axes(
+        lambda axis, rows: dual_solve(factors[axis], rows, prime), shape, shape, rhs
+    )
 
 
 def _along_axes(
-    along: Callable[[int, list[list]], list[list]], shape: Sequence[int], values: list
+    along: Callable[[int, list[list]], list[list]],
+    shape: Sequence[int],
+    lengths: Sequence[int],
+    values: list,
 ) -> list:
     """``along(axis, rows)`` applied once per axis, last axis first, to all
     the rows of the flat row-major array ``values`` of ``shape`` along that
-    axis; it returns one row per row, all of one length.  Each pass moves
-    the axis it transformed to the front, so after the last pass the axes
-    are back in order."""
+    axis; it returns one row of ``lengths[axis]`` values per row.  Each
+    pass moves the axis it transformed to the front, so after the last
+    pass the axes are back in order, of ``lengths``."""
     for axis in reversed(range(len(shape))):
         n = shape[axis]
-        rows = along(axis, [values[s : s + n] for s in range(0, len(values), n)])
+        if n:
+            rows = [values[s : s + n] for s in range(0, len(values), n)]
+        else:  # one empty row per index of the other axes
+            rows = [[]] * (math.prod(shape[:axis]) * math.prod(lengths[axis + 1 :]))
+        rows = along(axis, rows)
         values = [v for column in zip(*rows) for v in column]
     return values
 

@@ -195,13 +195,13 @@ def test_formula_on_16_plus_16_is_symmetric_under_transposition():
 
 def test_solver_prime_dividing_a_denominator_is_skipped(monkeypatch):
     primes = []
-    solver = vandermonde.dual_solver
+    solve = vandermonde.dual_solve
 
-    def spy(nodes, prime):
+    def spy(nodes, rows, prime):
         primes.append(prime)
-        return solver(nodes, prime)
+        return solve(nodes, rows, prime)
 
-    monkeypatch.setattr(vandermonde, "dual_solver", spy)
+    monkeypatch.setattr(vandermonde, "dual_solve", spy)
     g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w3")])
     run = run_reduction_pqe(g, Fraction(1, SOLVER_PRIME), HALF, oracle="formula")
     assert run.x == _sizes_of_independent_pairs(g)
@@ -209,7 +209,7 @@ def test_solver_prime_dividing_a_denominator_is_skipped(monkeypatch):
     # with no left vertex every bound is small, so the solver prime is
     # tried, but q_r = SOLVER_PRIME makes the columns (q_r - 1)**j *
     # q_r**(3 - j) with j < 3 vanish there: they collide, and the prime is
-    # skipped before any solver is built
+    # skipped before any solve
     primes.clear()
     g = BipartiteGraph.build([], ["w1", "w2", "w3"], [])
     run = run_reduction_pqe(g, Fraction(1, SOLVER_PRIME), HALF, oracle="formula")

@@ -31,7 +31,7 @@ from qreliab.reduction_ur import (
     run_reduction,
     weighted_profiles,
 )
-from qreliab.vandermonde import kron_power_sums, recover_counts, solve_vandermonde
+from qreliab.vandermonde import dual_solve, kron_power_sums, recover_counts
 
 EDGE = BipartiteGraph.build(["u"], ["w"], [("u", "w")])
 
@@ -109,7 +109,7 @@ def test_solve_vandermonde_roundtrip():
     nodes = [2, 3, 5, 7]
     y = [4, 0, 1, 9]
     rhs = [sum(yk * n**p for yk, n in zip(y, nodes)) for p in range(4)]
-    assert solve_vandermonde(nodes, rhs, SOLVER_PRIME) == y
+    assert dual_solve(nodes, [rhs], SOLVER_PRIME) == [y]
 
 
 @settings(max_examples=50, deadline=None)
@@ -123,13 +123,13 @@ def test_solve_vandermonde_random(nodes, data):
         for _ in nodes
     ]
     rhs = [sum(yk * n**p for yk, n in zip(y, nodes)) for p in range(len(nodes))]
-    solution = solve_vandermonde(nodes, [residue(b, SOLVER_PRIME) for b in rhs], SOLVER_PRIME)
+    [solution] = dual_solve(nodes, [[residue(b, SOLVER_PRIME) for b in rhs]], SOLVER_PRIME)
     assert solution == [residue(v, SOLVER_PRIME) for v in y]
 
 
 def test_solve_vandermonde_rejects_duplicates():
     with pytest.raises(DuplicateNodeError):
-        solve_vandermonde([1, 1], [0, 0], SOLVER_PRIME)
+        dual_solve([1, 1], [[0, 0]], SOLVER_PRIME)
 
 
 def grid_sums(run, y):
@@ -382,21 +382,21 @@ def test_run_reduction_skips_a_prime_dividing_a_gadget_count(monkeypatch):
     # that prime the cell nodes with c + d >= 1 vanish, two of them collide,
     # and the solve moves on to the next prime.  The bound has 42 bits, so
     # 2**61 - 1 is the first prime tried, and it is skipped before the
-    # forward map of Y or any solver is built there; a correct run checks
+    # forward map of Y or any solve is taken there; a correct run checks
     # at no other prime.
     assert closed_counts(20, 41, 20).lam_r % MERSENNE_61 == 0
     primes = {"solver": [], "forward": []}
-    solver, forward = vandermonde.dual_solver, vandermonde.kron_power_sums
+    solve, forward = vandermonde.dual_solve, vandermonde.kron_power_sums
 
-    def solver_spy(nodes, prime):
+    def solver_spy(nodes, rows, prime):
         primes["solver"].append(prime)
-        return solver(nodes, prime)
+        return solve(nodes, rows, prime)
 
     def forward_spy(terms, factors, lengths, prime=None):
         primes["forward"].append(prime)
         return forward(terms, factors, lengths, prime)
 
-    monkeypatch.setattr(vandermonde, "dual_solver", solver_spy)
+    monkeypatch.setattr(vandermonde, "dual_solve", solver_spy)
     monkeypatch.setattr(vandermonde, "kron_power_sums", forward_spy)
     run = run_reduction(EDGE, 20, 41, 20)
     assert run.p_result == 3
@@ -444,7 +444,7 @@ ONE_OF_TWO = BipartiteGraph.build(["u"], ["w1", "w2"], [("u", "w2")])
 )
 def test_node_residues_match_exact_coefficients(monkeypatch, g, rst):
     run, factors, *_ = solver_system(monkeypatch, g, rst)
-    assert factors == run.alpha
+    assert factors is run.alpha  # the factors the run solved with, not rebuilt
     assert all(type(value) is int for nodes in factors for value in nodes)
     shape = [len(g.left) + 1, len(g.right) + 1, comb(g.m + 3, 3)]
     assert [len(nodes) for nodes in factors] == shape

@@ -93,7 +93,7 @@ def test_modular_inverses_only_in_the_batch_helper():
     assert found == []
 
 
-def test_rationals_reduced_only_through_mod_values():
+def test_mod_inverses_imported_only_in_vandermonde():
     # Residues are inverted in vandermonde alone, where the solve divides by
     # Q'(x_k): a module that imports mod_inverses to reduce values of its
     # own is a second place that reduces modulo a prime.
@@ -106,6 +106,29 @@ def test_rationals_reduced_only_through_mod_values():
         and any(alias.name == "mod_inverses" for alias in node.names)
     ]
     assert found == []
+
+
+def test_every_public_vandermonde_function_is_called_in_the_package():
+    # A public function of vandermonde that no module of the package calls
+    # is an entry point for tests alone: a second way to the same solve or
+    # forward map.  A function's calls of itself do not count.
+    def callee(node):
+        if not isinstance(node, ast.Call):
+            return None
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    own = {  # each public function's nodes, its own calls among them
+        node.name: {id(inner) for inner in ast.walk(node)}
+        for node in trees["vandermonde.py"].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    calls = [(callee(node), id(node)) for tree in trees.values() for node in ast.walk(tree)]
+    uncalled = [
+        name for name, inside in own.items()
+        if not any(called == name for called, key in calls if key not in inside)
+    ]
+    assert uncalled == []
 
 
 def test_vandermonde_imports_no_rationals():

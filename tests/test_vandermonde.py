@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -12,29 +13,24 @@ from qreliab.errors import DuplicateNodeError, QReliabError
 from qreliab.gadgets import closed_counts
 from qreliab.reduction_pqe import run_reduction_pqe
 from qreliab.reduction_ur import grid_factors, reduction_params, run_reduction
-from qreliab.vandermonde import (
-    kron_power_sums,
-    mod_inverses,
-    power_sums,
-    recover_counts,
-    solve_vandermonde,
-)
+from qreliab.vandermonde import dual_solve, kron_power_sums, mod_inverses, recover_counts
 
 WORD_PRIME = vandermonde._PRIMES[0]  # the smallest listed prime, 2**30 - 35
 PRIME = (1 << 61) - 1  # the smallest listed prime above it
 MODULI = [WORD_PRIME, PRIME, (1 << 521) - 1, 10007]
 
 
-def quadratic_dual_solve(nodes, rhs, prime):
-    """The reference solve in O(n^2) operations (Bjorck & Pereyra, Math.
-    Comp. 24, 1970).  With P(x) = prod_k (x - x_k) and the synthetic
-    quotients Q_k = P / (x - x_k), Q_k vanishes at every node but x_k, hence
-    y_k = sum_p Q_k[p] b_p / Q_k(x_k)."""
+def quadratic_dual_solve(nodes, rows, prime):
+    """The reference solve of each right-hand side of ``rows`` in O(n^2)
+    operations (Bjorck & Pereyra, Math. Comp. 24, 1970).  With
+    P(x) = prod_k (x - x_k) and the synthetic quotients Q_k = P / (x - x_k),
+    Q_k vanishes at every node but x_k, hence
+    y_k = sum_p Q_k[p] b_p / Q_k(x_k).  P, the Q_k and 1 / Q_k(x_k) are
+    built once per node set."""
     n = len(nodes)
-    if len(rhs) != n:
+    if any(len(rhs) != n for rhs in rows):
         raise QReliabError("nodes and right-hand side differ in length")
     nodes = [x % prime for x in nodes]
-    rhs = [b % prime for b in rhs]
     if len(set(nodes)) != n:
         raise DuplicateNodeError(f"nodes are not pairwise distinct modulo {prime}")
     master = [1]  # coefficients of P, low to high
@@ -42,7 +38,7 @@ def quadratic_dual_solve(nodes, rhs, prime):
         master = [0] + master
         for p in range(len(master) - 1):
             master[p] = (master[p] - x * master[p + 1]) % prime
-    solution = []
+    quotients, scales = [], []
     for x in nodes:
         quotient = [0] * n  # coefficients of Q_k, low to high
         quotient[n - 1] = master[n]
@@ -51,9 +47,16 @@ def quadratic_dual_solve(nodes, rhs, prime):
         value = 0  # Q_k(x_k)
         for q in reversed(quotient):
             value = (value * x + q) % prime
-        numer = sum(q * b for q, b in zip(quotient, rhs))
-        solution.append(numer % prime * pow(value, -1, prime) % prime)
-    return solution
+        quotients.append(quotient)
+        scales.append(pow(value, -1, prime))
+    solutions = []
+    for rhs in rows:
+        rhs = [b % prime for b in rhs]
+        solutions.append([
+            sum(map(operator.mul, quotient, rhs)) % prime * scale % prime
+            for quotient, scale in zip(quotients, scales)
+        ])
+    return solutions
 
 
 def dual_rhs(nodes, y):
@@ -90,10 +93,10 @@ def test_solve_matches_quadratic_solve(prime, n, batch, zero, seed):
     rnd = random.Random(seed)
     nodes = distinct(lambda r: r.randrange(prime), n, rnd, zero and n > 0)
     rows = [[rnd.randrange(prime) for _ in nodes] for _ in range(batch)]
-    solutions = vandermonde.dual_solver(nodes, prime)(rows)
-    assert solutions == [quadratic_dual_solve(nodes, rhs, prime) for rhs in rows]
+    solutions = dual_solve(nodes, rows, prime)
+    assert solutions == quadratic_dual_solve(nodes, rows, prime)
     if rows:
-        assert solve_vandermonde(nodes, rows[0], prime) == solutions[0]
+        assert dual_solve(nodes, rows[:1], prime) == solutions[:1]
 
 
 def residue(x, prime=PRIME):
@@ -107,12 +110,13 @@ def residue(x, prime=PRIME):
 @given(st.integers(33, 40), st.integers(0, 1 << 32))
 def test_solve_over_fractions_past_one_block(n, seed):
     # the remainder tree and its Newton inverses on the residues of a
-    # rational system, whose exact right-hand side comes from power_sums
+    # rational system, whose exact right-hand side comes from kron_power_sums
+    # over one factor
     rnd = random.Random(seed)
     nodes = distinct(lambda r: Fraction(r.randint(-50, 50), r.randint(1, 4)), n, rnd)
     y = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in nodes]
-    rhs = power_sums(y, nodes, n)
-    solution = solve_vandermonde([residue(x) for x in nodes], [residue(b) for b in rhs], PRIME)
+    rhs = kron_power_sums(y, [nodes], [n])
+    [solution] = dual_solve([residue(x) for x in nodes], [[residue(b) for b in rhs]], PRIME)
     assert solution == [residue(v) for v in y]
 
 
@@ -125,13 +129,14 @@ def test_solve_over_fractions_past_one_block(n, seed):
 def test_modular_dual_solve_matches_exact(nodes, bound, data):
     y = [data.draw(st.integers(0, bound - 1)) for _ in nodes]
     rhs = dual_rhs(nodes, y)
-    assert solve_vandermonde(nodes, rhs, PRIME) == y
-    # power_sums is the forward map of the solve, exactly and modulo PRIME
+    assert dual_solve(nodes, [rhs], PRIME) == [y]
+    # kron_power_sums over one factor is the forward map of the solve,
+    # exactly and modulo PRIME
     n = len(nodes)
-    assert power_sums(y, nodes, n) == rhs
-    residues = power_sums(y, nodes, n, PRIME)
+    assert kron_power_sums(y, [nodes], [n]) == rhs
+    residues = kron_power_sums(y, [nodes], [n], PRIME)
     assert residues == [b % PRIME for b in rhs]
-    assert solve_vandermonde(nodes, residues, PRIME) == y
+    assert dual_solve(nodes, [residues], PRIME) == [y]
 
 
 @st.composite
@@ -154,9 +159,9 @@ def fraction_systems(draw):
 @example(([2, 3, 5, 7], [4, 0, 1, 9]))
 def test_power_sums_roundtrip_over_fractions(system):
     nodes, y = system
-    rhs = power_sums(y, nodes, len(nodes))
+    rhs = kron_power_sums(y, [nodes], [len(nodes)])
     assert rhs == dual_rhs(nodes, y)
-    solution = solve_vandermonde([residue(x) for x in nodes], [residue(b) for b in rhs], PRIME)
+    [solution] = dual_solve([residue(x) for x in nodes], [[residue(b) for b in rhs]], PRIME)
     assert solution == [residue(v) for v in y]
 
 
@@ -179,36 +184,78 @@ def test_mod_inverses_match_pow(prime, values):
 
 def test_empty_systems():
     for prime in MODULI:
-        assert solve_vandermonde([], [], prime) == []
+        assert dual_solve([], [[]], prime) == [[]]
+        assert dual_solve([1, 2], [], prime) == []
+
+
+def test_a_factor_without_nodes_is_a_valid_system():
+    # no unknowns: every power sum is 0, and there is nothing to recover,
+    # alone or beside a factor with nodes
+    assert kron_power_sums([], [[]], [3]) == [0, 0, 0]
+    assert kron_power_sums([], [[], [1, 2]], [3, 2]) == [0] * 6
+    assert kron_power_sums([], [[1, 2], []], [2, 1], PRIME) == [0, 0]
+    assert recover_counts([[]], [], 4, terms=[]) == []
+    assert recover_counts([[]], [], 4, rhs=[]) == []
+    assert recover_counts([[1, 2], []], [], 4, terms=[]) == []
+
+
+def test_kron_power_sums_checks_lengths():
+    # terms of the product of the factors' lengths, one length per factor
+    for terms, factors, lengths in [
+        ([1, 2, 3], [[1, 2]], [2]),  # one term too many
+        ([1], [[1, 2]], [2]),  # one term too few
+        ([1, 2], [[1, 2]], [2, 3]),  # one length too many
+        ([1, 2, 3, 4], [[1, 2], [3, 4]], [2]),  # one length too few
+    ]:
+        for prime in (None, PRIME):
+            with pytest.raises(QReliabError):
+                kron_power_sums(terms, factors, lengths, prime)
+
+
+def test_recover_counts_checks_lengths():
+    # bounds, rhs and terms each of the product of the factors' lengths: a
+    # y past the bounds is not dropped unseen, nor a missing term taken as 0
+    nodes = [1, 2, 3]
+    rhs = kron_power_sums([1, 2, 50], [nodes], [3])
+    assert recover_counts([nodes], [100] * 3, 4, rhs=rhs) == [1, 2, 50]
+    for bounds, given in [
+        ([10], {"rhs": rhs}),
+        ([100] * 3, {"terms": [3, 6]}),
+        ([100] * 3, {"terms": [3, 6, 0, 0]}),
+        ([100] * 3, {"rhs": rhs[:2]}),
+        ([100] * 3, {"rhs": [*rhs, 0]}),
+        ([100] * 4, {"terms": [1, 2, 50]}),
+    ]:
+        with pytest.raises(QReliabError):
+            recover_counts([nodes], bounds, 4, **given)
 
 
 def test_modular_solve_rejects_nodes_colliding_modulo_the_prime():
-    solve_vandermonde([1, 1 + 7], [0, 0], PRIME)  # distinct modulo PRIME
+    dual_solve([1, 1 + 7], [[0, 0]], PRIME)  # distinct modulo PRIME
     with pytest.raises(DuplicateNodeError):
-        solve_vandermonde([1, 1 + 7], [0, 0], 7)
+        dual_solve([1, 1 + 7], [[0, 0]], 7)
     with pytest.raises(DuplicateNodeError):
-        solve_vandermonde([1, 1], [0, 0], PRIME)
+        dual_solve([1, 1], [[0, 0]], PRIME)
     with pytest.raises(DuplicateNodeError):
-        solve_vandermonde([residue(Fraction(1, 2)), residue(Fraction(2, 4))], [0, 0], PRIME)
+        dual_solve([residue(Fraction(1, 2)), residue(Fraction(2, 4))], [[0, 0]], PRIME)
     # first and last node, in different leaf blocks: only the check before
     # any polynomial work tells this from a division by zero in the tree
     nodes = list(range(2, 102))
     nodes[-1] = nodes[0] + PRIME
     with pytest.raises(DuplicateNodeError):
-        solve_vandermonde(nodes, [0] * 100, PRIME)
+        dual_solve(nodes, [[0] * 100], PRIME)
 
 
 def test_length_mismatch():
     with pytest.raises(QReliabError):
-        solve_vandermonde([1, 2], [0], PRIME)
+        dual_solve([1, 2], [[0]], PRIME)
     with pytest.raises(QReliabError):
-        solve_vandermonde([1, 2], [0, 1, 2], PRIME)
+        dual_solve([1, 2], [[0, 1, 2]], PRIME)
     # one short or one long row among right length rows fails the batch
-    solve = vandermonde.dual_solver([1, 2, 3], PRIME)
     for bad in ([0, 1], [0, 1, 2, 3]):
         for rows in ([bad, [0, 1, 2]], [[0, 1, 2], [3, 4, 5], bad]):
             with pytest.raises(QReliabError):
-                solve(rows)
+                dual_solve([1, 2, 3], rows, PRIME)
 
 
 @st.composite
@@ -333,22 +380,22 @@ def test_exact_check_rejects_an_error_every_prime_agrees_with(monkeypatch, run):
 
 
 def test_correct_formula_runs_work_at_one_prime(monkeypatch):
-    # the solver prime's solvers and right-hand side are all a correct run
+    # the solver prime's solves and right-hand side are all a correct run
     # computes in residues: y equals the expected solution, so the check
     # modulo a second prime has nothing to sum
     solver_primes, forward_primes = [], []
-    solver, forward = vandermonde.dual_solver, vandermonde.kron_power_sums
+    solve, forward = vandermonde.dual_solve, vandermonde.kron_power_sums
 
-    def solver_spy(nodes, prime):
+    def solver_spy(nodes, rows, prime):
         solver_primes.append(prime)
-        return solver(nodes, prime)
+        return solve(nodes, rows, prime)
 
     def forward_spy(terms, factors, lengths, prime=None):
         if prime is not None:
             forward_primes.append(prime)
         return forward(terms, factors, lengths, prime)
 
-    monkeypatch.setattr(vandermonde, "dual_solver", solver_spy)
+    monkeypatch.setattr(vandermonde, "dual_solve", solver_spy)
     monkeypatch.setattr(vandermonde, "kron_power_sums", forward_spy)
     for name, run in FORMULA_RUNS.items():
         solver_primes.clear()
@@ -359,22 +406,17 @@ def test_correct_formula_runs_work_at_one_prime(monkeypatch):
 
 
 def test_each_axis_is_solved_in_one_call(monkeypatch):
-    # every solver that dual_solver returns is called once, on all the rows
-    # along its axis: 3 calls for the 3 x 3 x 10 system of the 2-matching at
-    # (1, 1, 1), not one per row (9 + 30 + 30), and 2 for a PQE formula run
+    # dual_solve is called once per axis, on all the rows along it: 3 calls
+    # for the 3 x 3 x 10 system of the 2-matching at (1, 1, 1), not one per
+    # row (9 + 30 + 30), and 2 for a PQE formula run
     calls = []
-    solver = vandermonde.dual_solver
+    solve = vandermonde.dual_solve
 
-    def solver_spy(nodes, prime):
-        solve = solver(nodes, prime)
+    def solve_spy(nodes, rows, prime):
+        calls.append(len(rows))
+        return solve(nodes, rows, prime)
 
-        def solve_spy(rows):
-            calls.append(len(rows))
-            return solve(rows)
-
-        return solve_spy
-
-    monkeypatch.setattr(vandermonde, "dual_solver", solver_spy)
+    monkeypatch.setattr(vandermonde, "dual_solve", solve_spy)
     matching = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1"), ("u2", "w2")])
     assert run_reduction(matching, 1, 1, 1).p_result == 9
     assert calls == [9, 30, 30]
