@@ -14,7 +14,9 @@ The brute route is the ``lineage`` (the match supports, as masks) and its
 weighted count, ``lineage_counts``, which conditions it on the weights: a
 certain fact (1, 0) leaves every mask, and an impossible one (0, 1) takes
 every support that holds it out.  So a sub-instance's lineage is the full
-one with the missing facts impossible, and one lineage serves them all.
+one with the missing facts impossible, and one lineage serves them all;
+``lineage_counts_without`` counts it once and gives every sub-instance's
+count from that pass's trace.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 from . import kernels
 from .cq import AtomPattern, Query, check_arities, classify_hierarchical
 from .cq import enumerate_matches, parse_query
-from .errors import InstanceFormatError, NonHierarchicalQueryError, UsageError
+from .errors import CapExceededError, InstanceFormatError, NonHierarchicalQueryError, UsageError
 from .instances import Fact, Instance, ProbAssignment
 
 DEFAULT_BRUTE_CAP = 30
@@ -108,15 +110,10 @@ def lineage(q: Query, instance: Instance) -> Lineage:
     return Lineage(facts, [sum(map(index.__getitem__, sup)) for sup in supports])
 
 
-def lineage_counts(lin: Lineage, weights: Weights) -> tuple[int, int]:
-    """(miss, total) over the lineage's facts, each weighing ``weights[f]``:
-    the weight of the worlds that hold no support, and of all worlds.
-
-    A certain fact (w_out = 0) leaves every mask; a support that holds an
-    impossible fact (w_in = 0) leaves the lineage.  The counter raises
-    CapExceededError when the conditioned lineage's widest independent
-    component exceeds the resolved cap.
-    """
+def _conditioned(lin: Lineage, weights: Weights) -> tuple[list[int], list[tuple[int, int]]]:
+    """The lineage's masks conditioned on the weights, and the weights in
+    fact order: a certain fact (w_out = 0) leaves every mask; a support
+    that holds an impossible fact (w_in = 0) leaves the lineage."""
     pairs = [weights[f] for f in lin.facts]
     certain = impossible = 0
     for i, (w_in, w_out) in enumerate(pairs):
@@ -124,9 +121,56 @@ def lineage_counts(lin: Lineage, weights: Weights) -> tuple[int, int]:
             certain |= 1 << i
         elif not w_in:
             impossible |= 1 << i
-    masks = [m & ~certain for m in lin.masks if not m & impossible]
+    return [m & ~certain for m in lin.masks if not m & impossible], pairs
+
+
+def lineage_counts(lin: Lineage, weights: Weights) -> tuple[int, int]:
+    """(miss, total) over the lineage's facts, each weighing ``weights[f]``:
+    the weight of the worlds that hold no support, and of all worlds.
+
+    The lineage is conditioned on the weights first (``_conditioned``).
+    The counter raises CapExceededError when the conditioned lineage's
+    widest independent component exceeds the resolved cap.
+    """
+    masks, pairs = _conditioned(lin, weights)
     miss = kernels.count_avoiding(masks, pairs, resolve_cap())
     return miss, math.prod(map(sum, pairs))
+
+
+def lineage_counts_without(
+    lin: Lineage, weights: Weights, removals: list[list[Fact]]
+) -> list[tuple[int, int]]:
+    """``lineage_counts`` of each sub-instance that lacks one listed set of
+    facts, in order: the lineage under ``weights`` with those facts
+    impossible, (0, 1).
+
+    One counter pass counts the lineage conditioned on ``weights`` and
+    records its trace, which gives every other count under the other
+    weights.  No set may remove a fact that is certain under ``weights``
+    without some uncertain fact of each support that holds it, as a whole
+    gadget or pendant does.  A sub-instance's conditioned lineage is then
+    the full one's supports that avoid its removed facts, so its minimised
+    masks are the full one's that avoid them, and its widest component is
+    no wider: the one cap check covers every set.  Only when it fails is
+    each set counted alone, in order, so the first one over the cap raises.
+    """
+    masks, pairs = _conditioned(lin, weights)
+    trace: list[tuple] = []
+    try:
+        miss = kernels.count_avoiding(masks, pairs, resolve_cap(), trace)
+    except CapExceededError:
+        return [lineage_counts(lin, weights | dict.fromkeys(gone, (0, 1))) for gone in removals]
+    position = {f: i for i, f in enumerate(lin.facts)}
+    counts = []
+    for gone in removals:
+        cell = list(pairs)
+        for f in gone:
+            i = position.get(f)
+            if i is not None:
+                cell[i] = (0, 1)
+        cell_miss = kernels.evaluate_trace(trace, cell) if gone else miss
+        counts.append((cell_miss, math.prod([a + b for a, b in cell])))
+    return counts
 
 
 def ur_brute(q: Query, instance: Instance) -> int:

@@ -24,8 +24,9 @@ listed prime above every bound C(n_left, i) * C(n_right, j) * weight + 1
 on Y_ij, checked exactly on the cells c, d < 2 and modulo a second prime
 on every cell.  X_ij is Y_ij over the pair's weight, an exact division.
 The brute oracle enumerates the matches of the largest padded instance
-once, conditions that lineage on each cell's padding (``_brute_counts``)
-and hands over each N(c, d) as the right-hand side.  The formula oracle
+once, counts that lineage in one counter pass, evaluates the pass's trace
+under each cell's padding (``_brute_counts``) and hands over each N(c, d)
+as the right-hand side.  The formula oracle
 gets X from the fold ``bipartite.independent_pairs`` and hands over Y as
 the expected solution: the right-hand side is its forward map, computed at
 the solver prime only, and a correct check reads no node and computes
@@ -43,7 +44,7 @@ from typing import Mapping
 
 from .bipartite import BipartiteGraph, independent_pairs, pair_count, side_weights
 from .errors import ProbabilityError, QReliabError
-from .evaluate import fact_weights, lineage, lineage_counts, pqe_brute
+from .evaluate import fact_weights, lineage, lineage_counts_without, pqe_brute
 from .gadgets import q1_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
 from .vandermonde import kron_power_sums, recover_counts
@@ -54,6 +55,8 @@ class PqeReductionRun:
     r: Fraction
     t: Fraction
     graph: BipartiteGraph
+    factors: list[list[int]]  # the system's rows and columns, from ``_system``
+    pair_weights: list[list[int]]  # a pair's weight by i and by j, from ``_system``
     oracle_counts: list[int] | None  # N(c, d) per cell, counted by the brute oracle
     x: Mapping[tuple[int, int], int]
     p_result: int
@@ -64,11 +67,11 @@ class PqeReductionRun:
         of I_{c,d}: N is the brute oracle's, or else the forward map of the
         weighted x, computed exactly on first access."""
         n_left, n_right = len(self.graph.left), len(self.graph.right)
-        factors, weights = _system(n_left, n_right, self.r, self.t)
         counts = self.oracle_counts
         if counts is None:  # x is in row-major order of (i, j), and the system is square
-            y = [weights[0][i] * weights[1][j] * x for (i, j), x in self.x.items()]
-            counts = kron_power_sums(y, factors, list(map(len, factors)))
+            left, right = self.pair_weights
+            y = [left[i] * right[j] * x for (i, j), x in self.x.items()]
+            counts = kron_power_sums(y, self.factors, list(map(len, self.factors)))
         q_r, q_t = self.r.denominator, self.t.denominator
         return {
             (c, d): Fraction(n, q_r ** (n_left + d * n_right) * q_t ** (n_right + c * n_left))
@@ -86,10 +89,12 @@ def build_Icd(
     facts = [Fact("R", (u,)) for u in g.left]
     facts += [Fact("T", (w,)) for w in g.right]
     facts += [Fact("S", (u, w)) for u, w in g.edges]
-    for k in range(1, c + 1):
-        facts += _pendants(g, k)[0]
-    for k in range(1, d + 1):
-        facts += _pendants(g, k)[1]
+    for k in range(1, max(c, d) + 1):
+        left, right = _pendants(g, k)
+        if k <= c:
+            facts += left
+        if k <= d:
+            facts += right
     phi = ProbAssignment.for_relations(
         {"R": Fraction(r), "S": Fraction(1), "T": Fraction(t)}
     )
@@ -116,22 +121,23 @@ def _brute_counts(
     """N(c, d) on the cells, in order, from the one lineage of the largest
     padded instance.  ``build_Icd`` numbers each vertex's pendants from 1,
     so the instance padded by (c, d) is the largest one without the
-    pendants numbered above c or d; its lineage is the largest one with
-    those pendants weighing (0, 1), impossible, and the width cap is
-    checked on it.  That lineage holds every fact of the instance, so its
-    miss is the instance's violating weight."""
+    pendants numbered above c or d.  A pendant goes whole: every support
+    that holds its certain S-fact holds its T- or R-fact too.  So
+    ``lineage_counts_without`` counts the largest cell's conditioned
+    lineage in one pass, with one cap check, and evaluates that pass's
+    trace for every other cell, its removed pendants weighing (0, 1).
+    That lineage holds every fact of the instance, so its miss is the
+    instance's violating weight."""
     n_left, n_right = len(g.left), len(g.right)
     instance, phi = build_Icd(g, n_left, n_right, r, t)
-    lin = lineage(q1_query(), instance)
-    weights = fact_weights(instance, phi)
     pendants = [_pendants(g, k) for k in range(1, max(n_left, n_right) + 1)]
-    counts = []
+    removals = []
     for c, d in cells:
-        impossible = [f for left, _ in pendants[c:n_left] for f in left]
-        impossible += [f for _, right in pendants[d:n_right] for f in right]
-        miss, _total = lineage_counts(lin, weights | dict.fromkeys(impossible, (0, 1)))
-        counts.append(miss)
-    return counts
+        gone = [f for left, _ in pendants[c:n_left] for f in left]
+        removals.append(gone + [f for _, right in pendants[d:n_right] for f in right])
+    lin = lineage(q1_query(), instance)
+    counts = lineage_counts_without(lin, fact_weights(instance, phi), removals)
+    return [miss for miss, _total in counts]
 
 
 def pi_value(
@@ -193,7 +199,8 @@ def run_reduction_pqe(
     right-hand side is."""
     r, t = Fraction(r), Fraction(t)
     n_left, n_right = len(g.left), len(g.right)
-    factors, (left, right) = _system(n_left, n_right, r, t)
+    factors, pair_weights = _system(n_left, n_right, r, t)
+    left, right = pair_weights
     cells = [(i, j) for i in range(n_left + 1) for j in range(n_right + 1)]
     weights = [left[i] * right[j] for i, j in cells]
 
@@ -209,4 +216,4 @@ def run_reduction_pqe(
     bounds = [comb(n_left, i) * comb(n_right, j) * w + 1 for (i, j), w in zip(cells, weights)]
     solution = recover_counts(factors, bounds, 2, oracle_counts, terms)  # exact on c, d < 2
     x = {cell: pair_count(y, weight) for cell, y, weight in zip(cells, solution, weights)}
-    return PqeReductionRun(r, t, g, oracle_counts, x, sum(x.values()))
+    return PqeReductionRun(r, t, g, factors, pair_weights, oracle_counts, x, sum(x.values()))

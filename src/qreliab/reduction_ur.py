@@ -36,7 +36,8 @@ from .bipartite import (
 )
 from .cq import Query, Term, noncomparable_pair_and_rst
 from .errors import InvalidProfileError, QReliabError, SchemaMismatchError
-from .gadgets import GadgetCounts, closed_counts, count_violating, gadget_facts, qrst_query
+from .evaluate import lineage, lineage_counts_without
+from .gadgets import GadgetCounts, closed_counts, gadget_facts, qrst_query
 from .instances import Fact, Instance, ProbAssignment, fresh_constant
 from .vandermonde import kron_power_sums, recover_counts
 
@@ -115,28 +116,71 @@ def build_Dp(
     p_right = params.M3 * p if p_right is None else p_right
     if min(p, p_left, p_right) < 0:
         raise QReliabError("multiplicities must be non-negative")
-    facts: list[Fact] = []
-    for u in g.left:
-        facts += [Fact(f"R{k}", (u,)) for k in range(1, r + 1)]
-    for w in g.right:
-        facts += [Fact(f"T{k}", (w,)) for k in range(1, t + 1)]
+    copies = _gadget_copies(g, r, s, t, params.M1, p_left, p_right, p)
+    return Instance(_bundles(g, r, t) + [f for _axis, _k, facts in copies for f in facts])
+
+
+def _bundles(g: BipartiteGraph, r: int, t: int) -> list[Fact]:
+    """The R-bundle of each left vertex and the T-bundle of each right one."""
+    facts = [Fact(f"R{k}", (u,)) for u in g.left for k in range(1, r + 1)]
+    return facts + [Fact(f"T{k}", (w,)) for w in g.right for k in range(1, t + 1)]
+
+
+def _gadget_copies(
+    g: BipartiteGraph, r: int, s: int, t: int, m1: int, p_left: int, p_right: int, p: int
+) -> list[tuple[int, int, list[Fact]]]:
+    """The gadget copies of D_{p_left, p_right, p}, each as (axis, k,
+    facts): the copy is in every D whose multiplicity on that axis of
+    (p_left, p_right, p) is k or more.  Each family numbers its copies from
+    1, so the edge's M1 * p (a,b)-gadgets need p >= ceil(copy / M1)."""
+    copies = []
     for ei, (u, w) in enumerate(ordered_edges(g)):
         for copy in range(1, p + 1):
             b = fresh_constant(f"e{ei}.b", [copy])
             c = fresh_constant(f"e{ei}.c", [copy])
-            facts += gadget_facts("abcd_trimmed", r, s, t, (u, b, c, w))
-        for copy in range(1, params.M1 * p + 1):
+            copies.append((2, copy, gadget_facts("abcd_trimmed", r, s, t, (u, b, c, w))))
+        for copy in range(1, m1 * p + 1):
             b = fresh_constant(f"e{ei}.m", [copy])
-            facts += gadget_facts("ab", r, s, t, (u, b))
+            copies.append((2, -(-copy // m1), gadget_facts("ab", r, s, t, (u, b))))
     for ui, u in enumerate(g.left):
         for copy in range(1, p_left + 1):
             b = fresh_constant(f"u{ui}.b", [copy])
-            facts += gadget_facts("ab", r, s, t, (u, b))
+            copies.append((0, copy, gadget_facts("ab", r, s, t, (u, b))))
     for wi, w in enumerate(g.right):
         for copy in range(1, p_right + 1):
             a = fresh_constant(f"w{wi}.a", [copy])
-            facts += gadget_facts("ab", r, s, t, (a, w))
-    return Instance(facts)
+            copies.append((1, copy, gadget_facts("ab", r, s, t, (a, w))))
+    return copies
+
+
+def _brute_counts(
+    g: BipartiteGraph, r: int, s: int, t: int, params: ReductionParams, shape: list[int]
+) -> list[int]:
+    """N on the grid, in product order, from the lineage of the largest
+    instance, the last in that order.  The instance at a grid point is the
+    largest one without the gadget copies that ``_gadget_copies`` puts
+    beyond it; the vertex bundles, which the (a,b)-gadgets on a vertex
+    share, stay.  ``lineage_counts_without`` counts the largest instance
+    in one pass, with one cap check, and evaluates that pass's trace for
+    every other grid point, its missing copies weighing (0, 1)."""
+    bundles = _bundles(g, r, t)
+    shared = set(bundles)
+    copies = _gadget_copies(g, r, s, t, params.M1, *[n - 1 for n in shape])
+    instance = Instance(bundles + [f for _axis, _k, facts in copies for f in facts])
+    beyond: list[list[list[Fact]]] = [[[] for _ in range(n)] for n in shape]
+    for axis, k, facts in copies:  # beyond[axis][v]: the copies' own facts past v
+        own = [f for f in facts if f not in shared]
+        for v in range(k):
+            beyond[axis][v] += own
+    points = itertools.product(*map(range, shape))
+    removals = [beyond[0][a] + beyond[1][b] + beyond[2][c] for a, b, c in points]
+    lin = lineage(qrst_query(r, s, t), instance)
+    counts = lineage_counts_without(lin, dict.fromkeys(lin.facts, (1, 1)), removals)
+    # every fact outside the lineage, or in it but in no support, doubles the count
+    return [
+        miss << (len(instance) - len(gone) - (total.bit_length() - 1))
+        for (miss, total), gone in zip(counts, removals)
+    ]
 
 
 def _pair_weights(r: int, t: int, n_left: int, n_right: int) -> tuple[list[int], list[int]]:
@@ -243,8 +287,10 @@ def run_reduction(
     Kronecker product of the three dual systems of ``grid_factors``, and
     the recovery of the independent-set-pair count.
 
-    The brute oracle hands ``recover_counts`` its counts as the right-hand
-    side, in row-major order of (p_left, p_right, p).  The analytic oracle
+    The brute oracle builds only the largest grid instance and hands
+    ``recover_counts`` its counts (``_brute_counts``) as the right-hand
+    side, in row-major order of (p_left, p_right, p); ``emit_dir`` gets
+    every grid instance, built alone.  The analytic oracle
     hands it Y, the weighted pair-profile histogram, as the expected
     solution: N is Y's forward map, computed at the solver prime alone, and
     a y equal to Y is checked no further.  Any other y is checked exactly
@@ -259,39 +305,29 @@ def run_reduction(
     exact = grid_factors(counts, params)
     shape = list(map(len, exact))
 
-    query = qrst_query(r, s, t)
-    oracle_counts: list[int] = []
     if emit_dir is not None:
         os.makedirs(emit_dir, exist_ok=True)
-    if oracle == "brute" or emit_dir is not None:
         for p_left, p_right, p in itertools.product(*map(range, shape)):
             instance = build_Dp(g, r, s, t, p, params, p_left, p_right)
-            if emit_dir is not None:
-                path = os.path.join(emit_dir, f"D_{p_left}_{p_right}_{p}.facts")
-                with open(path, "w") as fh:
-                    fh.write(instance.serialize())
-            if oracle == "brute":
-                oracle_counts.append(count_violating(instance, query))
+            path = os.path.join(emit_dir, f"D_{p_left}_{p_right}_{p}.facts")
+            with open(path, "w") as fh:
+                fh.write(instance.serialize())
+    oracle_counts = _brute_counts(g, r, s, t, params, shape) if oracle == "brute" else None
 
-    rhs = terms = None
-    if oracle == "brute":
-        rhs = oracle_counts
-    else:  # Y is the expected solution: the exact check reads y - Y
+    terms = None
+    if oracle == "analytic":  # Y is the expected solution: the exact check reads y - Y
         weights = weighted_profiles(g, r, t)
         terms = [weights.get(key, 0) for key in cells]
 
     # no entry of y exceeds the weight of all 2**(n_left + n_right) pairs
     left, right = _pair_weights(r, t, params.n_left, params.n_right)
     bounds = [2 ** (params.n_left + params.n_right) * left[0] * right[0] + 1] * params.M
-    solution = recover_counts(exact, bounds, 4, rhs, terms)  # exact on powers < 4
+    solution = recover_counts(exact, bounds, 4, oracle_counts, terms)  # exact on powers < 4
     y_vector = dict(zip(cells, solution))
     p_result = sum(
         pair_count(y, left[i] * right[j]) for (i, j, c, _d, _dp), y in y_vector.items() if c == 0
     )
-    return ReductionRun(
-        params, counts, cells, exact, g, oracle_counts if oracle == "brute" else None,
-        y_vector, p_result,
-    )
+    return ReductionRun(params, counts, cells, exact, g, oracle_counts, y_vector, p_result)
 
 
 def _qrst_role_relations(q: Query) -> tuple[str, str, list[int], list[int], list[int], list[int]]:

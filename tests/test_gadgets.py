@@ -3,10 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreliab import evaluate
+from qreliab import evaluate, kernels
 from qreliab.cq import enumerate_matches
 from qreliab.errors import QReliabError
-from qreliab.evaluate import ur_brute
+from qreliab.evaluate import lineage, ur_brute
 from qreliab.gadgets import (
     brute_counts,
     build_gadget,
@@ -101,6 +101,32 @@ def test_brute_counts_enumerate_each_gadget_once(monkeypatch):
     monkeypatch.setattr(evaluate, "enumerate_matches", counted)
     assert brute_counts(2, 3, 2) == closed_counts(2, 3, 2)
     assert calls == [2 + 3 + 2, 3 + 2 + 3 + 2 + 3 + 2 + 2]  # the (a,b)-gadget, the chain
+
+
+def widest(masks):
+    """Variables in the widest independent component of the minimal masks."""
+    split = kernels._components(kernels.minimize_masks(masks))
+    return max((variables.bit_count() for variables, _ in split), default=0)
+
+
+def test_brute_counts_condition_each_lineage_below_the_cap(monkeypatch):
+    # brute_counts counts each weighting afresh, not from one trace: the
+    # chain's lineage is 42 wide unconditioned, past the default cap of 30,
+    # while each of the eight counts conditions a lineage first, to at most
+    # 30.  A trace of the unconditioned chain would refuse counts that fit.
+    monkeypatch.delenv("QRELIAB_BRUTE_CAP", raising=False)
+    chain = build_gadget("abcd", 6, 6, 6, ["@g.a", "@g.b", "@g.c", "@g.d"])
+    assert widest(lineage(qrst_query(6, 6, 6), chain).masks) == 42
+    widths = []
+    count = kernels.count_avoiding
+
+    def counted(masks, weights, cap=None, trace=None):
+        widths.append(widest(masks))
+        return count(masks, weights, cap, trace)
+
+    monkeypatch.setattr(kernels, "count_avoiding", counted)
+    assert brute_counts(6, 6, 6) == closed_counts(6, 6, 6)
+    assert len(widths) == 8 and max(widths) == 30
 
 
 def test_count_violating_whole_gadget():

@@ -12,7 +12,7 @@ from qreliab.errors import CapExceededError
 from qreliab.evaluate import pqe_brute, ur_brute
 from qreliab.gadgets import q1_query
 from qreliab.instances import Fact, Instance, ProbAssignment
-from qreliab.kernels import count_avoiding, count_containing_any, minimize_masks
+from qreliab.kernels import count_avoiding, count_containing_any, evaluate_trace, minimize_masks
 
 
 def naive_avoiding(masks, weights):
@@ -226,6 +226,56 @@ def test_count_avoiding_hub_lineage_cap_reports_the_reference_width(lineage):
         count_avoiding(masks, weights, cap=width - 1)
     assert (info.value.required, info.value.cap) == (width, width - 1)
     assert count_avoiding(masks, weights, cap=width) == naive_avoiding(masks, weights)
+
+
+def conditioned_count(masks, weights):
+    """Reference: ``lineage_counts``' conditioning, then a fresh count: a
+    certain variable (w_out = 0) leaves every mask, and a mask that holds
+    an impossible one (w_in = 0) is dropped."""
+    certain = sum(1 << i for i, (_, w_out) in enumerate(weights) if not w_out)
+    impossible = sum(1 << i for i, (w_in, w_out) in enumerate(weights) if w_out and not w_in)
+    return count_avoiding([m & ~certain for m in masks if not m & impossible], weights)
+
+
+_pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_trace_evaluates_like_a_conditioned_count(data):
+    # one recorded pass, evaluated under other weights with zeros on either
+    # side, against conditioning each weighting's masks and counting afresh
+    nvars = data.draw(st.integers(0, 14))
+    masks = data.draw(st.lists(st.integers(0, (1 << nvars) - 1), max_size=12))
+    weightings = st.lists(_pairs, min_size=nvars, max_size=nvars)
+    recorded = data.draw(weightings)
+    trace = []
+    assert count_avoiding(masks, recorded, None, trace) == count_avoiding(masks, recorded)
+    assert evaluate_trace(trace, recorded) == count_avoiding(masks, recorded)
+    for weights in data.draw(st.lists(weightings, min_size=1, max_size=5)):
+        assert evaluate_trace(trace, weights) == conditioned_count(masks, weights)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, (1 << 14) - 1), max_size=12), st.integers(0, 14))
+def test_recording_pass_raises_the_same_cap_error(masks, cap):
+    weights = [(1, 1)] * 14
+    try:
+        expected = count_avoiding(masks, weights, cap)
+    except CapExceededError as err:
+        with pytest.raises(CapExceededError) as info:
+            count_avoiding(masks, weights, cap, [])
+        assert (info.value.required, info.value.cap) == (err.required, cap)
+    else:
+        trace = []
+        assert count_avoiding(masks, weights, cap, trace) == expected
+        assert evaluate_trace(trace, weights) == expected
+
+
+def test_trace_of_a_zero_mask_is_zero_under_any_weights():
+    trace = []
+    assert count_avoiding([0, 0b11], [(1, 1)] * 2, 0, trace) == 0
+    assert evaluate_trace(trace, [(3, 0), (0, 5)]) == 0
 
 
 # Random instances of R(x), S(x,y), T(y) over a three-constant domain.

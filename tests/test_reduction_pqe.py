@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreliab import bipartite, evaluate, reduction_pqe, vandermonde
+from qreliab import bipartite, evaluate, kernels, reduction_pqe, vandermonde
 from qreliab.bipartite import BipartiteGraph, independent_pair_count
 from qreliab.errors import CapExceededError, ProbabilityError, QReliabError
 from qreliab.evaluate import fact_weights, lineage, lineage_counts
@@ -274,6 +274,43 @@ def test_brute_oracle_enumerates_matches_once(monkeypatch):
     assert run.p_result == independent_pair_count(g)
     # the largest padded instance: 5 vertices, 2 edges, 2 * (2*2 + 3*3) pendant facts
     assert calls == [33]
+
+
+def test_brute_oracle_counts_in_one_pass(monkeypatch):
+    passes = []
+    count = kernels.count_avoiding
+
+    def counted(masks, weights, cap=None, trace=None):
+        passes.append(len(weights))
+        return count(masks, weights, cap, trace)
+
+    monkeypatch.setattr(kernels, "count_avoiding", counted)
+    g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2", "w3"], [("u1", "w1"), ("u2", "w3")])
+    brute_counts = reduction_pqe._brute_counts
+    cells = [(i, j) for i in range(3) for j in range(4)]
+    assert len(brute_counts(g, HALF, Fraction(1, 3), cells)) == 12
+    assert len(passes) == 1
+    run = run_reduction_pqe(g, HALF, Fraction(1, 3), oracle="brute")
+    assert run.p_result == independent_pair_count(g)
+    assert len(passes) == 2
+
+
+def test_pi_reads_the_system_the_run_solved(monkeypatch):
+    calls = []
+    system = reduction_pqe._system
+
+    def counted(*args):
+        calls.append(args)
+        return system(*args)
+
+    monkeypatch.setattr(reduction_pqe, "_system", counted)
+    g = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1")])
+    run = run_reduction_pqe(g, HALF, Fraction(1, 3), oracle="formula")
+    pi = run.pi
+    assert len(calls) == 1
+    assert (run.factors, run.pair_weights) == system(2, 2, HALF, Fraction(1, 3))
+    for (c, d), value in pi.items():
+        assert value == pi_value(g, c, d, HALF, Fraction(1, 3), oracle="formula")
 
 
 def test_brute_oracle_cap_matches_the_first_failing_cell(monkeypatch):

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreliab import reduction_ur, vandermonde
+from qreliab import kernels, reduction_ur, vandermonde
 from qreliab.bipartite import BipartiteGraph, independent_pair_count, x_table
 from qreliab.cq import parse_query
 from qreliab.errors import (
@@ -18,11 +18,12 @@ from qreliab.errors import (
     SchemaMismatchError,
 )
 from qreliab.evaluate import pqe_brute, ur_brute
-from qreliab.gadgets import closed_counts, q1_query, qrst_query
+from qreliab.gadgets import closed_counts, count_violating, q1_query, qrst_query
 from qreliab.instances import Fact, Instance, ProbAssignment, parse_instance
 from qreliab.reduction_ur import (
     alpha_coefficient,
     build_Dp,
+    grid_factors,
     lemma_binary_transform,
     merge_power2,
     np_analytic,
@@ -285,6 +286,65 @@ def test_run_reduction_brute_oracle_on_a_two_matching(monkeypatch):
     monkeypatch.setenv("QRELIAB_BRUTE_CAP", "100000")
     run = assert_brute_counts_are_the_forward_map_of_y(matching(2), (1, 1, 1))
     assert (run.params.M, run.p_result) == (90, 9)
+
+
+PATH = BipartiteGraph.build(["u1", "u2"], ["w1", "w2"], [("u1", "w1"), ("u2", "w1"), ("u2", "w2")])
+
+
+def grid(g, rst):
+    """Every grid point (p_left, p_right, p) of the run, in product order."""
+    params = reduction_params(g, *rst)
+    shape = map(len, grid_factors(closed_counts(*rst), params))
+    return params, list(itertools.product(*map(range, shape)))
+
+
+def test_run_reduction_brute_oracle_on_the_two_plus_two_path(monkeypatch):
+    # 180 grid instances, each counted from the largest one's lineage
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "100000")
+    run = assert_brute_counts_are_the_forward_map_of_y(PATH, (1, 1, 1))
+    assert (run.params.M, run.p_result) == (180, 8)
+
+
+def test_brute_grid_counts_are_the_per_instance_counts(monkeypatch):
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "100000")
+    g, query = matching(2), qrst_query(1, 1, 1)
+    params, points = grid(g, (1, 1, 1))
+    expected = [
+        count_violating(build_Dp(g, 1, 1, 1, p, params, p_left, p_right), query)
+        for p_left, p_right, p in points
+    ]
+    assert run_reduction(g, 1, 1, 1, oracle="brute").n_vector == expected
+
+
+def test_brute_oracle_counts_in_one_pass(monkeypatch):
+    passes = []
+    count = kernels.count_avoiding
+
+    def counted(masks, weights, cap=None, trace=None):
+        passes.append(len(weights))
+        return count(masks, weights, cap, trace)
+
+    monkeypatch.setattr(kernels, "count_avoiding", counted)
+    monkeypatch.setenv("QRELIAB_BRUTE_CAP", "100000")
+    assert run_reduction(matching(2), 1, 1, 1, oracle="brute").p_result == 9
+    assert len(passes) == 1
+
+
+def test_brute_oracle_cap_matches_the_first_failing_grid_instance():
+    # the widths grow along the grid, so the default cap first fails inside
+    # it; the run must fail there, not on the largest instance
+    query = qrst_query(1, 1, 1)
+    params, points = grid(EDGE, (1, 1, 1))
+    required = []  # per failing instance, in product order
+    for p_left, p_right, p in points:
+        try:
+            count_violating(build_Dp(EDGE, 1, 1, 1, p, params, p_left, p_right), query)
+        except CapExceededError as err:
+            required.append(err.required)
+    assert required[0] < required[-1]
+    with pytest.raises(CapExceededError) as info:
+        run_reduction(EDGE, 1, 1, 1, oracle="brute")
+    assert info.value.required == required[0]
 
 
 def test_weighted_profiles():
